@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.accelerator import build_setting
 from repro.core.bw_allocator import BatchBandwidthAllocator
+from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
 from repro.workloads import TaskType, build_task_workload
 
@@ -47,7 +48,7 @@ def build_problem(setting: str, bandwidth: float, group_size: int):
         seed=0,
         num_sub_accelerators=platform.num_sub_accelerators,
     )[0]
-    evaluator = MappingEvaluator(group, platform, backend="batch")
+    evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
     return platform, evaluator
 
 

@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from repro.accelerator import build_setting
+from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
 from repro.core.parallel import EvaluatorSpec, split_chunks
 from repro.core.rpc import RpcEvaluationPool
@@ -53,7 +54,7 @@ def test_dispatch_overhead_per_chunk(report_lines):
         TaskType.MIX, group_size=10, seed=0,
         num_sub_accelerators=platform.num_sub_accelerators,
     )[0]
-    evaluator = MappingEvaluator(group, platform, backend="batch")
+    evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
     spec = EvaluatorSpec.capture(
         evaluator.codec, evaluator.batch_allocator, evaluator.table, evaluator.objective
     )

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator import build_setting
+from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
 from repro.workloads import TaskType, build_task_workload
 
@@ -78,10 +79,10 @@ def test_parallel_backend_at_least_2x_faster(report_lines):
         seed=0,
         num_sub_accelerators=platform.num_sub_accelerators,
     )[0]
-    batch = MappingEvaluator(group, platform, backend="batch")
+    batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
     parallel = MappingEvaluator(
         group, platform, analysis_table=batch.table,
-        backend="parallel", num_workers=num_workers,
+        eval_config=EvalConfig(backend="parallel", workers=num_workers),
     )
     population = batch.codec.random_population(POPULATION_SIZE, rng=0)
 

@@ -30,6 +30,7 @@ import pytest
 
 import repro
 from repro.accelerator import build_setting
+from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
 from repro.workloads import TaskType, build_task_workload
 
@@ -111,12 +112,12 @@ def test_rpc_backend_at_least_1_5x_faster(report_lines):
             seed=0,
             num_sub_accelerators=platform.num_sub_accelerators,
         )[0]
-        batch = MappingEvaluator(group, platform, backend="batch")
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rpc = MappingEvaluator(
             group, platform, analysis_table=batch.table,
-            backend="rpc",
-            eval_hosts=[address for _, address in workers],
-            rpc_token=TOKEN,
+            eval_config=EvalConfig(
+                backend="rpc", hosts=[address for _, address in workers], rpc_token=TOKEN
+            ),
         )
         population = batch.codec.random_population(POPULATION_SIZE, rng=0)
 

@@ -20,14 +20,14 @@ Run a whole campaign of scenarios as one resumable, deduplicated stream of
 search cells, with per-cell results appended to a JSONL store::
 
     repro-magma campaign fig8 fig12 --out campaign.jsonl
-    repro-magma campaign --grid grid.json --jobs 4 --out campaign.jsonl
+    repro-magma campaign --grid grid.json --out campaign.jsonl
     repro-magma campaign fig8 fig12 --out campaign.jsonl --resume
 
 Fitness evaluation defaults to the vectorized ``batch`` backend; pass
 ``--eval-backend scalar`` to force the one-encoding-at-a-time reference
 oracle (bit-identical, much slower), or ``--eval-backend parallel`` to shard
 the batch sweep across worker processes (``--eval-workers N`` sizes the
-pool, default one per CPU core)::
+pool, default one per usable CPU, capped at 8)::
 
     repro-magma search --setting S2 --task mix --eval-backend scalar
     repro-magma experiment fig9 --eval-backend parallel --eval-workers 4
@@ -236,14 +236,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not scenarios:
         raise ExperimentError("campaign needs scenario names and/or --grid")
 
-    eval_config = _eval_config(args)
-    if args.jobs is not None and args.jobs > 1 and eval_config.backend == DEFAULT_EVAL_BACKEND:
-        eval_config = EvalConfig(backend="parallel", workers=args.eval_workers or args.jobs)
-
     engine = CampaignRunner(
         scale=args.scale,
         warm_store=_warm_library(args),
-        eval_config=eval_config,
+        eval_config=_eval_config(args),
     )
     report = engine.run(
         scenarios,
@@ -536,7 +532,8 @@ def _add_eval_backend_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for --eval-backend parallel (default: one per CPU core)",
+        help="worker processes for --eval-backend parallel "
+        "(default: one per usable CPU, capped at 8)",
     )
     parser.add_argument(
         "--eval-hosts",
@@ -645,10 +642,6 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         "--grid", default=None, metavar="FILE",
         help="JSON file describing an ad-hoc grid scenario "
         "(settings/bandwidths/tasks/methods/objectives/seeds/group_size/budget)",
-    )
-    campaign.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="shorthand for '--eval-backend parallel --eval-workers N' (when N > 1)",
     )
     campaign.add_argument(
         "--resume", action="store_true",

@@ -4,15 +4,11 @@ Every layer that runs searches — :class:`~repro.core.framework.M3E`, the
 :class:`~repro.core.evaluator.MappingEvaluator`, the campaign engine, the
 experiment runners, the mapping service, and the CLI — needs the same four
 decisions: which evaluation backend, how many worker processes, which remote
-hosts, which RPC token.  Since PR 5 those four travelled as separate
-``eval_backend/eval_workers/eval_hosts/rpc_token`` keyword arguments through
-*seven* constructor signatures, each re-validating the combinations.
+hosts, which RPC token.
 
-:class:`EvalConfig` collapses the sprawl: one frozen, hashable dataclass,
-validated once at construction, accepted everywhere as ``eval_config=``.
-The old kwargs still work on every public entry point — they build the same
-``EvalConfig`` internally via :func:`resolve_eval_config` and are therefore
-bit-identical by construction — but emit :class:`DeprecationWarning`.
+:class:`EvalConfig` carries all four: one frozen, hashable dataclass,
+validated once at construction and accepted everywhere as ``eval_config=``.
+Because it is frozen, ``EvalConfig()`` is a safe shared default argument.
 
 The canonical backend names also live here (re-exported from
 :mod:`repro.core.evaluator` for compatibility).
@@ -20,9 +16,8 @@ The canonical backend names also live here (re-exported from
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -47,7 +42,7 @@ class EvalConfig:
         one-at-a-time reference oracle).  All four are bit-identical.
     workers:
         Worker-process count for the ``parallel`` backend (default: one per
-        CPU core).  Rejected for other backends, where it would be silently
+        usable CPU, capped at 8).  Rejected for other backends, where it would be silently
         meaningless.
     hosts:
         Remote worker addresses for the ``rpc`` backend — a
@@ -102,76 +97,9 @@ class EvalConfig:
 
             parse_hosts(self.hosts)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form (the token is deliberately included — callers that
-        serialize configs for display should drop it themselves)."""
-        return {
-            "backend": self.backend,
-            "workers": self.workers,
-            "hosts": list(self.hosts) if self.hosts is not None else None,
-            "rpc_token": self.rpc_token,
-        }
-
-
-def resolve_eval_config(
-    eval_config: "EvalConfig | None",
-    *,
-    where: str,
-    eval_backend: Optional[str] = None,
-    eval_workers: Optional[int] = None,
-    eval_hosts: "str | Sequence[str] | None" = None,
-    rpc_token: Optional[str] = None,
-    stacklevel: int = 3,
-    warn_on: Optional[Sequence[str]] = None,
-) -> EvalConfig:
-    """The one migration shim behind every ``eval_config=`` entry point.
-
-    New code passes ``eval_config=EvalConfig(...)`` and nothing else.  Old
-    code keeps passing the four legacy kwargs: they build the identical
-    ``EvalConfig`` (bit-identical results by construction) and emit one
-    :class:`DeprecationWarning` naming the call site's owner *where*.
-    Mixing both styles is ambiguous and fails loudly.  *warn_on* restricts
-    which legacy kwargs trigger the warning (the evaluator keeps
-    ``backend``/``num_workers`` as silent conveniences); ``None`` warns on
-    all of them.
-    """
-    legacy = {
-        "eval_backend": eval_backend,
-        "eval_workers": eval_workers,
-        "eval_hosts": eval_hosts,
-        "rpc_token": rpc_token,
-    }
-    used = [name for name, value in legacy.items() if value is not None]
-    if eval_config is not None:
-        if used:
-            raise ConfigurationError(
-                f"{where}: pass either eval_config= or the legacy "
-                f"{'/'.join(used)} keyword(s), not both"
-            )
-        if not isinstance(eval_config, EvalConfig):
-            raise ConfigurationError(
-                f"{where}: eval_config must be an EvalConfig, got {eval_config!r}"
-            )
-        return eval_config
-    warned = used if warn_on is None else [name for name in used if name in warn_on]
-    if warned:
-        warnings.warn(
-            f"{where}: the {'/'.join(warned)} keyword(s) are deprecated; "
-            f"pass eval_config=EvalConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    return EvalConfig(
-        backend=eval_backend if eval_backend is not None else DEFAULT_EVAL_BACKEND,
-        workers=eval_workers,
-        hosts=eval_hosts,  # type: ignore[arg-type]  # normalised in __post_init__
-        rpc_token=rpc_token,
-    )
-
 
 __all__ = [
     "DEFAULT_EVAL_BACKEND",
     "EVAL_BACKENDS",
     "EvalConfig",
-    "resolve_eval_config",
 ]

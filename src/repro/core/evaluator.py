@@ -7,8 +7,9 @@ function extracts the objective.  The evaluator also keeps a sample counter
 and the best-so-far trace, which every experiment uses to enforce the shared
 sampling budget and to draw convergence curves (Fig. 11, Fig. 16).
 
-Four evaluation backends are available (``backend`` constructor argument,
-also exposed as ``--eval-backend {scalar,batch,parallel,rpc}`` on the CLI):
+Four evaluation backends are available, chosen by the ``eval_config``
+constructor argument (:class:`~repro.core.evalconfig.EvalConfig`, also exposed
+as ``--eval-backend {scalar,batch,parallel,rpc}`` on the CLI):
 
 * ``"batch"`` (default) — :meth:`MappingEvaluator.evaluate_population` decodes
   and simulates the whole population in one vectorized sweep through
@@ -17,19 +18,19 @@ also exposed as ``--eval-backend {scalar,batch,parallel,rpc}`` on the CLI):
   no re-simulation.  Budget accounting still charges every requested sample,
   exactly as Section VI-B prescribes.
 * ``"parallel"`` — the batch sweep sharded across a persistent pool of worker
-  processes (:mod:`repro.core.parallel`); ``num_workers`` picks the pool
-  size (default: one per CPU core).  Workers run the same
+  processes (:mod:`repro.core.parallel`); ``EvalConfig.workers`` picks the
+  pool size (default: one per usable CPU, capped at 8).  Workers run the same
   :class:`~repro.core.parallel.SimulationRig` code path the batch backend
   uses in process, and the memo cache stays in the main process (only cache
   misses are dispatched, computed fitnesses are merged back), so the results
   are bit-identical to ``batch``.
 * ``"rpc"`` — the same sharded sweep dispatched to remote evaluation workers
-  (:mod:`repro.core.rpc`; ``eval_hosts`` lists their ``host:port`` addresses,
-  started with ``repro-magma eval-worker``).  Sharding, gather order, and the
-  coordinator-side memo cache are identical to ``parallel``; dead workers are
-  detected by heartbeat and their shards re-dispatched, falling back to local
-  evaluation when no worker is reachable — so results stay bit-identical to
-  ``batch`` whatever the fleet does.
+  (:mod:`repro.core.rpc`; ``EvalConfig.hosts`` lists their ``host:port``
+  addresses, started with ``repro-magma eval-worker``).  Sharding, gather
+  order, and the coordinator-side memo cache are identical to ``parallel``;
+  dead workers are detected by heartbeat and their shards re-dispatched,
+  falling back to local evaluation when no worker is reachable — so results
+  stay bit-identical to ``batch`` whatever the fleet does.
 * ``"scalar"`` — the original one-encoding-at-a-time reference oracle.
 
 All backends produce bit-identical fitnesses, history, and best-encoding for
@@ -40,7 +41,7 @@ equivalence property tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,13 +53,12 @@ from repro.core.evalconfig import (
     DEFAULT_EVAL_BACKEND,
     EVAL_BACKENDS,
     EvalConfig,
-    resolve_eval_config,
 )
 from repro.core.objectives import Objective, get_objective
 from repro.core.parallel import EvaluatorSpec, ParallelEvaluationPool, SimulationRig
 from repro.core.rpc import RpcEvaluationPool
 from repro.core.schedule import Schedule
-from repro.exceptions import OptimizationError
+from repro.exceptions import ConfigurationError, OptimizationError
 from repro.obs import get_metrics, get_tracer
 from repro.workloads.groups import JobGroup
 
@@ -94,25 +94,13 @@ class MappingEvaluator:
         objective: Objective | str = "throughput",
         analysis_table: Optional[JobAnalysisTable] = None,
         sampling_budget: Optional[int] = None,
-        backend: Optional[str] = None,
-        num_workers: Optional[int] = None,
-        eval_hosts: "str | Sequence[str] | None" = None,
-        rpc_token: Optional[str] = None,
         resolved_seed: Optional[int] = None,
-        eval_config: Optional[EvalConfig] = None,
+        eval_config: EvalConfig = EvalConfig(),
     ):
-        # ``eval_config`` is the configuration path; ``backend``/
-        # ``num_workers`` remain silent per-evaluator conveniences, while
-        # the fleet kwargs ride the shared deprecation shim.
-        eval_config = resolve_eval_config(
-            eval_config,
-            where="MappingEvaluator",
-            eval_backend=backend,
-            eval_workers=num_workers,
-            eval_hosts=eval_hosts,
-            rpc_token=rpc_token,
-            warn_on=("eval_hosts", "rpc_token"),
-        )
+        if not isinstance(eval_config, EvalConfig):
+            raise ConfigurationError(
+                f"MappingEvaluator: eval_config must be an EvalConfig, got {eval_config!r}"
+            )
         self.eval_config = eval_config
         self.group = group
         self.platform = platform

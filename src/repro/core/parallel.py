@@ -23,8 +23,7 @@ worker processes:
   schedule gathers identically), and is reused across generations until
   :meth:`ParallelEvaluationPool.close`.  Arrays travel zero-copy through a
   :class:`SharedMemoryRing` — workers read encodings and write fitness rows
-  in place — with the original pickle transport as the fallback where
-  ``multiprocessing.shared_memory`` is unavailable.
+  in place — so only tiny chunk descriptors cross the pool's pipes.
 
 Memoization stays in the main process: the evaluator dispatches only rows
 that miss its encoding -> fitness cache and merges the freshly computed
@@ -38,14 +37,10 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from multiprocessing import shared_memory
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - stdlib on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds without shm support
-    _shared_memory = None
 
 from repro.core.analyzer import JobAnalysisTable
 from repro.core.bw_allocator import BatchBandwidthAllocator
@@ -55,14 +50,15 @@ from repro.core.schedule import Schedule
 from repro.exceptions import ConfigurationError
 from repro.obs import get_metrics, get_tracer
 
-#: Shards smaller than this are simulated inline in the main process: the
-#: pickling + dispatch overhead would exceed the simulation cost.
+#: Populations below twice this are simulated inline in the main process: the
+#: dispatch overhead would exceed the simulation cost.
 MIN_ROWS_PER_WORKER = 8
 
 #: Height of one work-stealing chunk: the fixed unit of dispatch every
 #: distributed backend pulls from its shared queue.  Small enough that a slow
 #: worker strands at most one chunk's worth of latency, large enough that the
-#: per-chunk dispatch overhead stays amortised (see BENCH_dispatch.json).
+#: per-chunk dispatch overhead stays amortised (see BENCH_dispatch_overhead.json,
+#: written by benchmarks/test_dispatch_overhead.py).
 DEFAULT_CHUNK_ROWS = 16
 
 #: Test seams for the fault-injection property tests (inherited by forked
@@ -72,38 +68,15 @@ _FAULT_DELAY_S: float = 0.0
 _FAULT_KILL_CHUNK_START: Optional[int] = None
 
 
-def split_shards(
-    rows: np.ndarray,
-    num_workers: int,
-    min_rows_per_worker: int = MIN_ROWS_PER_WORKER,
-) -> List[np.ndarray]:
-    """Split *rows* into deterministic contiguous shards, one per worker.
-
-    The static sharding policy (one contiguous ``np.array_split`` block per
-    worker, assigned up front): never more shards than workers, and never
-    shards so small that dispatch overhead exceeds the simulation cost
-    (populations below ``2 * min_rows_per_worker`` collapse to a single
-    shard).  An empty population yields no shards.  The distributed pools
-    now *dispatch* via work-stealing :func:`split_chunks`, but this remains
-    the reference partition the equivalence property tests compare against.
-    """
-    rows = np.asarray(rows)
-    if len(rows) == 0:
-        return []
-    num_shards = min(max(1, int(num_workers)), max(1, len(rows) // min_rows_per_worker))
-    return [shard for shard in np.array_split(rows, num_shards) if len(shard)]
-
-
 def split_chunks(num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> List[Tuple[int, int]]:
     """Fixed-size contiguous ``(start, stop)`` chunks — the work-stealing unit.
 
-    Unlike :func:`split_shards` (one contiguous block per worker, assigned
-    up front), chunks are *pulled* from a shared queue by whichever worker
-    goes idle first.  Each chunk writes its fitnesses at its own row offset,
-    so the gathered result is row-ordered no matter which worker computed
-    which chunk or in what order — and because every row's simulation is
-    independent (the batch kernel is elementwise per row), the values are
-    bit-identical for every chunk size and steal schedule.
+    Chunks are *pulled* from a shared queue by whichever worker goes idle
+    first, not assigned up front.  Each chunk writes its fitnesses at its own
+    row offset, so the gathered result is row-ordered no matter which worker
+    computed which chunk or in what order — and because every row's
+    simulation is independent (the batch kernel is elementwise per row), the
+    values are bit-identical for every chunk size and steal schedule.
     """
     if chunk_rows < 1:
         raise ConfigurationError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -113,29 +86,20 @@ def split_chunks(num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> List[Tu
     ]
 
 
-def gather_rows(results: Sequence[np.ndarray]) -> np.ndarray:
-    """Reassemble per-shard fitness arrays into one row-ordered array.
-
-    The inverse of :func:`split_shards`: because shards are contiguous and
-    *results* arrive in shard order, concatenation restores the original row
-    order exactly — this is what keeps the sharded backends bit-identical to
-    the in-process ``batch`` sweep.
-    """
-    arrays = [np.asarray(result, dtype=float) for result in results]
-    if not arrays:
-        return np.empty(0, dtype=float)
-    return np.concatenate(arrays)
-
-
 def resolve_num_workers(num_workers: Optional[int]) -> int:
-    """Resolve a worker-count request against the machine's CPU count.
+    """Resolve a worker-count request against the CPUs this process may use.
 
-    ``None`` (auto) uses every available core, capped at 8 — population
-    shards are overhead-bound below ~25 rows, so more workers than that
-    rarely helps.  Explicit requests are honoured as given.
+    ``None`` (auto) uses every CPU in the process's affinity mask (so a
+    ``taskset``-pinned run does not oversubscribe its cores), capped at 8 —
+    population shards are overhead-bound below ~25 rows, so more workers
+    than that rarely helps.  Explicit requests are honoured as given.
     """
     if num_workers is None:
-        return max(1, min(os.cpu_count() or 1, 8))
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:  # pragma: no cover - platforms without affinity masks
+            usable = os.cpu_count() or 1
+        return max(1, min(usable, 8))
     if num_workers < 1:
         raise ConfigurationError(f"eval workers must be >= 1, got {num_workers}")
     return int(num_workers)
@@ -291,12 +255,10 @@ class SharedMemoryRing:
     """
 
     def __init__(self, slots: int = 2):
-        if _shared_memory is None:  # pragma: no cover - exotic builds
-            raise ConfigurationError("multiprocessing.shared_memory is unavailable")
-        self._slots: List[Optional["_shared_memory.SharedMemory"]] = [None] * max(2, slots)
+        self._slots: List[Optional[shared_memory.SharedMemory]] = [None] * max(2, slots)
         self._turn = 0
 
-    def acquire(self, nbytes: int) -> "_shared_memory.SharedMemory":
+    def acquire(self, nbytes: int) -> shared_memory.SharedMemory:
         """Next slot in rotation, (re)created if absent or too small."""
         index = self._turn % len(self._slots)
         self._turn += 1
@@ -305,7 +267,7 @@ class SharedMemoryRing:
             if segment is not None:
                 segment.close()
                 segment.unlink()
-            segment = _shared_memory.SharedMemory(create=True, size=max(1, int(nbytes)))
+            segment = shared_memory.SharedMemory(create=True, size=max(1, int(nbytes)))
             self._slots[index] = segment
         return segment
 
@@ -331,21 +293,21 @@ _WORKER_RIG: Optional[SimulationRig] = None
 
 #: Per-worker shared-memory attachments, cached by segment name so each ring
 #: slot is mapped once per worker process, not once per chunk.
-_WORKER_SHM: Dict[str, "_shared_memory.SharedMemory"] = {}
+_WORKER_SHM: Dict[str, shared_memory.SharedMemory] = {}
 
 #: Attachment cache bound: ring slots are few, but a long-lived worker serving
 #: many coordinators should not accumulate dead mappings without limit.
 _WORKER_SHM_CACHE_LIMIT = 8
 
 
-def _attach_shared_memory(name: str) -> "_shared_memory.SharedMemory":
+def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
     """Attach to (or reuse the cached mapping of) one named ring slot."""
     segment = _WORKER_SHM.get(name)
     if segment is None:
         while len(_WORKER_SHM) >= _WORKER_SHM_CACHE_LIMIT:
             stale = _WORKER_SHM.pop(next(iter(_WORKER_SHM)))  # oldest attachment
             stale.close()
-        segment = _shared_memory.SharedMemory(name=name)
+        segment = shared_memory.SharedMemory(name=name)
         _WORKER_SHM[name] = segment
     return segment
 
@@ -367,11 +329,9 @@ def _bootstrap_worker(spec: EvaluatorSpec) -> None:
         set_global_seed(spec.resolved_seed, source="worker-bootstrap")
 
 
-def _evaluate_shard(rows: np.ndarray) -> np.ndarray:
-    """Map function: fitness of one contiguous shard of repaired encodings."""
-    if _WORKER_RIG is None:  # pragma: no cover - defensive, initializer always runs
-        raise RuntimeError("parallel evaluation worker used before bootstrap")
-    return _WORKER_RIG.fitnesses_for_rows(rows)
+def _worker_ready(_: int) -> bool:
+    """Trivial map function for :meth:`ParallelEvaluationPool.warm_up`."""
+    return _WORKER_RIG is not None
 
 
 def _inject_chunk_faults(start: int) -> None:
@@ -382,17 +342,8 @@ def _inject_chunk_faults(start: int) -> None:
         os._exit(1)  # simulate a worker crash mid-chunk
 
 
-def _evaluate_chunk(task: Tuple[int, np.ndarray]) -> Tuple[int, np.ndarray]:
-    """Work-stealing map function (pickle transport): one ``(start, rows)`` chunk."""
-    start, rows = task
-    if _WORKER_RIG is None:  # pragma: no cover - defensive, initializer always runs
-        raise RuntimeError("parallel evaluation worker used before bootstrap")
-    _inject_chunk_faults(start)
-    return start, _WORKER_RIG.fitnesses_for_rows(rows)
-
-
 def _evaluate_shm_chunk(task: Tuple[str, int, int, int, int]) -> Tuple[int, int]:
-    """Work-stealing map function (zero-copy transport).
+    """Work-stealing map function: one chunk, read and written in place.
 
     *task* is ``(segment_name, pop, width, start, stop)``: the worker maps
     the named ring slot, reads its chunk of encoding rows **in place** (the
@@ -422,9 +373,10 @@ class ParallelEvaluationPool:
     The pool is created lazily on the first evaluation, reused across
     generations (workers keep their reconstructed rig for their lifetime),
     and shut down cleanly by :meth:`close` (also invoked on garbage
-    collection and by ``with`` blocks).  Sharding is deterministic:
-    ``np.array_split`` contiguous chunks in row order, one per worker, and
-    the gathered result preserves row order exactly.
+    collection and by ``with`` blocks).  A population is cut into fixed-size
+    contiguous chunks (:meth:`_chunks`) that idle workers steal from one
+    shared queue; each chunk writes its fitnesses at its own row offset, so
+    the gathered result preserves row order exactly whatever the schedule.
     """
 
     def __init__(
@@ -433,7 +385,6 @@ class ParallelEvaluationPool:
         num_workers: Optional[int] = None,
         start_method: Optional[str] = None,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        use_shared_memory: Optional[bool] = None,
         task_timeout_s: float = 60.0,
     ):
         self.spec = spec
@@ -447,11 +398,6 @@ class ParallelEvaluationPool:
         if chunk_rows < 1:
             raise ConfigurationError(f"chunk_rows must be >= 1, got {chunk_rows}")
         self.chunk_rows = int(chunk_rows)
-        #: ``None`` = auto (shared memory when the platform has it); tests
-        #: force ``False`` to exercise the pickle transport explicitly.
-        if use_shared_memory is None:
-            use_shared_memory = _shared_memory is not None
-        self.use_shared_memory = bool(use_shared_memory) and _shared_memory is not None
         #: How long to wait for one chunk acknowledgement before declaring
         #: its worker lost and recomputing the missing chunks inline.
         self.task_timeout_s = float(task_timeout_s)
@@ -487,17 +433,16 @@ class ParallelEvaluationPool:
 
     def _ensure_pool(self) -> multiprocessing.pool.Pool:
         if self._pool is None:
-            if self.use_shared_memory:
-                # Start the shared-memory resource tracker *before* forking
-                # workers: a child forked without a live tracker would lazily
-                # spawn its own on first attach, and that private tracker
-                # later "cleans up" (and warns about) segments the
-                # coordinator still owns.  With the tracker already running,
-                # every process funnels into the one inherited instance and
-                # the coordinator's unlink is the single source of truth.
-                from multiprocessing import resource_tracker
+            # Start the shared-memory resource tracker *before* forking
+            # workers: a child forked without a live tracker would lazily
+            # spawn its own on first attach, and that private tracker later
+            # "cleans up" (and warns about) segments the coordinator still
+            # owns.  With the tracker already running, every process funnels
+            # into the one inherited instance and the coordinator's unlink is
+            # the single source of truth.
+            from multiprocessing import resource_tracker
 
-                resource_tracker.ensure_running()
+            resource_tracker.ensure_running()
             context = multiprocessing.get_context(self.start_method)
             self._pool = context.Pool(
                 processes=self.num_workers,
@@ -517,8 +462,8 @@ class ParallelEvaluationPool:
         """
         num_rows = int(num_rows)
         if num_rows < 2 * MIN_ROWS_PER_WORKER:
-            # Same collapse as static split_shards: a population this small
-            # is overhead-bound, one (inline) chunk beats any dispatch.
+            # A population this small is overhead-bound: one (inline)
+            # chunk beats any dispatch.
             return split_chunks(num_rows, max(1, num_rows))
         even = -(-num_rows // self.num_workers)  # ceil division
         height = min(self.chunk_rows, max(MIN_ROWS_PER_WORKER, even))
@@ -536,15 +481,8 @@ class ParallelEvaluationPool:
             return self._local_rig().fitnesses_for_rows(rows)
         pool = self._ensure_pool()
         self._m_chunks.inc(len(chunks))
-        self._tracer.event(
-            "parallel.dispatch",
-            chunks=len(chunks),
-            rows=len(rows),
-            transport="shm" if self.use_shared_memory else "pickle",
-        )
-        if self.use_shared_memory:
-            return self._evaluate_shared(pool, rows, chunks)
-        return self._evaluate_pickled(pool, rows, chunks)
+        self._tracer.event("parallel.dispatch", chunks=len(chunks), rows=len(rows), transport="shm")
+        return self._evaluate_shared(pool, rows, chunks)
 
     def _evaluate_shared(
         self,
@@ -575,36 +513,13 @@ class ParallelEvaluationPool:
         acked = {start for start, _ in acks}
         missing = [chunk for chunk in chunks if chunk[0] not in acked]
         if missing:
-            self._note_inline_recovery(missing, transport="shm")
+            self._note_inline_recovery(missing)
             rig = self._local_rig()
             for start, stop in missing:
                 shared_out[start:stop] = rig.fitnesses_for_rows(rows[start:stop])
         return np.array(shared_out, dtype=float, copy=True)
 
-    def _evaluate_pickled(
-        self,
-        pool: multiprocessing.pool.Pool,
-        rows: np.ndarray,
-        chunks: List[Tuple[int, int]],
-    ) -> np.ndarray:
-        """Pickle-transport fallback with the same work-stealing dispatch."""
-        fitnesses = np.empty(len(rows), dtype=float)
-        tasks = [(start, rows[start:stop]) for start, stop in chunks]
-        acked = set()
-        for start, chunk_fitnesses in self._collect(
-            pool.imap_unordered(_evaluate_chunk, tasks, chunksize=1), len(chunks)
-        ):
-            fitnesses[start:start + len(chunk_fitnesses)] = chunk_fitnesses
-            acked.add(start)
-        missing = [chunk for chunk in chunks if chunk[0] not in acked]
-        if missing:
-            self._note_inline_recovery(missing, transport="pickle")
-            rig = self._local_rig()
-            for start, stop in missing:
-                fitnesses[start:stop] = rig.fitnesses_for_rows(rows[start:stop])
-        return fitnesses
-
-    def _note_inline_recovery(self, missing: List[Tuple[int, int]], transport: str) -> None:
+    def _note_inline_recovery(self, missing: List[Tuple[int, int]]) -> None:
         """Make a silent recovery loud: which chunks a lost worker stranded.
 
         Recovery itself stays automatic (results are bit-identical either
@@ -615,7 +530,7 @@ class ParallelEvaluationPool:
         self._tracer.warning(
             "parallel.chunks-recovered-inline",
             chunks=[[int(start), int(stop)] for start, stop in missing],
-            transport=transport,
+            transport="shm",
         )
 
     def _collect(self, iterator, expected: int) -> list:
@@ -659,8 +574,7 @@ class ParallelEvaluationPool:
 
     def warm_up(self) -> None:
         """Start the workers eagerly (used by benchmarks to exclude startup cost)."""
-        pool = self._ensure_pool()
-        pool.map(_evaluate_shard, [np.empty((0, 2 * self.spec.num_jobs))])
+        self._ensure_pool().map(_worker_ready, range(self.num_workers), chunksize=1)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

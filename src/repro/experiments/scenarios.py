@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.core.evalconfig import EvalConfig
 from repro.exceptions import ExperimentError
 from repro.experiments.settings import ExperimentScale, get_scale
 from repro.optimizers.registry import is_rl_method
@@ -29,7 +30,6 @@ from repro.utils.serialization import payload_fingerprint
 from repro.utils.tables import unique_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.evalconfig import EvalConfig
     from repro.core.framework import SearchResult
     from repro.experiments.campaign import CampaignRunner
 
@@ -421,14 +421,10 @@ def run_scenario(
     scenario: "str | ScenarioSpec",
     scale: "ExperimentScale | str | None" = None,
     seed: int = 0,
-    eval_backend: Optional[str] = None,
-    eval_workers: Optional[int] = None,
-    eval_hosts: "str | Sequence[str] | None" = None,
-    rpc_token: Optional[str] = None,
     engine: Optional["CampaignRunner"] = None,
     options: Optional[Dict[str, Any]] = None,
     warm_store: Optional[Any] = None,
-    eval_config: Optional["EvalConfig"] = None,
+    eval_config: EvalConfig = EvalConfig(),
 ) -> Dict[str, Any]:
     """Run one scenario end to end and return its post-processed output.
 
@@ -438,11 +434,8 @@ def run_scenario(
     is built from ``scale``/``eval_config``/``warm_store`` (the latter a
     persistent warm-start provider such as
     :class:`~repro.service.warmlib.WarmStartLibrary`, threaded into every
-    explorer the scenario builds).  The legacy
-    ``eval_backend``/``eval_workers``/``eval_hosts``/``rpc_token`` keywords
-    build the identical config but emit :class:`DeprecationWarning`.
+    explorer the scenario builds).
     """
-    from repro.core.evalconfig import resolve_eval_config
     from repro.experiments.campaign import CampaignRunner
 
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
@@ -450,14 +443,7 @@ def run_scenario(
         resolved = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
         engine = CampaignRunner(
             scale=resolved,
-            eval_config=resolve_eval_config(
-                eval_config,
-                where="run_scenario",
-                eval_backend=eval_backend,
-                eval_workers=eval_workers,
-                eval_hosts=eval_hosts,
-                rpc_token=rpc_token,
-            ),
+            eval_config=eval_config,
             warm_store=warm_store,
         )
     context = ScenarioContext(spec=spec, engine=engine, base_seed=seed, options=dict(options or {}))

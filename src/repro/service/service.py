@@ -29,11 +29,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.accelerator import build_setting, list_settings
 from repro.core.analyzer import AnalysisTableCache
-from repro.core.evalconfig import EvalConfig, resolve_eval_config
+from repro.core.evalconfig import EvalConfig
 from repro.core.objectives import list_objectives
 from repro.exceptions import ReproError, ServiceError
 from repro.experiments.campaign import CampaignRunner
@@ -217,8 +217,6 @@ class MappingService:
         (:class:`~repro.core.evalconfig.EvalConfig`) for every search the
         service runs.  With ``backend="rpc"`` service jobs fan their
         fitness evaluations out to the remote worker fleet.
-    eval_backend / eval_workers / eval_hosts / rpc_token:
-        Deprecated spelling of ``eval_config`` (bit-identical, warns).
     replica_id:
         Stable identity this replica reports on ``/healthz`` (default:
         ``<hostname>:<pid>``) — how operators tell the members of a
@@ -238,14 +236,10 @@ class MappingService:
         store: "SolutionStore | str",
         warm_store: "WarmStartLibrary | str | None" = None,
         scale: "ExperimentScale | str | None" = None,
-        eval_backend: Optional[str] = None,
-        eval_workers: Optional[int] = None,
-        eval_hosts: "str | Sequence[str] | None" = None,
-        rpc_token: Optional[str] = None,
         workers: int = 2,
         table_cache: Optional[AnalysisTableCache] = None,
         max_finished_jobs: int = 10_000,
-        eval_config: Optional[EvalConfig] = None,
+        eval_config: EvalConfig = EvalConfig(),
         replica_id: Optional[str] = None,
     ):
         if workers <= 0:
@@ -266,14 +260,7 @@ class MappingService:
             self.warm_store = warm_store
             self._runner = CampaignRunner(
                 scale=scale,
-                eval_config=resolve_eval_config(
-                    eval_config,
-                    where="MappingService",
-                    eval_backend=eval_backend,
-                    eval_workers=eval_workers,
-                    eval_hosts=eval_hosts,
-                    rpc_token=rpc_token,
-                ),
+                eval_config=eval_config,
                 table_cache=table_cache if table_cache is not None else AnalysisTableCache(),
                 warm_store=warm_store,
             )
@@ -457,7 +444,7 @@ class MappingService:
                 "status": "closed" if self._closed else "ok",
                 "replica": self.replica_id,
                 "scale": self.scale.name,
-                "eval_backend": self._runner.eval_backend,
+                "eval_backend": self._runner.eval_config.backend,
                 "store_backend": self.store.kind,
                 "store_url": self.store.url,
                 "workers": len(self._threads),

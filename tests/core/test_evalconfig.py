@@ -1,22 +1,17 @@
-"""Tests for the unified :class:`EvalConfig` and its deprecation shim.
+"""Tests for the unified :class:`EvalConfig`.
 
-The contract under test: every entry point accepts ``eval_config=``, the
-legacy ``eval_backend/eval_workers/eval_hosts/rpc_token`` kwargs still work
-but warn, mixing the two styles fails loudly, and — the acceptance bar —
-a search configured through the legacy kwargs is *bit-identical* to the
-same search configured through ``EvalConfig``.
+The contract under test: the config validates every backend/worker/host
+combination once, at construction; every entry point takes it as
+``eval_config=`` (defaulting to ``EvalConfig()``); and an entry point handed
+anything else fails loudly when it is built.
 """
 
 import warnings
 
 import pytest
 
-from repro.core import EvalConfig, M3E
-from repro.core.evalconfig import (
-    DEFAULT_EVAL_BACKEND,
-    EVAL_BACKENDS,
-    resolve_eval_config,
-)
+from repro.core import EvalConfig, M3E, MappingEvaluator
+from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS
 from repro.exceptions import ConfigurationError
 from repro.experiments.campaign import CampaignRunner
 
@@ -66,97 +61,28 @@ class TestEvalConfigValidation:
     def test_token_stays_out_of_repr(self):
         assert "hunter2" not in repr(EvalConfig(backend="rpc", rpc_token="hunter2"))
 
-    def test_to_dict_round_trip(self):
-        config = EvalConfig(backend="rpc", hosts="h:1", rpc_token="t")
-        assert config.to_dict() == {
-            "backend": "rpc",
-            "workers": None,
-            "hosts": ["h:1"],
-            "rpc_token": "t",
-        }
-
-
-class TestResolveShim:
-    def test_eval_config_passes_through_untouched(self):
-        config = EvalConfig(backend="scalar")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_eval_config(config, where="here") is config
-
-    def test_legacy_kwargs_build_identical_config_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="here.*deprecated"):
-            resolved = resolve_eval_config(
-                None, where="here", eval_backend="parallel", eval_workers=2
-            )
-        assert resolved == EvalConfig(backend="parallel", workers=2)
-
-    def test_mixing_styles_fails_loudly(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            resolve_eval_config(
-                EvalConfig(), where="here", eval_backend="scalar"
-            )
-
-    def test_non_evalconfig_object_rejected(self):
-        with pytest.raises(ConfigurationError, match="must be an EvalConfig"):
-            resolve_eval_config({"backend": "batch"}, where="here")
-
-    def test_warn_on_filters_which_kwargs_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_eval_config(
-                None,
-                where="here",
-                eval_backend="scalar",
-                warn_on=("eval_hosts", "rpc_token"),
-            )
-        assert resolved.backend == "scalar"
-
-    def test_no_kwargs_is_silent_default(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_eval_config(None, where="here") == EvalConfig()
-
 
 class TestEntryPointsAcceptEvalConfig:
-    def test_m3e_legacy_kwargs_warn_and_match_eval_config(self, small_platform, mix_group):
-        new_style = M3E(
-            small_platform, sampling_budget=60, eval_config=EvalConfig(backend="scalar")
-        )
-        with pytest.warns(DeprecationWarning):
-            old_style = M3E(small_platform, sampling_budget=60, eval_backend="scalar")
-        assert new_style.eval_config == old_style.eval_config
-        # Acceptance: the two spellings produce bit-identical searches.
-        a = new_style.search(mix_group, seed=7)
-        b = old_style.search(mix_group, seed=7)
-        assert a.best_encoding.tolist() == b.best_encoding.tolist()
-        assert a.best_fitness == b.best_fitness
-        assert a.history == b.history
-        assert a.samples_used == b.samples_used
+    def test_m3e_defaults_to_the_default_config(self, small_platform):
+        assert M3E(small_platform).eval_config == EvalConfig()
 
-    def test_m3e_exposes_legacy_read_only_views(self, small_platform):
-        engine = M3E(
-            small_platform,
-            eval_config=EvalConfig(backend="parallel", workers=2),
-        )
-        assert engine.eval_backend == "parallel"
-        assert engine.eval_workers == 2
-        assert engine.eval_hosts is None and engine.rpc_token is None
+    def test_m3e_threads_eval_config_into_its_evaluators(self, small_platform, mix_group):
+        config = EvalConfig(backend="scalar")
+        engine = M3E(small_platform, sampling_budget=60, eval_config=config)
+        evaluator = engine.build_evaluator(mix_group)
+        assert evaluator.eval_config is config
+        assert evaluator.backend == "scalar"
 
-    def test_m3e_rejects_mixed_styles(self, small_platform):
-        with pytest.raises(ConfigurationError, match="not both"):
-            M3E(
-                small_platform,
-                eval_config=EvalConfig(),
-                eval_backend="scalar",
-            )
+    def test_non_evalconfig_object_rejected(self, small_platform, mix_group):
+        with pytest.raises(ConfigurationError, match="must be an EvalConfig"):
+            M3E(small_platform, eval_config={"backend": "batch"})
+        with pytest.raises(ConfigurationError, match="must be an EvalConfig"):
+            MappingEvaluator(mix_group, small_platform, eval_config="batch")
 
-    def test_campaign_runner_threads_eval_config_through(self):
+    def test_campaign_runner_threads_eval_config_through(self, small_platform):
         runner = CampaignRunner(eval_config=EvalConfig(backend="scalar"))
         assert runner.eval_config == EvalConfig(backend="scalar")
-        assert runner.eval_backend == "scalar"
-        with pytest.warns(DeprecationWarning):
-            legacy = CampaignRunner(eval_backend="scalar")
-        assert legacy.eval_config == runner.eval_config
+        assert runner.explorer(small_platform).eval_config == runner.eval_config
 
     def test_campaign_runner_default_is_silent(self):
         with warnings.catch_warnings():

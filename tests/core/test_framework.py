@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.evalconfig import EvalConfig
 from repro.core.framework import M3E, SearchResult
 from repro.exceptions import OptimizationError
 from repro.optimizers import MagmaOptimizer
@@ -107,8 +108,8 @@ class TestM3E:
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            M3E(small_platform, eval_backend="nope")
-        explorer = M3E(small_platform, sampling_budget=50, eval_backend="scalar")
+            M3E(small_platform, eval_config=EvalConfig(backend="nope"))
+        explorer = M3E(small_platform, sampling_budget=50, eval_config=EvalConfig(backend="scalar"))
         assert explorer.build_evaluator(mix_group).backend == "scalar"
 
     def test_warm_start_encodings_accepted(self, small_platform, mix_group):

@@ -13,19 +13,16 @@ import numpy as np
 import pytest
 
 from repro.accelerator import build_setting
+from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import EVAL_BACKENDS, MappingEvaluator
 from repro.core.framework import M3E
 from repro.core import parallel as parallel_module
 from repro.core.parallel import (
-    MIN_ROWS_PER_WORKER,
     EvaluatorSpec,
     ParallelEvaluationPool,
     SharedMemoryRing,
-    SimulationRig,
-    gather_rows,
     resolve_num_workers,
     split_chunks,
-    split_shards,
 )
 from repro.exceptions import ConfigurationError
 from repro.workloads import TaskType, build_task_workload
@@ -53,7 +50,7 @@ class TestEvaluatorSpec:
         """The spec is the worker-bootstrap contract: it must survive pickling
         and rebuild a rig that scores rows bit-identically to the original."""
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         spec = _spec_for(evaluator)
         clone = pickle.loads(pickle.dumps(spec))
         rig = clone.build_rig()
@@ -74,55 +71,22 @@ class TestEvaluatorSpec:
         with pytest.raises(ConfigurationError):
             resolve_num_workers(0)
 
+    def test_auto_worker_count_follows_the_affinity_mask(self, monkeypatch):
+        """A process pinned to one CPU (``taskset -c 0``) gets one worker,
+        however many CPUs the machine has; the auto count is capped at 8."""
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_num_workers(None) == 1
+        monkeypatch.setattr(parallel_module.os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
+        assert resolve_num_workers(None) == 8
+        assert resolve_num_workers(12) == 12  # explicit requests are not capped
 
-class TestShardHelpers:
-    """The contiguous-shard/gather policy shared by the parallel and rpc pools."""
-
-    def test_split_is_contiguous_and_order_preserving(self):
-        rows = np.arange(33 * 4, dtype=float).reshape(33, 4)
-        shards = split_shards(rows, num_workers=4)
-        assert len(shards) == 4
-        assert np.array_equal(np.concatenate(shards), rows)
-        # Contiguity: every shard is a consecutive slice of the input.
-        offset = 0
-        for shard in shards:
-            assert np.array_equal(shard, rows[offset:offset + len(shard)])
-            offset += len(shard)
-
-    def test_split_matches_np_array_split_exactly(self):
-        """The historical policy was a literal np.array_split; the extracted
-        helper must not change a single shard boundary."""
-        rows = np.arange(50 * 2, dtype=float).reshape(50, 2)
-        expected = [s for s in np.array_split(rows, 4) if len(s)]
-        observed = split_shards(rows, num_workers=4)
-        assert len(observed) == len(expected)
-        for got, want in zip(observed, expected):
-            assert np.array_equal(got, want)
-
-    def test_small_populations_collapse_to_one_shard(self):
-        rows = np.zeros((MIN_ROWS_PER_WORKER * 2 - 1, 4))
-        assert len(split_shards(rows, num_workers=8)) == 1
-        assert len(split_shards(np.zeros((MIN_ROWS_PER_WORKER * 2, 4)), 8)) == 2
-
-    def test_never_more_shards_than_workers_or_rows(self):
-        rows = np.zeros((100, 4))
-        assert len(split_shards(rows, num_workers=3)) == 3
-        assert len(split_shards(rows, num_workers=1)) == 1
-        assert len(split_shards(np.zeros((2, 4)), num_workers=8, min_rows_per_worker=1)) == 2
-
-    def test_empty_population_yields_no_shards(self):
-        assert split_shards(np.empty((0, 4)), num_workers=4) == []
-        assert gather_rows([]).shape == (0,)
-
-    def test_gather_restores_row_order(self):
-        fitnesses = np.arange(33, dtype=float)
-        shards = split_shards(fitnesses.reshape(33, 1), num_workers=5)
-        per_shard = []
-        offset = 0
-        for shard in shards:
-            per_shard.append(fitnesses[offset:offset + len(shard)])
-            offset += len(shard)
-        assert np.array_equal(gather_rows(per_shard), fitnesses)
+    def test_auto_worker_count_without_affinity_support(self, monkeypatch):
+        monkeypatch.delattr(parallel_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 3)
+        assert resolve_num_workers(None) == 3
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: None)
+        assert resolve_num_workers(None) == 1
 
 
 class TestParallelEvaluationPool:
@@ -130,7 +94,7 @@ class TestParallelEvaluationPool:
         """Sharding is contiguous and the gather must reassemble row order,
         including populations that do not divide evenly across workers."""
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(33, rng=7))
         reference = evaluator._rig.fitnesses_for_rows(rows)
         with ParallelEvaluationPool(_spec_for(evaluator), num_workers=2) as pool:
@@ -138,7 +102,7 @@ class TestParallelEvaluationPool:
 
     def test_pool_reused_across_calls_and_restartable_after_close(self):
         platform, group = _problem("S1", 16.0, 8)
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(20, rng=1))
         reference = evaluator._rig.fitnesses_for_rows(rows)
         pool = ParallelEvaluationPool(_spec_for(evaluator), num_workers=2)
@@ -151,6 +115,18 @@ class TestParallelEvaluationPool:
             assert np.array_equal(pool.evaluate(rows), reference)
         finally:
             pool.close()
+
+    def test_warm_up_starts_workers_and_next_evaluate_is_bit_identical(self):
+        platform, group = _problem("S2", 16.0, 10)
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        spec = _spec_for(evaluator)
+        rows = evaluator.codec.repair_batch(evaluator.codec.random_population(40, rng=9))
+        reference = spec.build_rig().fitnesses_for_rows(rows)
+        with ParallelEvaluationPool(spec, num_workers=2) as pool:
+            pool.warm_up()
+            assert pool.is_running
+            assert np.array_equal(pool.evaluate(rows), reference)
+            assert pool.is_running  # the warmed pool served the dispatch
 
     def test_empty_population_needs_no_workers(self):
         platform, group = _problem("S1", 16.0, 8)
@@ -176,10 +152,9 @@ class TestParallelBackendEquivalence:
         fitnesses, history, budget, and best encoding."""
         platform, group = _problem(setting, bandwidth, group_size)
         batch = MappingEvaluator(group, platform, objective=objective,
-                                 sampling_budget=400, backend="batch")
+                                 sampling_budget=400, eval_config=EvalConfig(backend="batch"))
         parallel = MappingEvaluator(group, platform, objective=objective,
-                                    sampling_budget=400, backend="parallel",
-                                    num_workers=2)
+                                    sampling_budget=400, eval_config=EvalConfig(backend="parallel", workers=2))
         rng = np.random.default_rng(11)
         try:
             for _ in range(3):
@@ -199,8 +174,8 @@ class TestParallelBackendEquivalence:
         """Continuous optimizers feed raw real vectors; repair happens in the
         main process, so workers and the batch path must agree bit for bit."""
         platform, group = _problem("S2", 16.0, 10)
-        batch = MappingEvaluator(group, platform, backend="batch")
-        parallel = MappingEvaluator(group, platform, backend="parallel", num_workers=2)
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        parallel = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="parallel", workers=2))
         rng = np.random.default_rng(5)
         population = rng.normal(scale=4.0, size=(40, batch.codec.encoding_length))
         try:
@@ -213,9 +188,9 @@ class TestParallelBackendEquivalence:
 
     def test_budget_truncation_identical_to_batch(self):
         platform, group = _problem("S2", 16.0, 10)
-        batch = MappingEvaluator(group, platform, sampling_budget=7, backend="batch")
+        batch = MappingEvaluator(group, platform, sampling_budget=7, eval_config=EvalConfig(backend="batch"))
         parallel = MappingEvaluator(group, platform, sampling_budget=7,
-                                    backend="parallel", num_workers=2)
+                                    eval_config=EvalConfig(backend="parallel", workers=2))
         population = batch.codec.random_population(10, rng=0)
         try:
             assert np.array_equal(
@@ -231,7 +206,7 @@ class TestParallelBackendEquivalence:
         """Worker results must land in the main-process memo cache: a repeat
         generation is served without any live workers at all."""
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, backend="parallel", num_workers=2)
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="parallel", workers=2))
         population = evaluator.codec.random_population(24, rng=4)
         first = evaluator.evaluate_population(population, count_samples=False)
         assert evaluator._pool.is_running  # 24 rows -> two shards, real dispatch
@@ -246,8 +221,8 @@ class TestParallelBackendEquivalence:
         """A single shard gains nothing from IPC: tiny generations must not
         pay pool startup (and must still match the batch backend)."""
         platform, group = _problem("S1", 16.0, 8)
-        batch = MappingEvaluator(group, platform, backend="batch")
-        parallel = MappingEvaluator(group, platform, backend="parallel", num_workers=4)
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        parallel = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="parallel", workers=4))
         population = batch.codec.random_population(10, rng=2)
         assert np.array_equal(
             batch.evaluate_population(population, count_samples=False),
@@ -258,11 +233,11 @@ class TestParallelBackendEquivalence:
 
     def test_single_evaluate_shares_cache_without_dispatch(self):
         platform, group = _problem("S1", 16.0, 8)
-        evaluator = MappingEvaluator(group, platform, backend="parallel", num_workers=2)
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="parallel", workers=2))
         encoding = evaluator.codec.random_encoding(rng=0)
         fitness = evaluator.evaluate(encoding, count_sample=False)
         assert not evaluator._pool.is_running  # scalar calls stay in process
-        batch = MappingEvaluator(group, platform, backend="batch")
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         assert fitness == batch.evaluate(encoding, count_sample=False)
         evaluator.close()
 
@@ -274,8 +249,7 @@ class TestParallelBackendEquivalence:
             explorer = M3E(
                 platform,
                 sampling_budget=150,
-                eval_backend=backend,
-                eval_workers=2 if backend == "parallel" else None,
+                eval_config=EvalConfig(backend=backend, workers=2 if backend == "parallel" else None),
             )
             results[backend] = explorer.search(
                 group, optimizer="magma", seed=13,
@@ -295,29 +269,28 @@ class TestConfiguration:
     def test_rejects_workers_on_other_backends(self):
         platform, group = _problem("S1", 16.0, 8)
         with pytest.raises(ConfigurationError):
-            MappingEvaluator(group, platform, backend="batch", num_workers=2)
+            MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch", workers=2))
         with pytest.raises(ConfigurationError):
-            M3E(platform, eval_backend="batch", eval_workers=2)
+            M3E(platform, eval_config=EvalConfig(backend="batch", workers=2))
 
     def test_rejects_non_positive_worker_count(self):
         platform, group = _problem("S1", 16.0, 8)
         with pytest.raises(ConfigurationError):
-            MappingEvaluator(group, platform, backend="parallel", num_workers=0)
+            MappingEvaluator(group, platform, eval_config=EvalConfig(backend="parallel", workers=0))
 
 
 class TestWorkStealingProperties:
     """Work-stealing dispatch must be invisible in the results.
 
-    The property under test: for every chunk size, transport (shared memory
-    or pickle), and fault schedule (slow workers, a worker killed
-    mid-chunk), the gathered fitnesses are bit-identical to the in-process
+    The property under test: for every chunk size and fault schedule (slow
+    workers, a worker killed mid-chunk), the gathered fitnesses are bit-identical to the in-process
     batch sweep — chunking and steal order are pure throughput devices.
     """
 
     @pytest.fixture()
     def rig_and_rows(self):
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         spec = _spec_for(evaluator)
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(73, rng=5))
         return spec, rows, spec.build_rig().fitnesses_for_rows(rows)
@@ -335,26 +308,19 @@ class TestWorkStealingProperties:
         with pytest.raises(ConfigurationError):
             split_chunks(10, 0)
 
-    @pytest.mark.parametrize("use_shm", [True, False])
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 16, 50])
-    def test_arbitrary_chunk_sizes_bit_identical(self, rig_and_rows, use_shm, chunk_rows):
+    def test_arbitrary_chunk_sizes_bit_identical(self, rig_and_rows, chunk_rows):
         spec, rows, reference = rig_and_rows
-        with ParallelEvaluationPool(
-            spec, num_workers=3, chunk_rows=chunk_rows, use_shared_memory=use_shm
-        ) as pool:
+        with ParallelEvaluationPool(spec, num_workers=3, chunk_rows=chunk_rows) as pool:
             assert np.array_equal(pool.evaluate(rows), reference)
 
-    @pytest.mark.parametrize("use_shm", [True, False])
-    def test_slow_workers_bit_identical(self, rig_and_rows, use_shm):
+    def test_slow_workers_bit_identical(self, rig_and_rows):
         spec, rows, reference = rig_and_rows
         parallel_module._FAULT_DELAY_S = 0.01
-        with ParallelEvaluationPool(
-            spec, num_workers=3, chunk_rows=7, use_shared_memory=use_shm
-        ) as pool:
+        with ParallelEvaluationPool(spec, num_workers=3, chunk_rows=7) as pool:
             assert np.array_equal(pool.evaluate(rows), reference)
 
-    @pytest.mark.parametrize("use_shm", [True, False])
-    def test_killed_worker_recovers_bit_identical(self, rig_and_rows, use_shm):
+    def test_killed_worker_recovers_bit_identical(self, rig_and_rows):
         """The worker holding the chunk at row 14 kills itself mid-task: the
         orphaned chunks are recomputed inline, the wedged pool is abandoned,
         and the next generation dispatches on a fresh pool."""
@@ -363,10 +329,7 @@ class TestWorkStealingProperties:
         spec, rows, reference = rig_and_rows
         get_tracer().clear()
         parallel_module._FAULT_KILL_CHUNK_START = 14
-        pool = ParallelEvaluationPool(
-            spec, num_workers=3, chunk_rows=7,
-            use_shared_memory=use_shm, task_timeout_s=2.0,
-        )
+        pool = ParallelEvaluationPool(spec, num_workers=3, chunk_rows=7, task_timeout_s=2.0)
         try:
             assert np.array_equal(pool.evaluate(rows), reference)
             parallel_module._FAULT_KILL_CHUNK_START = None

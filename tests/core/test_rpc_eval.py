@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator import build_setting
+from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import EVAL_BACKENDS, MappingEvaluator
 from repro.core.framework import M3E
 from repro.core.parallel import EvaluatorSpec
@@ -65,13 +66,15 @@ def workers():
         server.shutdown()
 
 
+def _rpc_config(addresses) -> EvalConfig:
+    return EvalConfig(backend="rpc", hosts=list(addresses), rpc_token=TOKEN)
+
+
 def _rpc_evaluator(group, platform, servers, **kwargs) -> MappingEvaluator:
     return MappingEvaluator(
         group,
         platform,
-        backend="rpc",
-        eval_hosts=[server.address for server in servers],
-        rpc_token=TOKEN,
+        eval_config=_rpc_config(server.address for server in servers),
         **kwargs,
     )
 
@@ -206,7 +209,7 @@ class TestRpcBackendEquivalence:
         fitnesses, history, budget, and best encoding."""
         platform, group = _problem(setting, bandwidth, group_size)
         scalar = MappingEvaluator(group, platform, objective=objective,
-                                  sampling_budget=400, backend="scalar")
+                                  sampling_budget=400, eval_config=EvalConfig(backend="scalar"))
         rpc = _rpc_evaluator(group, platform, workers,
                              objective=objective, sampling_budget=400)
         rng = np.random.default_rng(11)
@@ -228,7 +231,7 @@ class TestRpcBackendEquivalence:
         """Repair happens in the coordinator, so raw real vectors from
         continuous optimizers score identically on every backend."""
         platform, group = _problem("S2", 16.0, 10)
-        batch = MappingEvaluator(group, platform, backend="batch")
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rpc = _rpc_evaluator(group, platform, workers)
         rng = np.random.default_rng(5)
         population = rng.normal(scale=4.0, size=(40, batch.codec.encoding_length))
@@ -242,7 +245,7 @@ class TestRpcBackendEquivalence:
 
     def test_budget_truncation_identical_to_batch(self, workers):
         platform, group = _problem("S2", 16.0, 10)
-        batch = MappingEvaluator(group, platform, sampling_budget=7, backend="batch")
+        batch = MappingEvaluator(group, platform, sampling_budget=7, eval_config=EvalConfig(backend="batch"))
         rpc = _rpc_evaluator(group, platform, workers, sampling_budget=7)
         population = batch.codec.random_population(10, rng=0)
         try:
@@ -274,7 +277,7 @@ class TestRpcBackendEquivalence:
 
     def test_tiny_populations_run_inline_without_dialing_workers(self, workers):
         platform, group = _problem("S1", 16.0, 8)
-        batch = MappingEvaluator(group, platform, backend="batch")
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rpc = _rpc_evaluator(group, platform, workers)
         population = batch.codec.random_population(6, rng=2)
         assert np.array_equal(
@@ -293,11 +296,8 @@ class TestRpcBackendEquivalence:
         silently evaluated inline."""
         platform, group = _problem("S2", 16.0, 10)
         server = EvalWorkerServer(token=TOKEN).start()
-        batch = MappingEvaluator(group, platform, backend="batch")
-        rpc = MappingEvaluator(
-            group, platform, backend="rpc",
-            eval_hosts=[server.address], rpc_token=TOKEN,
-        )
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        rpc = MappingEvaluator(group, platform, eval_config=_rpc_config([server.address]))
         population = batch.codec.random_population(40, rng=12)
         try:
             assert np.array_equal(
@@ -319,9 +319,11 @@ class TestRpcBackendEquivalence:
             explorer = M3E(
                 platform,
                 sampling_budget=150,
-                eval_backend=backend,
-                eval_hosts=[s.address for s in workers] if backend == "rpc" else None,
-                rpc_token=TOKEN if backend == "rpc" else None,
+                eval_config=(
+                    _rpc_config(s.address for s in workers)
+                    if backend == "rpc"
+                    else EvalConfig(backend=backend)
+                ),
             )
             results[backend] = explorer.search(
                 group, optimizer="magma", seed=13,
@@ -338,8 +340,8 @@ class TestRpcBackendEquivalence:
         this is also why the generic all-backends loops in the batch-eval
         tests can construct an rpc evaluator without any workers."""
         platform, group = _problem("S2", 16.0, 10)
-        batch = MappingEvaluator(group, platform, backend="batch")
-        rpc = MappingEvaluator(group, platform, backend="rpc")
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        rpc = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="rpc"))
         population = batch.codec.random_population(30, rng=9)
         assert np.array_equal(
             batch.evaluate_population(population, count_samples=False),
@@ -355,10 +357,9 @@ class TestFaultTolerance:
         platform, group = _problem("S2", 16.0, 10)
         dying = AbortingWorker(die_on_eval=1, token=TOKEN).start()
         healthy = EvalWorkerServer(token=TOKEN).start()
-        batch = MappingEvaluator(group, platform, backend="batch")
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rpc = MappingEvaluator(
-            group, platform, backend="rpc",
-            eval_hosts=[dying.address, healthy.address], rpc_token=TOKEN,
+            group, platform, eval_config=_rpc_config([dying.address, healthy.address])
         )
         population = batch.codec.random_population(40, rng=6)
         try:
@@ -399,10 +400,9 @@ class TestFaultTolerance:
     def test_all_workers_dead_falls_back_to_local_evaluation(self):
         platform, group = _problem("S2", 16.0, 10)
         dying = [AbortingWorker(die_on_eval=1, token=TOKEN).start() for _ in range(2)]
-        batch = MappingEvaluator(group, platform, backend="batch")
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rpc = MappingEvaluator(
-            group, platform, backend="rpc",
-            eval_hosts=[server.address for server in dying], rpc_token=TOKEN,
+            group, platform, eval_config=_rpc_config(server.address for server in dying)
         )
         population = batch.codec.random_population(40, rng=8)
         try:
@@ -431,10 +431,9 @@ class TestFaultTolerance:
         probe.bind(("127.0.0.1", 0))
         dead_address = "%s:%d" % probe.getsockname()[:2]
         probe.close()
-        batch = MappingEvaluator(group, platform, backend="batch")
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rpc = MappingEvaluator(
-            group, platform, backend="rpc",
-            eval_hosts=[dead_address, workers[0].address], rpc_token=TOKEN,
+            group, platform, eval_config=_rpc_config([dead_address, workers[0].address])
         )
         population = batch.codec.random_population(40, rng=10)
         try:
@@ -450,7 +449,7 @@ class TestFaultTolerance:
 class TestPool:
     def test_warm_up_connects_and_close_keeps_workers_alive(self, workers):
         platform, group = _problem("S1", 16.0, 8)
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         pool = RpcEvaluationPool(
             _spec_for(evaluator),
             hosts=[server.address for server in workers],
@@ -467,7 +466,7 @@ class TestPool:
 
     def test_empty_population_needs_no_workers(self, workers):
         platform, group = _problem("S1", 16.0, 8)
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         pool = RpcEvaluationPool(
             _spec_for(evaluator),
             hosts=[server.address for server in workers],
@@ -486,21 +485,21 @@ class TestConfiguration:
     def test_rejects_hosts_on_other_backends(self):
         platform, group = _problem("S1", 16.0, 8)
         with pytest.raises(ConfigurationError):
-            MappingEvaluator(group, platform, backend="batch", eval_hosts="a:1")
+            MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch", hosts="a:1"))
         with pytest.raises(ConfigurationError):
-            M3E(platform, eval_backend="parallel", eval_hosts="a:1")
+            M3E(platform, eval_config=EvalConfig(backend="parallel", hosts="a:1"))
         with pytest.raises(ConfigurationError):
-            M3E(platform, eval_backend="batch", rpc_token="t")
+            M3E(platform, eval_config=EvalConfig(backend="batch", rpc_token="t"))
 
     def test_rejects_num_workers_on_rpc(self):
         platform, group = _problem("S1", 16.0, 8)
         with pytest.raises(ConfigurationError):
-            MappingEvaluator(group, platform, backend="rpc", num_workers=2)
+            MappingEvaluator(group, platform, eval_config=EvalConfig(backend="rpc", workers=2))
 
     def test_malformed_hosts_fail_at_construction(self):
         platform, _ = _problem("S1", 16.0, 8)
         with pytest.raises(ConfigurationError):
-            M3E(platform, eval_backend="rpc", eval_hosts="not-an-address")
+            M3E(platform, eval_config=EvalConfig(backend="rpc", hosts="not-an-address"))
 
     def test_campaign_and_service_reject_hosts_on_other_backends(self, tmp_path):
         """The campaign/serve paths must fail as loudly as search/compare —
@@ -509,11 +508,11 @@ class TestConfiguration:
         from repro.service import MappingService
 
         with pytest.raises(ConfigurationError):
-            CampaignRunner(eval_backend="batch", eval_hosts="a:1")
+            CampaignRunner(eval_config=EvalConfig(backend="batch", hosts="a:1"))
         with pytest.raises(ConfigurationError):
             MappingService(
                 store=str(tmp_path / "s.jsonl"), scale="tiny",
-                eval_backend="parallel", eval_hosts="a:1",
+                eval_config=EvalConfig(backend="parallel", hosts="a:1"),
             )
 
 
@@ -530,9 +529,11 @@ class TestServiceFanOut:
             service = MappingService(
                 store=str(tmp_path / f"solutions-{backend}.jsonl"),
                 scale="tiny",
-                eval_backend=backend,
-                eval_hosts=[s.address for s in workers] if backend == "rpc" else None,
-                rpc_token=TOKEN if backend == "rpc" else None,
+                eval_config=(
+                    _rpc_config(s.address for s in workers)
+                    if backend == "rpc"
+                    else EvalConfig(backend=backend)
+                ),
                 workers=1,
             )
             job = service.submit(request)
@@ -598,7 +599,7 @@ class TestWorkerLifecycle:
         """Workers are long-lived: two searches (two pools) reuse one worker."""
         platform, group = _problem("S1", 16.0, 8)
         server = EvalWorkerServer(token=TOKEN).start()
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(20, rng=1))
         reference = evaluator._rig.fitnesses_for_rows(rows)
         try:
@@ -618,7 +619,7 @@ class TestWorkerLifecycle:
         its own rig and they must not interfere."""
         platform, group = _problem("S2", 16.0, 10)
         server = EvalWorkerServer(token=TOKEN).start()
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(24, rng=2))
         reference = evaluator._rig.fitnesses_for_rows(rows)
         errors = []
@@ -673,7 +674,7 @@ class TestWorkStealingProperties:
     @pytest.fixture()
     def spec_rows_reference(self):
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, backend="batch")
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         spec = _spec_for(evaluator)
         rows = evaluator.codec.repair_batch(
             evaluator.codec.random_population(73, rng=5)

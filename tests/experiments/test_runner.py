@@ -7,6 +7,7 @@ benchmark harness exercises the same runners at a larger scale.
 
 import pytest
 
+from repro.core.evalconfig import EvalConfig
 from repro.experiments import get_scale
 from repro.experiments.runner import (
     run_fig7_job_analysis,
@@ -101,7 +102,7 @@ class TestMethodComparison:
         per_backend = {
             backend: run_method_comparison(
                 "S2", 16.0, TaskType.MIX, methods=("magma", "random"),
-                scale=SMOKE, seed=0, eval_backend=backend,
+                scale=SMOKE, seed=0, eval_config=EvalConfig(backend=backend),
             )
             for backend in ("scalar", "batch")
         }

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _eval_config, build_parser, main
+from repro.core.evalconfig import EvalConfig
 from repro.experiments import list_scenarios
 
 
@@ -21,6 +22,22 @@ class TestParser:
     def test_experiment_names_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    @pytest.mark.parametrize("shorthand", ["jobs"])
+    def test_campaign_has_one_spelling_for_worker_pools(self, shorthand, capsys):
+        """A worker pool is ``--eval-backend parallel --eval-workers N``; the
+        old shorthand silently overrode an explicit ``--eval-backend batch``."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "fig8", f"--{shorthand}", "2"])
+        assert f"unrecognized arguments: --{shorthand} 2" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["campaign", "fig8", "--eval-backend", "batch"]
+        )
+        assert _eval_config(args) == EvalConfig(backend="batch")
+        args = build_parser().parse_args(
+            ["campaign", "fig8", "--eval-backend", "parallel", "--eval-workers", "2"]
+        )
+        assert _eval_config(args) == EvalConfig(backend="parallel", workers=2)
 
 
 class TestCommands:

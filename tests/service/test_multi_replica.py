@@ -125,6 +125,15 @@ class TestStoreLifecycle:
         finally:
             store.close()
 
+    @staticmethod
+    def _fail_inside_constructor(monkeypatch):
+        """Make the service constructor fail after it has opened its stores."""
+
+        def broken_runner(**kwargs):
+            raise ConfigurationError("injected: campaign runner rejected its config")
+
+        monkeypatch.setattr("repro.service.service.CampaignRunner", broken_runner)
+
     def test_failed_constructor_closes_the_stores_it_opened(
         self, tmp_path, monkeypatch
     ):
@@ -136,36 +145,25 @@ class TestStoreLifecycle:
             original_close(self)
 
         monkeypatch.setattr(SolutionStore, "close", recording_close)
+        self._fail_inside_constructor(monkeypatch)
         with pytest.raises(ConfigurationError):
             MappingService(
                 store=f"sqlite:{tmp_path / 'db.sqlite3'}",
                 warm_store=str(tmp_path / "warm.jsonl"),
                 scale=SCALE,
                 workers=1,
-                eval_backend="not-a-backend",
             )
         assert len(closed) == 1  # the solution store the service had opened
 
-    def test_failed_constructor_leaves_caller_owned_store_open(self, tmp_path):
+    def test_failed_constructor_leaves_caller_owned_store_open(self, tmp_path, monkeypatch):
         store = SolutionStore(str(tmp_path / "db.jsonl"))
+        self._fail_inside_constructor(monkeypatch)
         try:
             with pytest.raises(ConfigurationError):
-                MappingService(
-                    store=store, scale=SCALE, workers=1, eval_backend="not-a-backend"
-                )
+                MappingService(store=store, scale=SCALE, workers=1)
             assert store.records() == []  # still open: ownership stayed put
         finally:
             store.close()
-
-    def test_mixed_eval_config_styles_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="not both"):
-            MappingService(
-                store=str(tmp_path / "db.jsonl"),
-                scale=SCALE,
-                workers=1,
-                eval_config=EvalConfig(),
-                eval_backend="scalar",
-            )
 
     def test_eval_config_accepted(self, tmp_path):
         with MappingService(

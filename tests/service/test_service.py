@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core.evalconfig import EvalConfig
 from repro.exceptions import ServiceError
 from repro.experiments.settings import get_scale
 from repro.service import MappingRequest, MappingService, SolutionStore, WarmStartLibrary
@@ -165,13 +166,12 @@ class TestEvalBackendParity:
     store hits must be bit-identical to the threaded default.
     """
 
-    def _solve(self, tmp_path, backend, **backend_kwargs):
+    def _solve(self, tmp_path, eval_config):
         service = MappingService(
-            store=str(tmp_path / f"solutions-{backend}.jsonl"),
+            store=str(tmp_path / f"solutions-{eval_config.backend}.jsonl"),
             scale=SCALE,
-            eval_backend=backend,
+            eval_config=eval_config,
             workers=2,
-            **backend_kwargs,
         )
         try:
             request = {"task": "vision", "setting": "S2", "seed": 11}
@@ -191,9 +191,9 @@ class TestEvalBackendParity:
         return summary, stored[0]
 
     def test_parallel_backend_results_and_store_bit_identical_to_batch(self, tmp_path):
-        batch_summary, batch_record = self._solve(tmp_path, "batch")
+        batch_summary, batch_record = self._solve(tmp_path, EvalConfig(backend="batch"))
         parallel_summary, parallel_record = self._solve(
-            tmp_path, "parallel", eval_workers=2
+            tmp_path, EvalConfig(backend="parallel", workers=2)
         )
         assert parallel_summary.to_dict() == batch_summary.to_dict()
         # Whole stored records (request payload, task key, result) match too.
