@@ -6,6 +6,7 @@ combination once, at construction; every entry point takes it as
 anything else fails loudly when it is built.
 """
 
+import inspect
 import warnings
 
 import pytest
@@ -14,6 +15,27 @@ from repro.core import EvalConfig, M3E, MappingEvaluator
 from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS
 from repro.exceptions import ConfigurationError
 from repro.experiments.campaign import CampaignRunner
+from repro.experiments.runner import run_method_comparison
+from repro.experiments.scenarios import run_scenario
+from repro.service.service import MappingService
+
+#: Every search entry point that takes ``eval_config=``.
+ENTRY_POINTS = {
+    "M3E": M3E,
+    "MappingEvaluator": MappingEvaluator,
+    "CampaignRunner": CampaignRunner,
+    "run_scenario": run_scenario,
+    "run_method_comparison": run_method_comparison,
+    "MappingService": MappingService,
+}
+
+#: The per-field keywords ``eval_config=`` replaced.
+LEGACY_KWARGS = {
+    "eval_backend": "batch",
+    "eval_workers": 2,
+    "eval_hosts": "a:1",
+    "rpc_token": "secret",
+}
 
 
 class TestEvalConfigValidation:
@@ -61,6 +83,9 @@ class TestEvalConfigValidation:
     def test_token_stays_out_of_repr(self):
         assert "hunter2" not in repr(EvalConfig(backend="rpc", rpc_token="hunter2"))
 
+    def test_no_serialiser_that_would_carry_the_token(self):
+        assert not hasattr(EvalConfig(backend="rpc", rpc_token="hunter2"), "to_dict")
+
 
 class TestEntryPointsAcceptEvalConfig:
     def test_m3e_defaults_to_the_default_config(self, small_platform):
@@ -89,3 +114,35 @@ class TestEntryPointsAcceptEvalConfig:
             warnings.simplefilter("error")
             runner = CampaignRunner()
         assert runner.eval_config == EvalConfig()
+
+
+class TestOneConfigPath:
+    """``eval_config=`` is the only way in: the per-field keywords it replaced
+    are gone from every entry point, not silently accepted."""
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_entry_point_defaults_to_the_default_config(self, name):
+        parameter = inspect.signature(ENTRY_POINTS[name]).parameters["eval_config"]
+        assert parameter.default == EvalConfig()
+
+    @pytest.mark.parametrize("kwarg", sorted(LEGACY_KWARGS))
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_legacy_keyword_is_a_type_error(self, name, kwarg):
+        # Binding fails before the body runs, so placeholders suffice for
+        # the required positional arguments.
+        entry = ENTRY_POINTS[name]
+        required = [
+            parameter for parameter in inspect.signature(entry).parameters.values()
+            if parameter.default is inspect.Parameter.empty
+        ]
+        with pytest.raises(TypeError, match=kwarg):
+            entry(*([None] * len(required)), **{kwarg: LEGACY_KWARGS[kwarg]})
+
+    @pytest.mark.parametrize("kwarg", ["backend", "num_workers"])
+    def test_evaluator_convenience_keywords_are_gone(self, small_platform, mix_group, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            MappingEvaluator(mix_group, small_platform, **{kwarg: 2})
+
+    @pytest.mark.parametrize("alias", sorted(LEGACY_KWARGS))
+    def test_m3e_has_no_legacy_alias_property(self, small_platform, alias):
+        assert not hasattr(M3E(small_platform), alias)
