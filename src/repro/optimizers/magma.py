@@ -17,7 +17,7 @@ paper tunes via Bayesian optimisation (Section V-B3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -122,43 +122,35 @@ class MagmaOptimizer(BaseOptimizer):
         # the population, and sizing elites from the configured value would
         # desynchronize the elite/child split from the sorted population.
         pop_size = len(population)
-        num_elites = max(1, int(round(cfg.elite_ratio * pop_size)))
-        elites = population[:num_elites]
-
-        children: List[np.ndarray] = []
+        num_elites = min(pop_size - 1, max(1, int(round(cfg.elite_ratio * pop_size))))
         parent_pool = population[: max(2, num_elites * 2)]
-        while len(children) < pop_size - num_elites:
-            dad, mom = self._pick_parents(parent_pool)
-            child_a, child_b = self._recombine(dad, mom, codec)
-            children.append(operators.mutate(child_a, codec, self.rng, cfg.mutation_rate))
-            if len(children) < pop_size - num_elites:
-                children.append(operators.mutate(child_b, codec, self.rng, cfg.mutation_rate))
+        num_children = pop_size - num_elites
 
-        next_population = np.vstack([elites, np.asarray(children)])
+        # One array step builds the whole child block: distinct parent pairs
+        # drawn uniformly from the elite-biased pool, one rate mask per
+        # crossover applied to its rows (gen, then rg, then accel, whose
+        # daughter is crossed with the already-updated son), sons and
+        # daughters interleaved, and one mutation call over every child.
+        dad, mom = operators.draw_parent_pairs(len(parent_pool), (num_children + 1) // 2, self.rng)
+        son, daughter = parent_pool[dad], parent_pool[mom]
+        if cfg.enable_crossover_gen:
+            hit = np.flatnonzero(self.rng.random(len(son)) < cfg.crossover_gen_rate)
+            son[hit], daughter[hit] = operators.crossover_gen(son[hit], daughter[hit], codec, self.rng)
+        if cfg.enable_crossover_rg:
+            hit = np.flatnonzero(self.rng.random(len(son)) < cfg.crossover_rg_rate)
+            son[hit], daughter[hit] = operators.crossover_rg(son[hit], daughter[hit], codec, self.rng)
+        if cfg.enable_crossover_accel:
+            hit = np.flatnonzero(self.rng.random(len(son)) < cfg.crossover_accel_rate)
+            son[hit] = operators.crossover_accel(son[hit], daughter[hit], codec, self.rng)
+            daughter[hit] = operators.crossover_accel(daughter[hit], son[hit], codec, self.rng)
+        children = np.concatenate([son, daughter], axis=1).reshape(-1, codec.encoding_length)
+        children = operators.mutate(children[:num_children], codec, self.rng, cfg.mutation_rate)
+
+        next_population = np.vstack([population[:num_elites], children])
         next_fitnesses = np.concatenate(
-            [fitnesses[:num_elites], evaluator.evaluate_population(np.asarray(children))]
+            [fitnesses[:num_elites], evaluator.evaluate_population(children)]
         )
         return next_population, next_fitnesses
-
-    def _pick_parents(self, parent_pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Draw two distinct parents uniformly from the elite-biased pool."""
-        if len(parent_pool) < 2:
-            return parent_pool[0], parent_pool[0]
-        i, j = self.rng.choice(len(parent_pool), size=2, replace=False)
-        return parent_pool[int(i)], parent_pool[int(j)]
-
-    def _recombine(self, dad: np.ndarray, mom: np.ndarray, codec) -> tuple[np.ndarray, np.ndarray]:
-        """Apply MAGMA's crossover operators according to their rates."""
-        cfg = self.config
-        son, daughter = dad.copy(), mom.copy()
-        if cfg.enable_crossover_gen and self.rng.random() < cfg.crossover_gen_rate:
-            son, daughter = operators.crossover_gen(son, daughter, codec, self.rng)
-        if cfg.enable_crossover_rg and self.rng.random() < cfg.crossover_rg_rate:
-            son, daughter = operators.crossover_rg(son, daughter, codec, self.rng)
-        if cfg.enable_crossover_accel and self.rng.random() < cfg.crossover_accel_rate:
-            son = operators.crossover_accel(son, daughter, codec, self.rng)
-            daughter = operators.crossover_accel(daughter, son, codec, self.rng)
-        return son, daughter
 
 
 def magma_mutation_only(seed: SeedLike = None, **overrides: object) -> MagmaOptimizer:

@@ -16,7 +16,10 @@ mapping while exploring:
 
 All operators work directly on encoded mapping vectors and never invalidate
 them (every output is a valid encoding), which keeps the search structured
-and sample-efficient.
+and sample-efficient.  Each operator takes a whole ``(n, 2G)`` batch of
+encodings (row ``k`` of *dad* pairs with row ``k`` of *mom*), draws every
+per-row choice as one array, and applies it with index arithmetic; a 1-D
+encoding is the ``n = 1`` case and comes back 1-D.
 """
 
 from __future__ import annotations
@@ -27,6 +30,34 @@ import numpy as np
 
 from repro.core.encoding import MappingCodec
 from repro.utils.rng import SeedLike, ensure_rng
+
+
+def _rows(encodings: np.ndarray, codec: MappingCodec) -> np.ndarray:
+    """*encodings* as a float ``(n, L)`` array (a 1-D vector becomes one row)."""
+    return np.asarray(encodings, dtype=float).reshape(-1, codec.encoding_length)
+
+
+def _like(batch: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """*batch* in the shape of the caller's *reference* input (1-D stays 1-D)."""
+    return batch.reshape(np.shape(reference))
+
+
+def _integers(generator: np.random.Generator, high, size: int) -> np.ndarray:
+    """*size* uniform integers in ``[0, high)`` (*high* may be a per-row array).
+
+    Scales a single ``random`` draw: ``Generator.integers`` carries ~8 us of
+    fixed cost per call, several times the cost of the draw itself at
+    generation-sized batches.
+    """
+    return (generator.random(size) * high).astype(np.intp)
+
+
+def draw_parent_pairs(pool_size: int, num_pairs: int, rng: SeedLike = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i != j``, each pair uniform over a pool of *pool_size* >= 2."""
+    generator = ensure_rng(rng)
+    i = _integers(generator, pool_size, num_pairs)
+    j = _integers(generator, pool_size - 1, num_pairs)
+    return i, j + (j >= i)
 
 
 def mutate(
@@ -41,18 +72,15 @@ def mutate(
     random value in ``[0, 1)`` (Fig. 5(b)).
     """
     generator = ensure_rng(rng)
-    child = np.asarray(encoding, dtype=float).copy()
+    children = _rows(encoding, codec).copy()
     genome = codec.genome_length
-    mask = generator.random(codec.encoding_length) < mutation_rate
-    selection_mask = mask[:genome]
-    priority_mask = mask[genome:]
-    if selection_mask.any():
-        child[:genome][selection_mask] = generator.integers(
-            0, codec.num_sub_accelerators, size=int(selection_mask.sum())
-        )
-    if priority_mask.any():
-        child[genome:][priority_mask] = generator.random(int(priority_mask.sum()))
-    return child
+    mask = generator.random(children.shape) < mutation_rate
+    selection, priority = children[:, :genome], children[:, genome:]
+    selection[mask[:, :genome]] = _integers(
+        generator, codec.num_sub_accelerators, np.count_nonzero(mask[:, :genome])
+    )
+    priority[mask[:, genome:]] = generator.random(np.count_nonzero(mask[:, genome:]))
+    return _like(children, encoding)
 
 
 def crossover_gen(
@@ -63,21 +91,21 @@ def crossover_gen(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Genome-wise single-point crossover (Fig. 5(c)).
 
-    One genome (selection or priority) is sampled, a pivot point within it is
-    sampled, and the genes after the pivot are exchanged between the parents.
-    The untouched genome keeps its characteristics, so the perturbation is
-    contained to one aspect of the schedule.
+    Per pair, one genome (selection or priority) is sampled, a pivot point
+    within it is sampled, and the genes after the pivot are exchanged between
+    the parents.  The untouched genome keeps its characteristics, so the
+    perturbation is contained to one aspect of the schedule.
     """
     generator = ensure_rng(rng)
     genome = codec.genome_length
-    son = np.asarray(dad, dtype=float).copy()
-    daughter = np.asarray(mom, dtype=float).copy()
-    which_genome = int(generator.integers(0, 2))
-    offset = which_genome * genome
-    pivot = int(generator.integers(1, genome)) if genome > 1 else 0
-    lo, hi = offset + pivot, offset + genome
-    son[lo:hi], daughter[lo:hi] = daughter[lo:hi].copy(), son[lo:hi].copy()
-    return son, daughter
+    fathers, mothers = _rows(dad, codec), _rows(mom, codec)
+    n = len(fathers)
+    offset = _integers(generator, 2, n) * genome
+    pivot = 1 + _integers(generator, genome - 1, n) if genome > 1 else np.zeros(n, dtype=int)
+    column = np.arange(codec.encoding_length)
+    swap = (column >= (offset + pivot)[:, None]) & (column < (offset + genome)[:, None])
+    son, daughter = np.where(swap, mothers, fathers), np.where(swap, fathers, mothers)
+    return _like(son, dad), _like(daughter, mom)
 
 
 def crossover_rg(
@@ -88,24 +116,20 @@ def crossover_rg(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Range crossover across both genomes (Fig. 5(d)).
 
-    A contiguous range of job positions is sampled and, for the jobs in that
-    range, *both* their selection and their priority genes are exchanged
-    between the parents.  The dependency between a job's core assignment and
-    its priority is therefore preserved through the exchange.
+    Per pair, a contiguous range of job positions is sampled and, for the
+    jobs in that range, *both* their selection and their priority genes are
+    exchanged between the parents.  The dependency between a job's core
+    assignment and its priority is therefore preserved through the exchange.
     """
     generator = ensure_rng(rng)
     genome = codec.genome_length
-    son = np.asarray(dad, dtype=float).copy()
-    daughter = np.asarray(mom, dtype=float).copy()
-    if genome == 1:
-        start, stop = 0, 1
-    else:
-        start = int(generator.integers(0, genome - 1))
-        stop = int(generator.integers(start + 1, genome + 1))
-    for offset in (0, genome):
-        lo, hi = offset + start, offset + stop
-        son[lo:hi], daughter[lo:hi] = daughter[lo:hi].copy(), son[lo:hi].copy()
-    return son, daughter
+    fathers, mothers = _rows(dad, codec), _rows(mom, codec)
+    start = _integers(generator, max(genome - 1, 1), len(fathers))
+    stop = start + 1 + _integers(generator, genome - start, len(fathers))
+    job = np.arange(codec.encoding_length) % genome
+    swap = (job >= start[:, None]) & (job < stop[:, None])
+    son, daughter = np.where(swap, mothers, fathers), np.where(swap, fathers, mothers)
+    return _like(son, dad), _like(daughter, mom)
 
 
 def crossover_accel(
@@ -117,31 +141,25 @@ def crossover_accel(
 ) -> np.ndarray:
     """Per-sub-accelerator crossover (Fig. 5(e)).
 
-    A core is sampled; the jobs that *mom* assigns to that core are copied —
-    selection and priority genes — into a copy of *dad*, preserving mom's job
-    ordering on that core.  Dad's own jobs that were previously on that core
-    (and were not copied) are randomly re-assigned/re-prioritised to restore
-    load balance, as described in the paper.
+    Per pair, a core is sampled; the jobs that *mom* assigns to that core are
+    copied — selection and priority genes — into a copy of *dad*, preserving
+    mom's job ordering on that core.  Dad's own jobs that were previously on
+    that core (and were not copied) are randomly re-assigned/re-prioritised
+    to restore load balance, as described in the paper.
     """
     generator = ensure_rng(rng)
     genome = codec.genome_length
-    son = np.asarray(dad, dtype=float).copy()
-    dad_selection = np.asarray(dad, dtype=float)[:genome].astype(int)
-    mom_selection = np.asarray(mom, dtype=float)[:genome].astype(int)
-    core = int(generator.integers(0, codec.num_sub_accelerators))
-
-    mom_jobs_on_core = np.flatnonzero(mom_selection == core)
-    dad_jobs_on_core = np.flatnonzero(dad_selection == core)
+    son, mothers = _rows(dad, codec).copy(), _rows(mom, codec)
+    core = _integers(generator, codec.num_sub_accelerators, len(son))[:, None]
+    moms_jobs = mothers[:, :genome].astype(int) == core
+    dads_leftovers = (son[:, :genome].astype(int) == core) & ~moms_jobs
 
     # Copy mom's full decision (both genomes) for her jobs on the chosen core.
-    for job in mom_jobs_on_core:
-        son[job] = mom[job]
-        son[genome + job] = mom[genome + job]
+    np.copyto(son, mothers, where=np.concatenate([moms_jobs, moms_jobs], axis=1))
 
     # Dad's leftover jobs on that core get randomly perturbed to rebalance load.
-    leftover = np.setdiff1d(dad_jobs_on_core, mom_jobs_on_core, assume_unique=True)
-    for job in leftover:
-        if generator.random() < rebalance_mutation_rate:
-            son[job] = float(generator.integers(0, codec.num_sub_accelerators))
-            son[genome + job] = generator.random()
-    return son
+    rebalance = dads_leftovers & (generator.random(dads_leftovers.shape) < rebalance_mutation_rate)
+    count = np.count_nonzero(rebalance)
+    son[:, :genome][rebalance] = _integers(generator, codec.num_sub_accelerators, count)
+    son[:, genome:][rebalance] = generator.random(count)
+    return _like(son, dad)

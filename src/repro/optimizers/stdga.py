@@ -8,12 +8,14 @@ the paper's ablation highlights.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
+from repro.core.encoding import MappingCodec
 from repro.core.evaluator import MappingEvaluator
 from repro.exceptions import OptimizationError
+from repro.optimizers import operators
 from repro.optimizers.base import BaseOptimizer
 from repro.utils.rng import SeedLike
 
@@ -60,15 +62,8 @@ class StandardGAOptimizer(BaseOptimizer):
             # Size elites and children from the actual population, which can
             # exceed population_size when warm-start seeds were injected.
             pop_size = len(population)
-            num_elites = max(1, int(round(self.elite_ratio * pop_size)))
-            children: List[np.ndarray] = []
-            while len(children) < pop_size - num_elites:
-                dad, mom = self._tournament(population, fitnesses), self._tournament(population, fitnesses)
-                son, daughter = self._crossover(dad, mom, evaluator)
-                children.append(self._mutate(son, evaluator))
-                if len(children) < pop_size - num_elites:
-                    children.append(self._mutate(daughter, evaluator))
-            child_array = np.asarray(children)
+            num_elites = min(pop_size - 1, max(1, int(round(self.elite_ratio * pop_size))))
+            child_array = self._children(population, fitnesses, pop_size - num_elites, evaluator.codec)
             child_fitnesses = evaluator.evaluate_population(child_array)
             population = np.vstack([population[:num_elites], child_array])
             fitnesses = np.concatenate([fitnesses[:num_elites], child_fitnesses])
@@ -81,32 +76,18 @@ class StandardGAOptimizer(BaseOptimizer):
         return population[best]
 
     # ------------------------------------------------------------------
-    def _tournament(self, population: np.ndarray, fitnesses: np.ndarray, k: int = 3) -> np.ndarray:
-        """k-way tournament selection."""
-        contenders = self.rng.integers(0, len(population), size=min(k, len(population)))
-        winner = contenders[int(np.argmax(fitnesses[contenders]))]
-        return population[int(winner)]
-
-    def _crossover(
-        self, dad: np.ndarray, mom: np.ndarray, evaluator: MappingEvaluator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Single-point crossover over the full encoding."""
-        son, daughter = dad.copy(), mom.copy()
-        if self.rng.random() < self.crossover_rate and evaluator.codec.encoding_length > 1:
-            pivot = int(self.rng.integers(1, evaluator.codec.encoding_length))
-            son[pivot:], daughter[pivot:] = daughter[pivot:].copy(), son[pivot:].copy()
-        return son, daughter
-
-    def _mutate(self, encoding: np.ndarray, evaluator: MappingEvaluator) -> np.ndarray:
-        """Uniform per-gene mutation to a random valid value."""
-        codec = evaluator.codec
-        child = encoding.copy()
-        genome = codec.genome_length
-        mask = self.rng.random(codec.encoding_length) < self.mutation_rate
-        selection_hits = np.flatnonzero(mask[:genome])
-        priority_hits = np.flatnonzero(mask[genome:])
-        if selection_hits.size:
-            child[selection_hits] = self.rng.integers(0, codec.num_sub_accelerators, size=selection_hits.size)
-        if priority_hits.size:
-            child[genome + priority_hits] = self.rng.random(priority_hits.size)
-        return child
+    def _children(
+        self, population: np.ndarray, fitnesses: np.ndarray, num_children: int, codec: MappingCodec
+    ) -> np.ndarray:
+        """Tournament selection, single-point crossover and mutation, one array step each."""
+        pairs = (num_children + 1) // 2
+        # k=3 tournaments, one row per parent; argmax keeps the first best contender.
+        contenders = self.rng.integers(0, len(population), size=(2 * pairs, min(3, len(population))))
+        winners = contenders[np.arange(2 * pairs), np.argmax(fitnesses[contenders], axis=1)]
+        dad, mom = population[winners[0::2]], population[winners[1::2]]
+        crossed = self.rng.random(pairs) < self.crossover_rate
+        pivot = self.rng.integers(1, codec.encoding_length, size=pairs)
+        swap = crossed[:, None] & (np.arange(codec.encoding_length) >= pivot[:, None])
+        children = np.concatenate([np.where(swap, mom, dad), np.where(swap, dad, mom)], axis=1)
+        children = children.reshape(-1, codec.encoding_length)[:num_children]
+        return operators.mutate(children, codec, self.rng, self.mutation_rate)

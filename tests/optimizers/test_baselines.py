@@ -54,6 +54,14 @@ class TestConstructionValidation:
         with pytest.raises(OptimizationError):
             StandardGAOptimizer(population_size=1)
 
+    def test_stdga_elites_always_leave_room_for_a_child(self, small_platform, mix_group):
+        """Regression: round(0.75 * 2) == 2 elites left zero children."""
+        evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=20)
+        optimizer = StandardGAOptimizer(seed=0, population_size=2, elite_ratio=0.75)
+        assert optimizer.optimize(evaluator) is not None
+        assert optimizer.metadata["generations"] >= 1
+        assert evaluator.samples_used == 20
+
     def test_de_needs_population_of_four(self):
         with pytest.raises(OptimizationError):
             DifferentialEvolutionOptimizer(population_size=3)

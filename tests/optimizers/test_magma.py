@@ -89,6 +89,15 @@ class TestSearchBehaviour:
         expected_elites = population[order][:6]
         assert np.array_equal(next_population[:6], expected_elites)
 
+    @pytest.mark.parametrize("population_size,elite_ratio", [(2, 0.75), (3, 0.9)])
+    def test_elites_always_leave_room_for_a_child(self, small_platform, mix_group, population_size, elite_ratio):
+        """Regression: round(ratio * pop) could equal pop, leaving zero children."""
+        evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=20)
+        optimizer = MagmaOptimizer(seed=0, population_size=population_size, elite_ratio=elite_ratio)
+        assert optimizer.optimize(evaluator) is not None
+        assert optimizer.metadata["generations"] >= 1
+        assert evaluator.samples_used == 20
+
     def test_warm_start_population_is_used(self, small_platform, mix_group):
         evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=40)
         seed_encoding = evaluator.codec.random_encoding(rng=5)

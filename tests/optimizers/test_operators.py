@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.encoding import MappingCodec
+from repro.core.evaluator import MappingEvaluator
 from repro.optimizers import operators
+from repro.optimizers.magma import MagmaOptimizer
 
 
 @pytest.fixture()
@@ -125,3 +128,169 @@ class TestCrossoverAccel:
             son = operators.crossover_accel(dad, mom, codec, rng=seed)
             mapping = codec.decode(son)
             assert sorted(j for core in mapping.assignments for j in core) == list(range(10))
+
+
+# ----------------------------------------------------------------------
+# Batched operators: properties over random shapes, batches and seeds
+# ----------------------------------------------------------------------
+@st.composite
+def parent_batches(draw):
+    """A codec plus dad/mom ``(n, 2G)`` batches and an operator seed."""
+    codec = MappingCodec(
+        num_jobs=draw(st.integers(min_value=1, max_value=10)),
+        num_sub_accelerators=draw(st.integers(min_value=1, max_value=4)),
+    )
+    rows = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    dad, mom = codec.random_population(rows, rng), codec.random_population(rows, rng)
+    return codec, dad, mom, draw(st.integers(min_value=0, max_value=2**31 - 1))
+
+
+def _assert_valid_rows(codec, batch):
+    genome = codec.genome_length
+    assert batch.shape[1] == codec.encoding_length
+    for row in batch:
+        codec.validate(row)
+        selection, priority = row[:genome], row[genome:]
+        assert np.array_equal(selection, np.rint(selection))
+        assert np.all((selection >= 0) & (selection < codec.num_sub_accelerators))
+        assert np.all((priority >= 0.0) & (priority < 1.0))
+
+
+def _swapped(dad, mom, swap):
+    return np.where(swap, mom, dad), np.where(swap, dad, mom)
+
+
+BATCHED = {
+    "mutate": lambda codec, dad, mom, seed: (operators.mutate(dad, codec, seed, 0.3),),
+    "crossover_gen": lambda codec, dad, mom, seed: operators.crossover_gen(dad, mom, codec, seed),
+    "crossover_rg": lambda codec, dad, mom, seed: operators.crossover_rg(dad, mom, codec, seed),
+    "crossover_accel": lambda codec, dad, mom, seed: (operators.crossover_accel(dad, mom, codec, seed),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+class TestBatchedOperatorProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(case=parent_batches())
+    def test_every_output_row_is_a_valid_encoding(self, name, case):
+        codec, dad, mom, seed = case
+        for batch in BATCHED[name](codec, dad, mom, seed):
+            assert batch.shape == dad.shape
+            _assert_valid_rows(codec, batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=parent_batches())
+    def test_one_row_batch_equals_the_flat_call(self, name, case):
+        codec, dad, mom, seed = case
+        batched = BATCHED[name](codec, dad[:1], mom[:1], seed)
+        flat = BATCHED[name](codec, dad[0], mom[0], seed)
+        for rows, vector in zip(batched, flat):
+            assert vector.ndim == 1
+            assert np.array_equal(rows[0], vector)
+
+
+class TestBatchedCrossoverStructure:
+    @settings(max_examples=60, deadline=None)
+    @given(case=parent_batches())
+    def test_crossover_gen_swaps_one_suffix_of_one_genome(self, case):
+        codec, dad, mom, seed = case
+        genome = codec.genome_length
+        sons, daughters = operators.crossover_gen(dad, mom, codec, seed)
+        column = np.arange(codec.encoding_length)
+        for son, daughter, father, mother in zip(sons, daughters, dad, mom):
+            candidates = [
+                _swapped(father, mother, (column >= offset + pivot) & (column < offset + genome))
+                for offset in (0, genome)
+                for pivot in (range(1, genome) if genome > 1 else [0])
+            ]
+            assert any(np.array_equal(son, s) and np.array_equal(daughter, d) for s, d in candidates)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=parent_batches())
+    def test_crossover_rg_swaps_the_same_job_range_in_both_genomes(self, case):
+        codec, dad, mom, seed = case
+        genome = codec.genome_length
+        sons, daughters = operators.crossover_rg(dad, mom, codec, seed)
+        job = np.arange(codec.encoding_length) % genome
+        for son, daughter, father, mother in zip(sons, daughters, dad, mom):
+            candidates = [
+                _swapped(father, mother, (job >= start) & (job < stop))
+                for start in range(genome)
+                for stop in range(start + 1, genome + 1)
+            ]
+            assert any(np.array_equal(son, s) and np.array_equal(daughter, d) for s, d in candidates)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=parent_batches())
+    def test_crossover_accel_copies_moms_jobs_on_the_drawn_core(self, case):
+        codec, dad, mom, seed = case
+        genome = codec.genome_length
+        sons = operators.crossover_accel(dad, mom, codec, seed)
+        for son, father, mother in zip(sons, dad, mom):
+            dad_cores, mom_cores = father[:genome].astype(int), mother[:genome].astype(int)
+
+            def explained_by(core):
+                copied = mom_cores == core
+                untouched = ~copied & (dad_cores != core)
+                return (
+                    np.array_equal(son[:genome][copied], mother[:genome][copied])
+                    and np.array_equal(son[genome:][copied], mother[genome:][copied])
+                    and np.array_equal(son[:genome][untouched], father[:genome][untouched])
+                    and np.array_equal(son[genome:][untouched], father[genome:][untouched])
+                )
+
+            assert any(explained_by(core) for core in range(codec.num_sub_accelerators))
+
+
+class TestParentPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool_size=st.integers(min_value=2, max_value=40),
+        num_pairs=st.integers(min_value=0, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_pairs_are_distinct_and_in_the_pool(self, pool_size, num_pairs, seed):
+        i, j = operators.draw_parent_pairs(pool_size, num_pairs, seed)
+        assert len(i) == len(j) == num_pairs
+        assert np.all(i != j)
+        assert np.all((i >= 0) & (i < pool_size) & (j >= 0) & (j < pool_size))
+
+    def test_every_ordered_pair_is_equally_likely(self):
+        i, j = operators.draw_parent_pairs(4, 120_000, 0)
+        counts = np.zeros((4, 4))
+        np.add.at(counts, (i, j), 1)
+        assert np.all(np.diag(counts) == 0)
+        off_diagonal = counts[~np.eye(4, dtype=bool)] / 120_000
+        assert np.allclose(off_diagonal, 1 / 12, atol=0.005)
+
+
+class TestGenerationCrossoverRates:
+    @pytest.mark.parametrize("rate,expected_rows", [(0.0, 0), (1.0, 4)])
+    def test_rate_bounds_apply_to_no_pair_or_every_pair(
+        self, rate, expected_rows, monkeypatch, small_platform, mix_group
+    ):
+        rows_seen = {"crossover_gen": [], "crossover_rg": [], "crossover_accel": []}
+        for name, calls in rows_seen.items():
+            original = getattr(operators, name)
+
+            def recording(dad, mom, *args, _original=original, _calls=calls, **kwargs):
+                _calls.append(len(dad))
+                return _original(dad, mom, *args, **kwargs)
+
+            monkeypatch.setattr(operators, name, recording)
+        evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=100)
+        optimizer = MagmaOptimizer(
+            seed=0,
+            population_size=10,
+            elite_ratio=0.2,
+            crossover_gen_rate=rate,
+            crossover_rg_rate=rate,
+            crossover_accel_rate=rate,
+        )
+        population = optimizer._initial_population(evaluator, 10, None)
+        optimizer._next_generation(evaluator, population, evaluator.evaluate_population(population))
+        # 10 individuals, 2 elites: 8 children from 4 parent pairs.
+        assert rows_seen["crossover_gen"] == [expected_rows]
+        assert rows_seen["crossover_rg"] == [expected_rows]
+        assert rows_seen["crossover_accel"] == [expected_rows, expected_rows]
