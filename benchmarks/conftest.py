@@ -1,7 +1,8 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper's evaluation via
-the runners in :mod:`repro.experiments.runner`.  The fidelity/runtime
+Every benchmark regenerates one table or figure of the paper's evaluation by
+running its registered scenario (:mod:`repro.experiments.runner`) through
+:func:`repro.experiments.run_scenario`.  The fidelity/runtime
 trade-off is controlled by the ``REPRO_SCALE`` environment variable
 (``smoke`` / ``small`` / ``paper``).  When the variable is unset the harness
 defaults to ``smoke`` so that ``pytest benchmarks/ --benchmark-only``

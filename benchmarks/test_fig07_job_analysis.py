@@ -12,11 +12,11 @@ bandwidth-hungry and the shortest, vision jobs the most compute-heavy, and
 the LB dataflow always trades much longer latency for much lower bandwidth.
 """
 
-from repro.experiments.runner import run_fig7_job_analysis
+from repro.experiments import run_scenario
 
 
 def test_fig7_job_analysis(benchmark, report_lines):
-    result = benchmark.pedantic(run_fig7_job_analysis, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_scenario, args=("fig7",), rounds=1, iterations=1)
     per_task = result["per_task"]
 
     vision, language, recommendation = (

@@ -11,13 +11,13 @@ and checks that MAGMA is never beaten by a manual mapper by more than a small
 margin and beats the field on the Mix task.
 """
 
-from repro.experiments.runner import run_fig8_homogeneous
+from repro.experiments import run_scenario
 from repro.optimizers.registry import PAPER_COMPARISON_METHODS
 
 
 def test_fig8_homogeneous_small_accelerator(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_fig8_homogeneous, kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
+        run_scenario, args=("fig8",), kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
     )
     normalized = result["normalized"]
     absolute = result["absolute"]

@@ -12,12 +12,12 @@ MAGMA on top (within tolerance), AI-MT-like far behind on every
 heterogeneous panel.
 """
 
-from repro.experiments.runner import run_fig9_heterogeneous
+from repro.experiments import run_scenario
 
 
 def test_fig9_heterogeneous_accelerators(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_fig9_heterogeneous, kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
+        run_scenario, args=("fig9",), kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
     )
     normalized = result["normalized"]
     assert set(normalized) == {"vision_small", "mix_small", "vision_large", "mix_large"}

@@ -13,12 +13,12 @@ methods', and (iii) MAGMA gets within a reasonable factor of the best-effort
 random reference.
 """
 
-from repro.experiments.runner import run_fig10_exploration
+from repro.experiments import run_scenario
 
 
 def test_fig10_exploration_pca(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_fig10_exploration, kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
+        run_scenario, args=("fig10",), kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
     )
     reached = result["reached_gflops"]
     projections = result["projections"]

@@ -10,13 +10,14 @@ method has effectively converged by the end of the budget, and that MAGMA's
 final value is the best (within tolerance).
 """
 
-from repro.experiments.runner import run_fig11_convergence
+from repro.experiments import run_scenario
 
 
 def test_fig11_convergence_curves(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_fig11_convergence,
-        kwargs={"scale": scale, "seed": 0, "methods": ("magma", "stdga", "de", "pso", "cma", "tbpsa")},
+        run_scenario,
+        args=("fig11",),
+        kwargs={"scale": scale, "seed": 0},
         rounds=1,
         iterations=1,
     )

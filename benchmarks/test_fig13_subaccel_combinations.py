@@ -11,13 +11,14 @@ The benchmark regenerates the job analysis and the MAGMA throughput for the
 three settings at both bandwidths and checks those relationships.
 """
 
-from repro.experiments.runner import run_fig13_subaccel_combinations
+from repro.experiments import run_scenario
 
 
 def test_fig13_subaccelerator_combinations(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_fig13_subaccel_combinations,
-        kwargs={"scale": scale, "seed": 0, "bandwidths": (1.0, 64.0), "settings": ("S3", "S4", "S5")},
+        run_scenario,
+        args=("fig13",),
+        kwargs={"scale": scale, "seed": 0},
         rounds=1,
         iterations=1,
     )

@@ -12,12 +12,12 @@ checks that flexible is never slower per job and never loses end to end by
 more than a small tolerance.
 """
 
-from repro.experiments.runner import run_fig14_flexible
+from repro.experiments import run_scenario
 
 
 def test_fig14_fixed_vs_flexible(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_fig14_flexible, kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
+        run_scenario, args=("fig14",), kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
     )
     job_analysis = result["job_analysis"]
     throughput = result["throughput"]

@@ -12,12 +12,12 @@ data is structurally complete (every job appears once; the allocation series
 never exceeds the 1 GB/s system budget).
 """
 
-from repro.experiments.runner import run_fig15_schedule_visualization
+from repro.experiments import run_scenario
 
 
 def test_fig15_schedule_visualization(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_fig15_schedule_visualization, kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
+        run_scenario, args=("fig15",), kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
     )
     finish = result["finish_time_cycles"]
     gantt = result["gantt"]

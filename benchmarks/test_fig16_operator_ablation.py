@@ -10,12 +10,12 @@ that adding operators never hurts the final value beyond noise, and that the
 full MAGMA reaches the best (or tied-best) final throughput.
 """
 
-from repro.experiments.runner import run_fig16_operator_ablation
+from repro.experiments import run_scenario
 
 
 def test_fig16_operator_ablation(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_fig16_operator_ablation, kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
+        run_scenario, args=("fig16",), kwargs={"scale": scale, "seed": 0}, rounds=1, iterations=1
     )
     final_values = result["final_values"]
     curves = result["curves"]

@@ -9,7 +9,9 @@ mid-range group sizes are within a reasonable band of the largest one and
 (ii) the smallest group size is the weakest or close to it.
 """
 
-from repro.experiments.runner import run_fig17_group_size
+from dataclasses import replace
+
+from repro.experiments import Panel, get_scenario, run_scenario
 
 
 def test_fig17_group_size_sweep(benchmark, scale, report_lines):
@@ -17,9 +19,17 @@ def test_fig17_group_size_sweep(benchmark, scale, report_lines):
         group_sizes = (4, 10, 20, 50, 100, 200, 500, 1000)
     else:
         group_sizes = (4, 8, 16, 32)
+    spec = replace(
+        get_scenario("fig17"),
+        panels=tuple(
+            Panel(label=str(size), setting="S2", bandwidth_gbps=16.0, task="mix", group_size=size)
+            for size in group_sizes
+        ),
+    )
     result = benchmark.pedantic(
-        run_fig17_group_size,
-        kwargs={"scale": scale, "seed": 0, "group_sizes": group_sizes},
+        run_scenario,
+        args=(spec,),
+        kwargs={"scale": scale, "seed": 0},
         rounds=1,
         iterations=1,
     )

@@ -10,13 +10,14 @@ orderings: Raw <= Trf-0-ep plausibility band, Trf-1-ep >= Raw, and the
 transfer curve is (weakly) monotone towards the full-optimization value.
 """
 
-from repro.experiments.runner import run_table5_warm_start
+from repro.experiments import run_scenario
 
 
 def test_tablev_warm_start_transfer(benchmark, scale, report_lines):
     result = benchmark.pedantic(
-        run_table5_warm_start,
-        kwargs={"scale": scale, "seed": 0, "num_instances": 2},
+        run_scenario,
+        args=("table5",),
+        kwargs={"scale": scale, "seed": 0, "options": {"num_instances": 2}},
         rounds=1,
         iterations=1,
     )

@@ -34,11 +34,12 @@ def normalized_values_with_reference(
     values: Mapping[str, float],
     preferred: str = "MAGMA",
 ) -> tuple[Dict[str, float], str]:
-    """Like :func:`normalized_with_reference`, for plain per-method numbers.
+    """Per-method values divided by a reference method's, plus that reference.
 
-    Seed-replicate post-processing normalises *mean* throughputs across
-    seeds rather than single :class:`SearchResult` objects; same fallback
-    semantics (the best method when *preferred* is absent).
+    Falls back to the best method when *preferred* is absent from *values*
+    (e.g. a figure re-run with ``methods=`` that excludes MAGMA), instead of
+    raising.  Returns ``(normalized, reference_used)`` so callers can record
+    which method each panel was normalised against.
     """
     if not values:
         raise ExperimentError("cannot normalise an empty values mapping")
@@ -47,26 +48,6 @@ def normalized_values_with_reference(
     if reference_value <= 0:
         raise ExperimentError("reference throughput is non-positive; cannot normalise")
     return {name: float(value) / reference_value for name, value in values.items()}, reference
-
-
-def normalized_with_reference(
-    results: Mapping[str, SearchResult],
-    preferred: str = "MAGMA",
-) -> tuple[Dict[str, float], str]:
-    """Normalised throughputs plus the reference method actually used.
-
-    Falls back to the best-throughput method when *preferred* is absent from
-    *results* (e.g. a figure re-run with ``methods=`` that excludes MAGMA),
-    instead of raising.  Returns ``(normalized, reference_used)`` so callers
-    can record which method the panel was normalised against.
-    """
-    if not results:
-        raise ExperimentError("cannot normalise an empty results mapping")
-    if preferred in results:
-        reference = preferred
-    else:
-        reference = max(results, key=lambda name: results[name].throughput_gflops)
-    return normalized_throughputs(results, reference), reference
 
 
 def speedup_summary(

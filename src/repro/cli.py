@@ -98,10 +98,10 @@ from repro.experiments import (
     get_scale,
     get_scenario,
     list_scenarios,
-    run_method_comparison,
     run_scenario,
     spec_from_grid,
 )
+from repro.experiments.scenarios import ScenarioRun, ScenarioSpec
 from repro.experiments.settings import list_scales
 from repro.experiments.stats import (
     aggregate_cells,
@@ -186,18 +186,25 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    """Compare several optimizers on one problem and print a table."""
+    """Compare several optimizers on one problem and print a table.
+
+    The problem is a one-panel scenario, run through the same cell executor
+    as ``experiment`` and ``campaign``.
+    """
     _configure_trace(args)
     scale = get_scale(args.scale)
-    results = run_method_comparison(
-        args.setting,
-        args.bandwidth,
-        TaskType(args.task),
-        methods=args.optimizers,
-        scale=scale,
-        seed=_session_seed(args),
-        eval_config=_eval_config(args),
+    spec = ScenarioSpec(
+        name="compare",
+        description="compare optimizers on one problem",
+        settings=(args.setting,),
+        bandwidths=(args.bandwidth,),
+        tasks=(args.task,),
+        methods=tuple(args.optimizers),
+        post_process=ScenarioRun.by_panel,
     )
+    (results,) = run_scenario(
+        spec, scale=scale, seed=_session_seed(args), eval_config=_eval_config(args)
+    ).values()
     report = ComparisonReport(
         title=f"{args.task} on {args.setting} (BW={args.bandwidth} GB/s, scale={scale.name})"
     )

@@ -1,10 +1,12 @@
 """Declarative experiment definitions for every table and figure in the paper.
 
 The scenario registry (:mod:`repro.experiments.scenarios`) describes each
-figure/table as a declarative grid spec plus a post-processing hook; the
-campaign engine (:mod:`repro.experiments.campaign`) executes one or more
-scenarios as a flat, deduplicated, resumable stream of search cells.  The
-``run_fig*`` functions are thin compatibility wrappers over the registry.
+figure/table as a declarative grid spec plus a post-processing hook, and
+:func:`run_scenario` is the one way to run one: ``run_scenario("fig8")``
+for the paper's grid, ``run_scenario(replace(get_scenario("fig8"),
+methods=...))`` for a different one.  The campaign engine
+(:mod:`repro.experiments.campaign`) executes one or more scenarios as a
+flat, deduplicated, resumable stream of search cells.
 """
 
 from repro.experiments.settings import ExperimentScale, get_scale, list_scales
@@ -20,21 +22,6 @@ from repro.experiments.scenarios import (
     spec_from_grid,
 )
 from repro.experiments.campaign import CampaignReport, CampaignResultsStore, CampaignRunner
-from repro.experiments.runner import (
-    run_method_comparison,
-    run_fig7_job_analysis,
-    run_fig8_homogeneous,
-    run_fig9_heterogeneous,
-    run_fig10_exploration,
-    run_fig11_convergence,
-    run_fig12_bw_sweep,
-    run_fig13_subaccel_combinations,
-    run_fig14_flexible,
-    run_fig15_schedule_visualization,
-    run_fig16_operator_ablation,
-    run_fig17_group_size,
-    run_table5_warm_start,
-)
 
 __all__ = [
     "ExperimentScale",
@@ -52,17 +39,4 @@ __all__ = [
     "CampaignReport",
     "CampaignResultsStore",
     "CampaignRunner",
-    "run_method_comparison",
-    "run_fig7_job_analysis",
-    "run_fig8_homogeneous",
-    "run_fig9_heterogeneous",
-    "run_fig10_exploration",
-    "run_fig11_convergence",
-    "run_fig12_bw_sweep",
-    "run_fig13_subaccel_combinations",
-    "run_fig14_flexible",
-    "run_fig15_schedule_visualization",
-    "run_fig16_operator_ablation",
-    "run_fig17_group_size",
-    "run_table5_warm_start",
 ]

@@ -1,4 +1,4 @@
-"""Experiment runners: the paper's tables/figures as declarative scenarios.
+"""The paper's tables/figures, registered as declarative scenarios.
 
 Every figure/table of the paper's evaluation is registered here as a
 :class:`~repro.experiments.scenarios.ScenarioSpec` — a declarative grid
@@ -9,18 +9,19 @@ figure's output dict.  Scenarios that are not grids of independent searches
 fixed-vs-flexible study, Fig. 15's schedule visualisation, Table V's
 warm-start transfer) register a ``custom_runner`` instead.
 
-The historical ``run_fig*``/``run_table5`` entry points are kept as thin
-wrappers with unchanged signatures and outputs; they delegate to
-:func:`~repro.experiments.scenarios.run_scenario`, so the same registry
-drives ``repro experiment <name>``, the benchmark harness, and the
-resumable ``repro campaign`` engine.
+:func:`~repro.experiments.scenarios.run_scenario` is the one way to run
+them: ``repro experiment <name>``, the benchmark harness, and the resumable
+``repro campaign`` engine all go through it.  A caller that needs a
+different grid than the paper's passes
+``dataclasses.replace(get_scenario(name), methods=..., panels=...)``; a
+custom runner's knobs (Fig. 7's ``sample_models``, Fig. 10's ``methods``,
+Table V's ``setting``/``bandwidth_gbps``/``task``/``num_instances``) go in
+``run_scenario(..., options={...})``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,11 +29,9 @@ from repro.accelerator import build_setting
 from repro.analysis.convergence import ConvergenceCurve, convergence_from_history
 from repro.analysis.gantt import schedule_to_bandwidth_series, schedule_to_gantt
 from repro.analysis.pca import project_encodings
-from repro.analysis.reporting import normalized_values_with_reference, normalized_with_reference
+from repro.analysis.reporting import normalized_values_with_reference
 from repro.core.analyzer import JobAnalyzer
-from repro.core.evalconfig import EvalConfig
-from repro.core.framework import M3E, SearchResult
-from repro.exceptions import ExperimentError
+from repro.core.framework import SearchResult
 from repro.experiments.scenarios import (
     BudgetPolicy,
     Panel,
@@ -42,7 +41,6 @@ from repro.experiments.scenarios import (
     default_optimizer_options,
     default_post_process,
     register_scenario,
-    run_scenario,
 )
 from repro.experiments.stats import (
     MetricStats,
@@ -51,14 +49,12 @@ from repro.experiments.stats import (
     replicate_table,
     rows_from_run,
 )
-from repro.experiments.settings import ExperimentScale, get_scale
+from repro.experiments.settings import ExperimentScale
 from repro.optimizers import build_optimizer
 from repro.optimizers.registry import PAPER_COMPARISON_METHODS
 from repro.optimizers.warmstart import WarmStartEngine
 from repro.utils.rng import spawn_rngs
-from repro.utils.tables import unique_key
-from repro.workloads.benchmark import DEFAULT_BATCH_SIZES, TaskType, build_task_workload
-from repro.workloads.groups import JobGroup
+from repro.workloads.benchmark import DEFAULT_BATCH_SIZES, TaskType
 from repro.workloads.models import MODEL_REGISTRY
 
 #: Default bandwidths per accelerator class (Section VI-A3).
@@ -73,75 +69,6 @@ DEFAULT_BUDGET_POLICY = BudgetPolicy()
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _group_for(
-    task: TaskType,
-    platform,
-    scale: ExperimentScale,
-    seed: int,
-    group_size: Optional[int] = None,
-) -> JobGroup:
-    """Build the first dependency-free group of a task workload."""
-    size = group_size if group_size is not None else scale.group_size
-    groups = build_task_workload(
-        task,
-        group_size=size,
-        num_groups=1,
-        seed=seed,
-        num_sub_accelerators=platform.num_sub_accelerators,
-    )
-    if not groups:
-        raise ExperimentError(f"workload for task {task} produced no groups")
-    return groups[0]
-
-
-def run_method_comparison(
-    setting: str,
-    bandwidth_gbps: float,
-    task: TaskType,
-    methods: Sequence[str] = tuple(PAPER_COMPARISON_METHODS),
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    group: Optional[JobGroup] = None,
-    eval_config: EvalConfig = EvalConfig(),
-) -> Dict[str, SearchResult]:
-    """Run several mapping methods on one (setting, bandwidth, task) problem.
-
-    This is the primitive behind Fig. 8, Fig. 9, and Fig. 12: every method
-    receives the same group, platform, objective, and (scaled) sampling
-    budget, with independent random streams spawned from *seed*.  The
-    campaign engine's cell executor
-    (:meth:`~repro.experiments.campaign.CampaignRunner.run_cell`) mirrors
-    these semantics exactly, so a figure run cell-by-cell is bit-identical
-    to this direct loop.  ``eval_config``
-    (:class:`~repro.core.evalconfig.EvalConfig`) selects the
-    fitness-evaluation path; all backends produce bit-identical results.
-    """
-    scale = scale or get_scale()
-    platform = build_setting(setting, bandwidth_gbps)
-    if group is None:
-        group = _group_for(task, platform, scale, seed)
-    explorer = M3E(
-        platform,
-        sampling_budget=scale.sampling_budget,
-        eval_config=eval_config,
-    )
-    rngs = spawn_rngs(seed, len(methods))
-    results: Dict[str, SearchResult] = {}
-    for method, rng in zip(methods, rngs):
-        optimizer = build_optimizer(
-            method, seed=rng, **default_optimizer_options(method, scale, None)
-        )
-        result = explorer.search(
-            group,
-            optimizer=optimizer,
-            sampling_budget=DEFAULT_BUDGET_POLICY.budget_for(method, scale),
-        )
-        # Same-named methods (e.g. the same optimizer requested twice) must
-        # not silently overwrite each other; suffix like M3E.compare does.
-        results[unique_key(result.optimizer_name, results)] = result
-    return results
-
-
 def _throughputs(results: Dict[str, SearchResult]) -> Dict[str, float]:
     return {name: result.throughput_gflops for name, result in results.items()}
 
@@ -198,127 +125,65 @@ def _fig7_runner(ctx: ScenarioContext) -> Dict[str, Any]:
     return {"per_model": per_model, "per_task": per_task}
 
 
-def run_fig7_job_analysis(
-    sample_models: Optional[Dict[str, Sequence[str]]] = None,
+# ----------------------------------------------------------------------
+# Figs. 8 and 9 — every method on one problem per panel, normalised to MAGMA
+# ----------------------------------------------------------------------
+def _comparison_post(
+    run: ScenarioRun, key: Callable[[Panel], str], header: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Fig. 7 entry point (delegates to the ``fig7`` scenario)."""
-    return run_scenario("fig7", options={"sample_models": sample_models})
+    """Per-panel method throughputs under ``key(panel)``, normalised to MAGMA.
 
-
-# ----------------------------------------------------------------------
-# Fig. 8 — Homogeneous small accelerator (S1, BW=16), four tasks
-# ----------------------------------------------------------------------
-def _replicate_throughputs(
-    by_panel_seed: "OrderedDict",
-    label: str,
-    seeds: Sequence[int],
-) -> "OrderedDict[str, List[float]]":
-    """Per-method throughput lists for one panel across seed replicates."""
-    per_method: "OrderedDict[str, List[float]]" = OrderedDict()
-    for seed in seeds:
-        for name, result in by_panel_seed.get((label, seed), {}).items():
-            per_method.setdefault(name, []).append(float(result.throughput_gflops))
-    return per_method
+    Each method's throughput is its mean over the run's seed replicates (a
+    single seed is the n=1 case).  With several seeds the output also
+    carries the per-method uncertainty and the cross-seed winner agreement.
+    """
+    seeds = run.seeds()
+    by_panel_seed = run.by_panel_and_seed()
+    absolute: Dict[str, Dict[str, float]] = {}
+    normalized: Dict[str, Dict[str, float]] = {}
+    references: Dict[str, str] = {}
+    replicates: Dict[str, Dict[str, Dict[str, float]]] = {}
+    for label, panel in run.panel_map().items():
+        per_method: Dict[str, List[float]] = {}
+        for seed in seeds:
+            for name, result in by_panel_seed.get((label, seed), {}).items():
+                per_method.setdefault(name, []).append(float(result.throughput_gflops))
+        stats = {name: MetricStats.from_values(values) for name, values in per_method.items()}
+        panel_key = key(panel)
+        absolute[panel_key] = {name: s.mean for name, s in stats.items()}
+        normalized[panel_key], references[panel_key] = normalized_values_with_reference(
+            absolute[panel_key], "MAGMA"
+        )
+        replicates[panel_key] = {name: s.to_dict() for name, s in stats.items()}
+    output = {
+        **header,
+        "absolute": absolute,
+        "normalized": normalized,
+        "normalized_reference": references,
+    }
+    if len(seeds) > 1:
+        output["seeds"] = seeds
+        output["replicates"] = replicates
+        output["cross_seed_agreement"] = cross_seed_agreement(rows_from_run(run.cells, run.results))
+    return output
 
 
 def _fig8_post(run: ScenarioRun) -> Dict[str, Any]:
-    panels = run.panel_map()
-    seeds = run.seeds()
-    absolute: Dict[str, Dict[str, float]] = {}
-    normalized: Dict[str, Dict[str, float]] = {}
-    references: Dict[str, str] = {}
-    replicates: Dict[str, Dict[str, Dict[str, float]]] = {}
-    if len(seeds) <= 1:
-        # Single-seed: the historical path, byte-identical output.
-        for label, results in run.by_panel().items():
-            task = panels[label].task
-            absolute[task] = _throughputs(results)
-            normalized[task], references[task] = normalized_with_reference(results, "MAGMA")
-    else:
-        # Seed-replicated: normalise per-method *means* and report uncertainty.
-        by_panel_seed = run.by_panel_and_seed()
-        for label, panel in panels.items():
-            per_method = _replicate_throughputs(by_panel_seed, label, seeds)
-            stats = {name: MetricStats.from_values(vals) for name, vals in per_method.items()}
-            absolute[panel.task] = {name: s.mean for name, s in stats.items()}
-            normalized[panel.task], references[panel.task] = normalized_values_with_reference(
-                absolute[panel.task], "MAGMA"
-            )
-            replicates[panel.task] = {name: s.to_dict() for name, s in stats.items()}
-    first = next(iter(panels.values()))
-    output = {
-        "setting": first.setting,
-        "bandwidth_gbps": first.bandwidth_gbps,
-        "absolute": absolute,
-        "normalized": normalized,
-        "normalized_reference": references,
-    }
-    if len(seeds) > 1:
-        output["seeds"] = seeds
-        output["replicates"] = replicates
-        output["cross_seed_agreement"] = cross_seed_agreement(rows_from_run(run.cells, run.results))
-    return output
+    """Homogeneous small accelerator (S1, BW=16): panels keyed by task."""
+    first = next(iter(run.panel_map().values()))
+    header = {"setting": first.setting, "bandwidth_gbps": first.bandwidth_gbps}
+    return _comparison_post(run, lambda panel: panel.task, header)
 
 
-def run_fig8_homogeneous(
-    scale: Optional[ExperimentScale] = None,
-    methods: Sequence[str] = tuple(PAPER_COMPARISON_METHODS),
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """All methods on the homogeneous small accelerator across the four tasks."""
-    spec = _with_methods(FIG8, methods)
-    return run_scenario(spec, scale=scale, seed=seed)
-
-
-# ----------------------------------------------------------------------
-# Fig. 9 — Heterogeneous small (S2) and large (S4) accelerators
-# ----------------------------------------------------------------------
 def _fig9_post(run: ScenarioRun) -> Dict[str, Any]:
-    panels = run.panel_map()
-    seeds = run.seeds()
-    absolute: Dict[str, Dict[str, float]] = {}
-    normalized: Dict[str, Dict[str, float]] = {}
-    references: Dict[str, str] = {}
-    replicates: Dict[str, Dict[str, Dict[str, float]]] = {}
-    if len(seeds) <= 1:
-        # Single-seed: the historical path, byte-identical output.
-        for label, results in run.by_panel().items():
-            absolute[label] = _throughputs(results)
-            normalized[label], references[label] = normalized_with_reference(results, "MAGMA")
-    else:
-        by_panel_seed = run.by_panel_and_seed()
-        for label in panels:
-            per_method = _replicate_throughputs(by_panel_seed, label, seeds)
-            stats = {name: MetricStats.from_values(vals) for name, vals in per_method.items()}
-            absolute[label] = {name: s.mean for name, s in stats.items()}
-            normalized[label], references[label] = normalized_values_with_reference(
-                absolute[label], "MAGMA"
-            )
-            replicates[label] = {name: s.to_dict() for name, s in stats.items()}
-    output = {
+    """Heterogeneous small (S2) and large (S4) accelerators: panels keyed by label."""
+    header = {
         "panels": {
             label: (panel.setting, panel.bandwidth_gbps, TaskType(panel.task))
-            for label, panel in panels.items()
-        },
-        "absolute": absolute,
-        "normalized": normalized,
-        "normalized_reference": references,
+            for label, panel in run.panel_map().items()
+        }
     }
-    if len(seeds) > 1:
-        output["seeds"] = seeds
-        output["replicates"] = replicates
-        output["cross_seed_agreement"] = cross_seed_agreement(rows_from_run(run.cells, run.results))
-    return output
-
-
-def run_fig9_heterogeneous(
-    scale: Optional[ExperimentScale] = None,
-    methods: Sequence[str] = tuple(PAPER_COMPARISON_METHODS),
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """All methods on S2 (BW=16) and S4 (BW=256) for the Vision and Mix tasks."""
-    spec = _with_methods(FIG9, methods)
-    return run_scenario(spec, scale=scale, seed=seed)
+    return _comparison_post(run, lambda panel: panel.label, header)
 
 
 # ----------------------------------------------------------------------
@@ -360,15 +225,6 @@ def _fig10_runner(ctx: ScenarioContext) -> Dict[str, Any]:
     return {"reached_gflops": reached, "projections": projections}
 
 
-def run_fig10_exploration(
-    scale: Optional[ExperimentScale] = None,
-    methods: Sequence[str] = ("magma", "ppo2", "stdga", "pso", "cma"),
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Fig. 10 entry point (delegates to the ``fig10`` scenario)."""
-    return run_scenario("fig10", scale=scale, seed=seed, options={"methods": tuple(methods)})
-
-
 # ----------------------------------------------------------------------
 # Fig. 11 — Convergence over an extended sampling budget
 # ----------------------------------------------------------------------
@@ -380,16 +236,6 @@ def _fig11_post(run: ScenarioRun) -> Dict[str, Any]:
             for name, result in results.items()
         }
     return {"curves": curves}
-
-
-def run_fig11_convergence(
-    scale: Optional[ExperimentScale] = None,
-    methods: Sequence[str] = ("magma", "stdga", "de", "pso", "cma", "tbpsa"),
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Convergence curves on (Vision, S2, BW=16) and (Mix, S3, BW=16)."""
-    spec = _with_methods(FIG11, methods)
-    return run_scenario(spec, scale=scale, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -415,25 +261,10 @@ def _fig12_post(run: ScenarioRun) -> Dict[str, Any]:
     for label, results in run.by_panel().items():
         panel = panels[label]
         absolute.setdefault(panel.tag, {})[panel.bandwidth_gbps] = _throughputs(results)
-        norm, ref = normalized_with_reference(results, "MAGMA")
+        norm, ref = normalized_values_with_reference(_throughputs(results), "MAGMA")
         normalized.setdefault(panel.tag, {})[panel.bandwidth_gbps] = norm
         references.setdefault(panel.tag, {})[panel.bandwidth_gbps] = ref
     return {"absolute": absolute, "normalized": normalized, "normalized_reference": references}
-
-
-def run_fig12_bw_sweep(
-    scale: Optional[ExperimentScale] = None,
-    methods: Sequence[str] = ("herald-like", "a2c", "ppo2", "magma"),
-    small_bandwidths: Sequence[float] = (1.0, 4.0, 8.0, 16.0),
-    large_bandwidths: Sequence[float] = (1.0, 16.0, 64.0, 256.0),
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Mix task on S2 and S4 swept over system bandwidths (Fig. 12)."""
-    spec = replace(
-        _with_methods(FIG12, methods),
-        panels=_fig12_panels(small_bandwidths, large_bandwidths),
-    )
-    return run_scenario(spec, scale=scale, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -481,17 +312,6 @@ def _fig13_post(run: ScenarioRun) -> Dict[str, Any]:
     return {"job_analysis": job_analysis, "throughput": throughput, "normalized": normalized}
 
 
-def run_fig13_subaccel_combinations(
-    scale: Optional[ExperimentScale] = None,
-    bandwidths: Sequence[float] = (1.0, 64.0),
-    settings: Sequence[str] = ("S3", "S4", "S5"),
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Job analysis and MAGMA throughput for the Large setting variants."""
-    spec = replace(FIG13, panels=_fig13_panels(settings, bandwidths))
-    return run_scenario(spec, scale=scale, seed=seed)
-
-
 # ----------------------------------------------------------------------
 # Fig. 14 — Fixed versus flexible PE arrays (custom)
 # ----------------------------------------------------------------------
@@ -534,14 +354,6 @@ def _fig14_runner(ctx: ScenarioContext) -> Dict[str, Any]:
     return {"job_analysis": job_analysis, "throughput": throughput}
 
 
-def run_fig14_flexible(
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Fig. 14 entry point (delegates to the ``fig14`` scenario)."""
-    return run_scenario("fig14", scale=scale, seed=seed)
-
-
 # ----------------------------------------------------------------------
 # Fig. 15 — Visualisation of found schedules (Herald-like vs MAGMA) (custom)
 # ----------------------------------------------------------------------
@@ -563,14 +375,6 @@ def _fig15_runner(ctx: ScenarioContext) -> Dict[str, Any]:
     return output
 
 
-def run_fig15_schedule_visualization(
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Fig. 15 entry point (delegates to the ``fig15`` scenario)."""
-    return run_scenario("fig15", scale=scale, seed=seed)
-
-
 # ----------------------------------------------------------------------
 # Fig. 16 — Ablation of MAGMA's genetic operators
 # ----------------------------------------------------------------------
@@ -584,14 +388,6 @@ def _fig16_post(run: ScenarioRun) -> Dict[str, Any]:
         }
         final_values[label] = _throughputs(results)
     return {"curves": curves, "final_values": final_values}
-
-
-def run_fig16_operator_ablation(
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Convergence of MAGMA with mutation only, +crossover-gen, and all operators."""
-    return run_scenario("fig16", scale=scale, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -621,24 +417,10 @@ def _fig17_options(method: str, scale: ExperimentScale, panel: Optional[Panel]) 
 def _fig17_post(run: ScenarioRun) -> Dict[str, Any]:
     throughput: Dict[int, float] = {}
     for cell, result in zip(run.cells, run.results):
-        # Normalise by the group's own total work so different group sizes are
-        # comparable (larger groups carry more FLOPs by construction).
         throughput[cell.group_size] = result.throughput_gflops
     reference = throughput[max(throughput)]
     normalized = {size: value / reference for size, value in throughput.items()}
     return {"throughput": throughput, "normalized": normalized}
-
-
-def run_fig17_group_size(
-    scale: Optional[ExperimentScale] = None,
-    group_sizes: Optional[Sequence[int]] = None,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """MAGMA throughput on (Mix, S2, BW=16) across group sizes."""
-    spec = FIG17
-    if group_sizes is not None:
-        spec = replace(spec, panels=_fig17_panels_for_sizes(group_sizes), panels_fn=None)
-    return run_scenario(spec, scale=scale, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -719,37 +501,9 @@ def _table5_runner(ctx: ScenarioContext) -> Dict[str, Any]:
     return {"instances": rows, "average": average, "source_throughput": source_result.throughput_gflops}
 
 
-def run_table5_warm_start(
-    scale: Optional[ExperimentScale] = None,
-    setting: str = "S4",
-    bandwidth_gbps: float = 1.0,
-    task: TaskType = TaskType.MIX,
-    num_instances: int = 3,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Table V entry point (delegates to the ``table5`` scenario)."""
-    return run_scenario(
-        "table5",
-        scale=scale,
-        seed=seed,
-        options={
-            "setting": setting,
-            "bandwidth_gbps": bandwidth_gbps,
-            "task": task,
-            "num_instances": num_instances,
-        },
-    )
-
-
 # ----------------------------------------------------------------------
 # Registry: the paper's figures/tables ...
 # ----------------------------------------------------------------------
-def _with_methods(spec: ScenarioSpec, methods: Sequence[str]) -> ScenarioSpec:
-    """The spec, with its method list overridden when the caller asks."""
-    methods = tuple(methods)
-    return spec if methods == spec.methods else replace(spec, methods=methods)
-
-
 FIG7 = register_scenario(ScenarioSpec(
     name="fig7",
     description="Fig. 7: per-model/per-task latency and bandwidth characteristics",

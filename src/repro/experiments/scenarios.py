@@ -10,8 +10,9 @@ search cells (sample recording, warm-start transfer, pure job analysis)
 register a ``custom_runner`` instead and still plug into the same registry,
 CLI, and campaign engine.
 
-:mod:`repro.experiments.runner` registers one spec per figure/table and
-keeps the historical ``run_fig*`` entry points as thin wrappers;
+:mod:`repro.experiments.runner` registers one spec per figure/table, and
+:func:`run_scenario` runs any spec — registered, or a registered one
+customised with :func:`dataclasses.replace` (``methods=``, ``panels=``).
 :mod:`repro.experiments.campaign` executes expanded cells with shared-work
 dedup, a JSONL results store, and ``--resume``.
 """
@@ -230,18 +231,31 @@ class ScenarioSpec:
         return self.custom_runner is not None
 
     def resolved_panels(self, scale: ExperimentScale) -> Tuple[Panel, ...]:
-        """The scenario's panels at one scale (explicit, computed, or axis product)."""
+        """The scenario's panels at one scale (explicit, computed, or axis product).
+
+        Panel labels key every post-processing hook's output, so a repeated
+        label is rejected: its results would otherwise merge silently.
+        """
         if self.panels is not None:
-            return self.panels
-        if self.panels_fn is not None:
-            return tuple(self.panels_fn(scale))
-        return tuple(
-            Panel(label=f"{setting}@{bandwidth:g}/{task}", setting=setting,
-                  bandwidth_gbps=bandwidth, task=task)
-            for setting in self.settings
-            for bandwidth in self.bandwidths
-            for task in self.tasks
-        )
+            panels = self.panels
+        elif self.panels_fn is not None:
+            panels = tuple(self.panels_fn(scale))
+        else:
+            panels = tuple(
+                Panel(label=f"{setting}@{bandwidth:g}/{task}", setting=setting,
+                      bandwidth_gbps=bandwidth, task=task)
+                for setting in self.settings
+                for bandwidth in self.bandwidths
+                for task in self.tasks
+            )
+        seen = set()
+        for panel in panels:
+            if panel.label in seen:
+                raise ExperimentError(
+                    f"scenario {self.name!r} has more than one panel labelled {panel.label!r}"
+                )
+            seen.add(panel.label)
+        return panels
 
     def expand(self, scale: ExperimentScale, base_seed: int = 0) -> List[SearchCell]:
         """Flatten the scenario into fully resolved search cells.
@@ -292,8 +306,8 @@ class ScenarioContext:
     executing the scenario: it carries the scale, the evaluation backend
     configuration, and the shared analysis-table/group caches, and builds
     properly wired :class:`~repro.core.framework.M3E` explorers.
-    ``options`` holds scenario-specific keyword overrides forwarded by the
-    historical ``run_*`` wrappers (e.g. Table V's ``num_instances``).
+    ``options`` holds a custom runner's knobs, passed as
+    ``run_scenario(..., options={...})`` (e.g. Table V's ``num_instances``).
     """
 
     spec: ScenarioSpec
@@ -334,9 +348,10 @@ class ScenarioRun:
     def by_panel(self) -> "OrderedDict[str, Dict[str, SearchResult]]":
         """Per-panel results keyed by (collision-suffixed) optimizer name.
 
-        Mirrors the historical comparison runners: results appear in cell
-        order and same-named methods are suffixed ``#2``/``#3`` rather than
-        overwritten.
+        Results appear in cell order and same-named methods are suffixed
+        ``#2``/``#3`` rather than overwritten.  As a ``post_process`` hook it
+        makes :func:`run_scenario` return these per-panel results (the CLI's
+        ``compare`` command does this).
         """
         grouped: "OrderedDict[str, Dict[str, SearchResult]]" = OrderedDict()
         for cell, result in zip(self.cells, self.results):
@@ -428,8 +443,8 @@ def run_scenario(
 ) -> Dict[str, Any]:
     """Run one scenario end to end and return its post-processed output.
 
-    This is the single entry point behind ``repro experiment <name>`` and
-    the historical ``run_fig*`` wrappers.  ``engine`` reuses an existing
+    This is the single entry point behind ``repro experiment <name>``,
+    ``repro compare``, and the benchmark harness.  ``engine`` reuses an existing
     campaign runner (sharing its caches and backend settings); otherwise one
     is built from ``scale``/``eval_config``/``warm_store`` (the latter a
     persistent warm-start provider such as
@@ -479,9 +494,10 @@ def spec_from_grid(grid: Dict[str, Any]) -> ScenarioSpec:
     """Build an ad-hoc grid scenario from a plain dict (``--grid`` JSON).
 
     Recognised keys: ``name``, ``description``, ``settings``, ``bandwidths``,
-    ``tasks``, ``methods``, ``objectives``, ``seeds``, ``group_size``,
-    ``budget`` (``"sampling"``/``"convergence"``).  Unknown keys are rejected
-    so typos fail loudly instead of silently shrinking the grid.
+    ``tasks``, ``methods``, ``objectives``, ``seeds``, ``group_size`` (a
+    positive integer), ``budget`` (``"sampling"``/``"convergence"``).
+    Unknown keys and malformed values are rejected so typos fail loudly
+    instead of silently shrinking the grid.
     """
     known = {
         "name", "description", "settings", "bandwidths", "tasks", "methods",
@@ -499,6 +515,12 @@ def spec_from_grid(grid: Dict[str, Any]) -> ScenarioSpec:
             value = (value,)
         return tuple(convert(v) for v in value)
 
+    group_size = grid.get("group_size")
+    if group_size is not None and (
+        isinstance(group_size, bool) or not isinstance(group_size, int) or group_size <= 0
+    ):
+        raise ExperimentError(f"grid group_size must be a positive integer, got {group_size!r}")
+
     return ScenarioSpec(
         name=str(grid.get("name", "custom-grid")),
         description=str(grid.get("description", "ad-hoc campaign grid")),
@@ -508,6 +530,6 @@ def spec_from_grid(grid: Dict[str, Any]) -> ScenarioSpec:
         methods=axis("methods", ("magma",), str),
         objectives=axis("objectives", ("throughput",), str),
         seeds=axis("seeds", (0,), int),
-        group_size=grid.get("group_size"),
+        group_size=group_size,
         budget_policy=BudgetPolicy(base=str(grid.get("budget", "sampling"))),
     )

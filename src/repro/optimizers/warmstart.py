@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.core.encoding import MappingCodec
 from repro.exceptions import OptimizationError
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.optimizers import operators
+from repro.utils.rng import SeedLike
 
 
 @dataclass
@@ -146,32 +147,22 @@ class WarmStartEngine:
         """Return *count* warm-start encodings for a new problem, or ``None``.
 
         The first suggestion is the adapted remembered solution verbatim; the
-        remaining ones are lightly mutated copies so the seeded population
-        still carries diversity.
+        remaining ones are copies mutated with
+        :func:`~repro.optimizers.operators.mutate` at rate *perturbation*,
+        so the seeded population still carries diversity.
         """
         if task_key not in self._memory:
             return None
-        stored = self._memory[task_key]
-        base = self._adapt(stored, codec)
-        suggestions = [base]
-        # The verbatim first suggestion needs no randomness; only resolve a
-        # generator (and thus the seed policy) when mutated copies are asked
-        # for — see docs/DETERMINISM.md.
-        generator = ensure_rng(rng) if count > 1 else None
-        for _ in range(count - 1):
-            noisy = base.copy()
-            genome = codec.genome_length
-            mask = generator.random(codec.encoding_length) < perturbation
-            selection_hits = np.flatnonzero(mask[:genome])
-            priority_hits = np.flatnonzero(mask[genome:])
-            if selection_hits.size:
-                noisy[selection_hits] = generator.integers(
-                    0, codec.num_sub_accelerators, size=selection_hits.size
-                )
-            if priority_hits.size:
-                noisy[genome + priority_hits] = generator.random(priority_hits.size)
-            suggestions.append(noisy)
-        return np.stack(suggestions)
+        base = self._adapt(self._memory[task_key], codec)
+        if count <= 1:
+            # The verbatim suggestion needs no randomness; only resolve a
+            # generator (and thus the seed policy) when mutated copies are
+            # asked for — see docs/DETERMINISM.md.
+            return base[None, :]
+        copies = operators.mutate(
+            np.tile(base, (count - 1, 1)), codec, rng=rng, mutation_rate=perturbation
+        )
+        return np.vstack([base, copies])
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -10,7 +10,7 @@ def unique_key(name: str, existing: Container[str]) -> str:
     """Return *name*, suffixed ``#2``/``#3``/... if it collides with *existing*.
 
     Shared by every results-dict builder (``M3E.compare``,
-    ``run_method_comparison``, ``ComparisonReport.add``) so two optimizers
+    ``ScenarioRun.by_panel``, ``ComparisonReport.add``) so two optimizers
     with the same display name are reported side by side instead of silently
     overwriting each other — and so the collision policy lives in one place.
     """

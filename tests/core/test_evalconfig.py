@@ -15,7 +15,6 @@ from repro.core import EvalConfig, M3E, MappingEvaluator
 from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS
 from repro.exceptions import ConfigurationError
 from repro.experiments.campaign import CampaignRunner
-from repro.experiments.runner import run_method_comparison
 from repro.experiments.scenarios import run_scenario
 from repro.service.service import MappingService
 
@@ -25,7 +24,6 @@ ENTRY_POINTS = {
     "MappingEvaluator": MappingEvaluator,
     "CampaignRunner": CampaignRunner,
     "run_scenario": run_scenario,
-    "run_method_comparison": run_method_comparison,
     "MappingService": MappingService,
 }
 

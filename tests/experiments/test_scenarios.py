@@ -1,20 +1,21 @@
 """Tests for the declarative scenario specs and the scenario registry."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.experiments
 from repro.exceptions import ExperimentError
 from repro.experiments import get_scale
-from repro.experiments.campaign import CampaignRunner
-from repro.experiments.runner import run_fig8_homogeneous, run_method_comparison
 from repro.experiments.scenarios import (
     BudgetPolicy,
     Panel,
     ScenarioSpec,
     get_scenario,
     list_scenarios,
+    run_scenario,
     spec_from_grid,
 )
-from repro.workloads import TaskType
 
 TINY = get_scale("tiny")
 SMOKE = get_scale("smoke")
@@ -97,6 +98,22 @@ class TestSpecExpansion:
         with pytest.raises(ExperimentError):
             get_scenario("fig15").expand(TINY)
 
+    def test_duplicate_explicit_panel_labels_rejected(self):
+        """Regression: a repeated bandwidth point in the fig12 sweep reported
+        phantom ``Herald-like#2``/``MAGMA#2`` methods in its panel."""
+        spec = get_scenario("fig12")
+        small_16 = next(p for p in spec.panels if p.label == "small_s2@16")
+        with pytest.raises(ExperimentError, match="small_s2@16"):
+            replace(spec, panels=(small_16, small_16)).expand(TINY)
+
+    def test_duplicate_computed_panel_labels_rejected(self):
+        """Regression: a repeated fig17 group size ran the search twice and
+        kept one result."""
+        size_8 = Panel(label="8", setting="S2", bandwidth_gbps=16.0, task="mix", group_size=8)
+        spec = replace(get_scenario("fig17"), panels_fn=lambda scale: (size_8, size_8))
+        with pytest.raises(ExperimentError, match="'8'"):
+            spec.expand(TINY)
+
 
 class TestCellFingerprints:
     def test_deterministic_across_expansions(self):
@@ -117,6 +134,16 @@ class TestCellFingerprints:
         assert all(a.fingerprint() != b.fingerprint() for a, b in zip(base, shifted))
 
 
+class TestPublicSurface:
+    def test_run_scenario_is_the_only_experiment_entry_point(self):
+        """The per-figure wrappers and the direct comparison loop are gone:
+        every experiment runs through ``run_scenario``."""
+        exported = repro.experiments.__all__
+        assert [name for name in exported if name.startswith("run_")] == ["run_scenario"]
+        for name in exported:
+            assert hasattr(repro.experiments, name), name
+
+
 class TestRegistry:
     def test_every_paper_figure_is_registered(self):
         names = list_scenarios()
@@ -135,39 +162,12 @@ class TestRegistry:
         assert get_scenario("FIG8").name == "fig8"
 
 
-class TestCellExecutorEquivalence:
-    def test_cells_match_direct_method_comparison(self):
-        """A figure executed cell-by-cell through the campaign engine must be
-        bit-identical to the direct multi-method comparison loop."""
-        methods = ("herald-like", "magma")
-        direct = run_method_comparison(
-            "S2", 16.0, TaskType.MIX, methods=methods, scale=TINY, seed=4
-        )
-        spec = ScenarioSpec(
-            name="equivalence",
-            description="cells vs direct loop",
-            settings=("S2",),
-            bandwidths=(16.0,),
-            tasks=("mix",),
-            methods=methods,
-        )
-        engine = CampaignRunner(scale=TINY)
-        via_cells = {}
-        for cell in spec.expand(TINY, base_seed=4):
-            result = engine.run_cell(cell)
-            via_cells[result.optimizer_name] = result
-        assert set(via_cells) == set(direct)
-        for name in direct:
-            assert via_cells[name].best_fitness == direct[name].best_fitness
-            assert via_cells[name].samples_used == direct[name].samples_used
-            assert via_cells[name].history == direct[name].history
-
-
 class TestNormalizationFallback:
     def test_fig8_without_magma_records_fallback_reference(self):
         """Regression: ``methods=`` without MAGMA used to break normalization
         (the reference method was missing from the results)."""
-        result = run_fig8_homogeneous(scale=TINY, methods=("herald-like", "stdga"), seed=0)
+        spec = replace(get_scenario("fig8"), methods=("herald-like", "stdga"))
+        result = run_scenario(spec, scale=TINY, seed=0)
         for task, reference in result["normalized_reference"].items():
             assert reference in {"Herald-like", "stdGA"}
             assert result["normalized"][task][reference] == pytest.approx(1.0)
@@ -175,7 +175,8 @@ class TestNormalizationFallback:
             assert max(result["normalized"][task].values()) == pytest.approx(1.0)
 
     def test_fig8_with_magma_still_normalises_against_magma(self):
-        result = run_fig8_homogeneous(scale=TINY, methods=("herald-like", "magma"), seed=0)
+        spec = replace(get_scenario("fig8"), methods=("herald-like", "magma"))
+        result = run_scenario(spec, scale=TINY, seed=0)
         assert set(result["normalized_reference"].values()) == {"MAGMA"}
 
 
@@ -187,10 +188,12 @@ class TestGridSpecFromDict:
             "tasks": ["mix"],
             "methods": ["magma"],
             "seeds": [0, 1],
+            "group_size": 12,
             "budget": "convergence",
         })
         assert spec.name == "demo"
         assert spec.seeds == (0, 1)
+        assert spec.group_size == 12
         assert spec.budget_policy.base == "convergence"
 
     def test_unknown_keys_rejected(self):
@@ -204,3 +207,11 @@ class TestGridSpecFromDict:
         assert spec.settings == ("S1",)
         assert spec.tasks == ("vision",)
         assert spec.seeds == (2,)
+
+    @pytest.mark.parametrize("group_size", [0, -3, "8", 2.5, True, False, [8]])
+    def test_malformed_group_size_rejected(self, group_size):
+        """Regression: 0 silently ran at the scale's group size, "8" and True
+        were accepted, and 2.5 was truncated and failed deep in the workload
+        builder."""
+        with pytest.raises(ExperimentError, match="group_size"):
+            spec_from_grid({"group_size": group_size})

@@ -77,6 +77,15 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "MAGMA" in output and "Herald-like" in output
 
+    def test_compare_reports_a_repeated_optimizer_twice(self, capsys):
+        exit_code = main([
+            "compare", "--setting", "S1", "--task", "vision",
+            "--optimizers", "magma", "magma", "--scale", "tiny",
+        ])
+        assert exit_code == 0
+        rows = [line.split("|")[0].strip() for line in capsys.readouterr().out.splitlines()]
+        assert "MAGMA" in rows and "MAGMA#2" in rows
+
     def test_experiment_command_outputs_json(self, capsys):
         exit_code = main(["experiment", "fig7"])
         assert exit_code == 0

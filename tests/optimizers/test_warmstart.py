@@ -61,6 +61,8 @@ class TestAdaptation:
         engine.record("mix", codec.random_encoding(rng=0), codec, fitness=1.0)
         suggestions = engine.suggest("mix", codec, count=5, rng=1)
         assert suggestions.shape == (5, codec.encoding_length)
+        # The first suggestion is the remembered solution, unperturbed.
+        assert np.array_equal(suggestions[0], engine.suggest("mix", codec)[0])
 
     def test_perturbed_copies_remain_valid(self, codec):
         engine = WarmStartEngine()
