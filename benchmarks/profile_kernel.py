@@ -34,9 +34,11 @@ from repro.workloads import TaskType, build_task_workload
 SWEEP_POINTS: List[Tuple[str, float, int]] = [
     ("S2", 16.0, 20),
     ("S6", 256.0, 64),
+    ("S6", 256.0, 200),  # perfbench search_large's problem
 ]
 
-POPULATION_SIZES = (32, 128, 512)
+#: 80 is the search shape: MAGMA scores 80 children per generation.
+POPULATION_SIZES = (32, 80, 128, 512)
 
 
 def build_problem(setting: str, bandwidth: float, group_size: int):

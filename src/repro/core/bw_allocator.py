@@ -18,10 +18,12 @@ Two allocators implement the same simulation:
   time, able to record the full timeline, and
 * :class:`BatchBandwidthAllocator` — the vectorized engine behind the
   ``batch`` evaluation backend: it stacks the per-core live-job state of a
-  whole population (``(pop, cores)`` arrays) so each iteration of the event
-  loop advances *every* individual at once.  Its makespans are bit-identical
-  to the scalar path; both share the same explicitly-sequential bandwidth
-  demand summation so floating-point rounding cannot diverge between them.
+  whole population (``(cores, pop)`` arrays) so each iteration of the event
+  loop advances *every* individual at once.  Each (individual, core) lane
+  walks a flat job sequence closed by an idle sentinel, so a job launch is a
+  cursor bump and a gather.  Its makespans are bit-identical to the scalar
+  path; both sum the bandwidth demand sequentially in core order, so
+  floating-point rounding cannot diverge between them.
 """
 
 from __future__ import annotations
@@ -149,9 +151,9 @@ class BandwidthAllocator:
         while np.any(active):
             # Sum the demand core-by-core in index order (idle cores hold an
             # exact 0.0, which leaves a sequential float sum unchanged).  The
-            # batched allocator accumulates its per-row demand column-by-column
-            # in the same order, so both paths round identically even on
-            # platforms with 8+ cores where NumPy's pairwise sum would differ.
+            # batched allocator's np.add.accumulate adds in the same order, so
+            # both paths round identically even on platforms with 8+ cores
+            # where NumPy's pairwise sum would differ.
             total_demand = 0.0
             for bw_value in required_bw:
                 total_demand += float(bw_value)
@@ -212,10 +214,14 @@ class BandwidthAllocator:
 class BatchBandwidthAllocator:
     """Vectorized Algorithm 1 over a whole population of mappings.
 
-    State arrays are shaped ``(pop, cores)``; each iteration of the event
-    loop advances every still-running individual by its own next event.
-    Individuals finish after different event counts — completed rows are
-    masked (their time step is forced to zero) until the whole batch drains.
+    State arrays are shaped ``(cores, rows)``: one *lane* per (individual,
+    core).  Each lane walks a flat sequence of its queued jobs closed by an
+    idle sentinel, so launching a lane's next job is a cursor bump plus two
+    gathers, and an exhausted lane needs no mask.  Each iteration of the
+    event loop advances every still-running individual by its own next
+    event.  Individuals finish after different event counts; finished rows
+    idle (their step is forced to zero) until enough of them retire to
+    compact the state arrays down to the live rows.
 
     Every floating-point operation mirrors the scalar
     :class:`BandwidthAllocator` element-wise, so the returned makespans are
@@ -246,200 +252,127 @@ class BatchBandwidthAllocator:
                 f"{table.num_sub_accelerators}"
             )
         pop = batch.pop_size
-        job_axis = np.arange(batch.num_jobs)[None, :]
-        latency_of_job = table.latency_cycles[job_axis, batch.selection]
-        bw_of_job = table.required_bw_gbps[job_axis, batch.selection]
-        bad = (latency_of_job <= 0) | (bw_of_job <= 0)
+        num_jobs = batch.num_jobs
+        lane_order = batch.lane_order
+        core_of_slot = np.take_along_axis(batch.selection, lane_order, axis=1)
+        latency = table.latency_cycles[lane_order, core_of_slot]
+        bw = table.required_bw_gbps[lane_order, core_of_slot]
+        # latency * bw is the exact multiplication the scalar launch performs.
+        with np.errstate(over="ignore", invalid="ignore"):
+            work = latency * bw
+        bad = ~((latency > 0) & (bw > 0) & np.isfinite(work))
         if np.any(bad):
-            first_row, first_job = np.argwhere(bad)[0]
+            row, slot = np.argwhere(bad)[0]
             raise SchedulingError(
-                f"job {first_job} has non-positive latency/bandwidth on core "
-                f"{batch.selection[first_row, first_job]}"
+                f"job {lane_order[row, slot]} has non-positive or non-finite "
+                f"latency/bandwidth on core {core_of_slot[row, slot]}"
             )
 
-        num_jobs = batch.num_jobs
-        # The execution order per (row, core) is static — only the launch
-        # *times* are dynamic — so the work every launch installs is
-        # precomputable per job: latency * bw, the exact multiplication the
-        # scalar launch performs.  The event loop then never touches the
-        # analysis table again: a launch is a handful of flat gathers into
-        # these (pop, jobs) tables and the queue array, addressed through
-        # base-offset arrays that survive row compaction (the big per-job
-        # tables are never copied — only the small (rows, cores) offsets).
-        work_of_job = latency_of_job * bw_of_job
-        queues = batch.queues
-        rows_2d = np.arange(pop, dtype=np.intp)[:, None]
-        cores_2d = np.arange(num_cores, dtype=np.intp)[None, :]
-        #: Flat offset of lane (row, core)'s queue in ``queues.ravel()``.
-        lane_base = (rows_2d * num_cores + cores_2d) * num_jobs
-        #: Flat offset of row's job table in ``work_of_job.ravel()``.
-        job_base = rows_2d * num_jobs + np.zeros_like(cores_2d)
+        # Every (row, core) lane's jobs, in execution order, followed by one
+        # idle sentinel (work = +inf, bw = 0): row p's lanes fill the flat
+        # slots [p * width, (p + 1) * width) in core order.  A lane parked on
+        # its sentinel draws no bandwidth and its runtime inf / _EPSILON never
+        # finishes, so the sweep needs no active mask; and since every real
+        # job's work is finite, a row whose step is inf has run out of jobs.
+        width = num_jobs + num_cores
+        rows_2d = np.arange(pop)[:, None]
+        slots = rows_2d * width + np.arange(num_jobs) + core_of_slot
+        seq_work = np.full(pop * width, np.inf)
+        seq_bw = np.zeros(pop * width)
+        seq_work[slots] = work
+        seq_bw[slots] = bw
 
-        # Per-(row, core) live-lane state.  Queue cursors are int32: positions
-        # fit comfortably, and halving the index bytes trims the flat gathers.
-        queue_pos = np.zeros((pop, num_cores), dtype=np.int32)
-        remaining_work = np.zeros((pop, num_cores))
-        required_bw = np.zeros((pop, num_cores))
-        active = np.zeros((pop, num_cores), dtype=bool)
-        queue_len = batch.queue_lengths.astype(np.int32)
+        # Lane state is (cores, rows): with cores leading, the per-row demand
+        # and step reductions run over the outer axis as whole-row vector ops.
+        # Cursors are absolute sequence positions, so compacting rows is a
+        # plain column gather.
+        lane_start = np.cumsum(batch.queue_lengths, axis=1) - batch.queue_lengths
+        cursor = (lane_start + np.arange(num_cores) + rows_2d * width).T.copy()
+        remaining_work = seq_work[cursor]
+        required_bw = seq_bw[cursor]
         now = np.zeros(pop)
-        #: Compacted-row -> original-row map (identity until rows retire).
-        row_index = np.arange(pop, dtype=np.intp)
-        makespans = np.zeros(pop)
+        #: Compacted column -> original row (identity until rows retire).
+        row_index = np.arange(pop)
+        makespans = np.empty(pop)
 
-        self._launch_lanes(
-            np.arange(pop * num_cores, dtype=np.intp),
-            queues, queue_pos, queue_len, lane_base, job_base,
-            work_of_job, bw_of_job, remaining_work, required_bw, active,
-        )
-        live = active.any(axis=1)
-
-        # Preallocated per-iteration buffers: the event loop runs O(G)
-        # iterations whose cost is dominated by per-op overhead on small
-        # arrays, so every step below is an in-place ufunc (identical values,
-        # no reallocation) over [:n] views of these full-size buffers — which
-        # is also what lets the distributed backends' shards scale.  The
-        # errstate guard is hoisted for the same reason.
-        total_demand = np.empty(pop)
-        scale = np.empty(pop)
-        dt = np.empty(pop)
-        threshold = np.empty(pop)
-        over = np.empty(pop, dtype=bool)
-        not_live = np.empty(pop, dtype=bool)
-        allocation = np.empty((pop, num_cores))
-        runtimes = np.empty((pop, num_cores))
-        step_work = np.empty((pop, num_cores))
-        finished = np.empty((pop, num_cores), dtype=bool)
-        inactive = np.empty((pop, num_cores), dtype=bool)
-
-        n = pop  # rows still carried by the (compacted) state arrays
+        advanced = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            while n:
-                num_live = int(np.count_nonzero(live))
-                if num_live == 0:
-                    break
-                if 2 * num_live <= n and n - num_live >= _COMPACTION_MIN_ROWS:
-                    # Active-row compaction: converged rows' state never
-                    # changes again, yet every masked step below still pays
-                    # for them.  Scatter their final times into the output
-                    # and shrink every state array to the live rows — each
-                    # row's trajectory is independent (every op is
-                    # elementwise per row), so dropping finished rows cannot
-                    # perturb the survivors' bits.
-                    retired = np.flatnonzero(~live)
-                    makespans[row_index[retired]] = now[retired]
-                    keep = np.flatnonzero(live)
-                    n = len(keep)
-                    row_index = row_index[keep]
-                    queue_pos = queue_pos[keep]
-                    queue_len = queue_len[keep]
-                    lane_base = lane_base[keep]
-                    job_base = job_base[keep]
-                    remaining_work = remaining_work[keep]
-                    required_bw = required_bw[keep]
-                    active = active[keep]
-                    now = now[keep]
-                    live = live[keep]
+            while True:
+                # Buffers for this compaction epoch: the event loop runs O(G)
+                # steps whose cost is per-op overhead on small arrays, so
+                # every op below is in place (identical values, no allocation).
+                n = len(row_index)
+                demand_acc, alloc, runtime, drain = (np.empty((num_cores, n)) for _ in range(4))
+                demand = demand_acc[-1]
+                ratio, step, thresh = np.empty(n), np.empty(n), np.empty(n)
+                dead = np.empty(n, dtype=bool)
+                done = np.empty((num_cores, n), dtype=bool)
+                flat_cursor = cursor.reshape(-1)
+                flat_work = remaining_work.reshape(-1)
+                flat_bw = required_bw.reshape(-1)
+                while True:
+                    # np.add.accumulate adds sequentially by definition, so
+                    # the demand sum rounds exactly like the scalar's per-core
+                    # loop (sentinel lanes hold an exact 0.0).
+                    np.add.accumulate(required_bw, axis=0, out=demand_acc)
+                    # min(B / demand, 1) is the scalar's capped/uncapped split
+                    # bit for bit: under budget the quotient is >= 1 and
+                    # x * 1.0 returns x's bits exactly.
+                    np.divide(self.system_bandwidth_gbps, demand, out=ratio)
+                    np.minimum(ratio, 1.0, out=ratio)
+                    np.multiply(required_bw, ratio, out=alloc)
+                    np.maximum(alloc, _EPSILON, out=drain)  # drain doubles as the denominator
+                    np.divide(remaining_work, drain, out=runtime)
+                    runtime.min(axis=0, out=step)
+                    np.isinf(step, out=dead)
+                    num_dead = int(np.count_nonzero(dead))
+                    if num_dead == n or (
+                        num_dead >= _COMPACTION_MIN_ROWS and 2 * num_dead >= n
+                    ):
+                        break
+                    # Every live row finishes at least one job per step, so a
+                    # sweep that needs more than G steps is not converging
+                    # (a NaN step finishes nothing).
+                    advanced += 1
+                    if advanced > num_jobs:
+                        raise SchedulingError("bandwidth allocation produced a non-finite time step")
+                    if num_dead:
+                        np.copyto(step, 0.0, where=dead)
 
-                demand = total_demand[:n]
-                ratio = scale[:n]
-                step = dt[:n]
-                thresh = threshold[:n]
-                capped = over[:n]
-                dead = not_live[:n]
-                alloc = allocation[:n]
-                runtime = runtimes[:n]
-                work = step_work[:n]
-                done = finished[:n]
-                idle = inactive[:n]
+                    np.multiply(step, 1.0 + 1e-12, out=thresh)
+                    np.add(thresh, _EPSILON, out=thresh)
+                    np.less_equal(runtime, thresh, out=done)
 
-                # Column-by-column accumulation mirrors the scalar allocator's
-                # sequential per-core demand sum bit for bit (idle slots hold 0.0).
-                demand[:] = required_bw[:, 0]
-                for core in range(1, num_cores):
-                    np.add(demand, required_bw[:, core], out=demand)
-                np.greater(demand, self.system_bandwidth_gbps, out=capped)
-                ratio.fill(1.0)
-                np.divide(self.system_bandwidth_gbps, demand, out=ratio, where=capped)
-                # Rows under budget keep ratio == 1.0, and IEEE-754 guarantees
-                # x * 1.0 returns x's bits exactly, so one unconditional
-                # multiply replaces the old np.where copy bit for bit.
-                np.multiply(required_bw, ratio[:, None], out=alloc)
+                    np.multiply(alloc, step, out=drain)
+                    np.subtract(remaining_work, drain, out=remaining_work)
+                    np.maximum(remaining_work, 0.0, out=remaining_work)
+                    np.add(now, step, out=now)
 
-                np.maximum(alloc, _EPSILON, out=work)  # reuse step_work as the denominator
-                np.divide(remaining_work, work, out=runtime)
-                np.logical_not(active, out=idle)
-                np.copyto(runtime, np.inf, where=idle)
-                runtime.min(axis=1, out=step)
-                np.logical_not(live, out=dead)
-                np.copyto(step, 0.0, where=dead)
-                # Live steps are quotients of clamped non-negative numerators
-                # and >= _EPSILON denominators, so they cannot be negative or
-                # NaN — only +inf (an all-idle "active" row) is possible, and
-                # one summed finiteness probe catches it.  The probe also
-                # guarantees termination: an infinite step would otherwise
-                # poison remaining_work and spin this loop forever.
-                if not np.isfinite(float(step.sum())):
+                    # Launch: each finished lane steps its cursor to the next
+                    # entry of its sequence (a job, or the sentinel).
+                    lanes = np.flatnonzero(done)
+                    position = flat_cursor[lanes]
+                    position += 1
+                    flat_cursor[lanes] = position
+                    flat_work[lanes] = seq_work[position]
+                    flat_bw[lanes] = seq_bw[position]
+
+                # Retire the rows whose lanes all sit on their sentinels and
+                # carry only the live rows on: each row's trajectory is
+                # independent (every op is elementwise per row), so dropping
+                # finished rows cannot perturb the survivors' bits.
+                retired = np.flatnonzero(dead)
+                if np.any(required_bw[:, retired]):
+                    # A live lane's runtime overflowed to inf.
                     raise SchedulingError("bandwidth allocation produced a non-finite time step")
-
-                np.multiply(step, 1.0 + 1e-12, out=thresh)
-                np.add(thresh, _EPSILON, out=thresh)
-                np.less_equal(runtime, thresh[:, None], out=done)
-                np.logical_and(done, active, out=done)
-
-                np.multiply(alloc, step[:, None], out=work)
-                np.subtract(remaining_work, work, out=remaining_work)
-                np.maximum(remaining_work, 0.0, out=remaining_work)
-                np.copyto(remaining_work, 0.0, where=done)
-                np.add(now, step, out=now)
-
-                lanes = np.flatnonzero(done)
-                if lanes.size:
-                    self._launch_lanes(
-                        lanes, queues, queue_pos, queue_len, lane_base, job_base,
-                        work_of_job, bw_of_job, remaining_work, required_bw, active,
-                    )
-                    np.any(active, axis=1, out=live)
-
-        makespans[row_index] = now
-        return makespans
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _launch_lanes(
-        lanes: np.ndarray,
-        queues: np.ndarray,
-        queue_pos: np.ndarray,
-        queue_len: np.ndarray,
-        lane_base: np.ndarray,
-        job_base: np.ndarray,
-        work_of_job: np.ndarray,
-        bw_of_job: np.ndarray,
-        remaining_work: np.ndarray,
-        required_bw: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        """Pop the next queued job (if any) on every flat ``(row, core)`` lane.
-
-        *lanes* are flat indices into the (possibly compacted)
-        ``(rows, cores)`` state arrays; ``lane_base``/``job_base`` map each
-        lane back to its original row's flat offsets in ``queues`` and the
-        per-job launch tables, so advancing a lane is a cursor bump plus
-        three flat gathers — no 2-D fancy indexing, no table copies at
-        compaction.  Lanes whose queue is exhausted go (and stay) inactive.
-        """
-        pos = queue_pos.ravel()[lanes]
-        has_next = pos < queue_len.ravel()[lanes]
-        active.ravel()[lanes] = has_next
-
-        idle = lanes[~has_next]
-        remaining_work.ravel()[idle] = 0.0
-        required_bw.ravel()[idle] = 0.0
-
-        run = lanes[has_next]
-        run_pos = pos[has_next]
-        queue_pos.ravel()[run] = run_pos + 1
-        jobs = queues.ravel()[lane_base.ravel()[run] + run_pos]
-        offsets = job_base.ravel()[run] + jobs
-        remaining_work.ravel()[run] = work_of_job.ravel()[offsets]
-        required_bw.ravel()[run] = bw_of_job.ravel()[offsets]
+                makespans[row_index[retired]] = now[retired]
+                if num_dead == n:
+                    return makespans
+                keep = np.flatnonzero(~dead)
+                row_index = row_index[keep]
+                # take() keeps the state C-contiguous (a[:, keep] would be
+                # Fortran-ordered), so the flat views above stay views.
+                cursor = cursor.take(keep, axis=1)
+                remaining_work = remaining_work.take(keep, axis=1)
+                required_bw = required_bw.take(keep, axis=1)
+                now = now[keep]

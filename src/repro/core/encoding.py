@@ -15,10 +15,13 @@ lists), i.e. the "mapping description" consumed by the BW allocator.
 
 The codec also offers a batched API — :meth:`MappingCodec.repair_batch` and
 :meth:`MappingCodec.decode_batch` — that repairs/decodes a whole ``(pop, 2G)``
-population in vectorized NumPy and yields a :class:`MappingBatch`, the dense
-array form consumed by the batched bandwidth allocator
-(:class:`~repro.core.bw_allocator.BatchBandwidthAllocator`).  The batch decode
-is bit-identical to decoding each row with :meth:`MappingCodec.decode`.
+population in vectorized NumPy and yields a :class:`MappingBatch`, the
+lane-major array form consumed by the batched bandwidth allocator
+(:class:`~repro.core.bw_allocator.BatchBandwidthAllocator`): each row's jobs
+sorted by (core, priority, job index), so every core's execution queue is one
+contiguous run.  Two stable argsorts and one ``bincount`` build it, with no
+``(pop, G, A)`` intermediate.  The batch decode is bit-identical to decoding
+each row with :meth:`MappingCodec.decode`.
 """
 
 from __future__ import annotations
@@ -84,37 +87,38 @@ class Mapping:
 
 @dataclass(frozen=True)
 class MappingBatch:
-    """Dense array form of a decoded population of mappings.
+    """Lane-major array form of a decoded population of mappings.
 
-    ``queues[p, a, :queue_lengths[p, a]]`` is the execution order of the jobs
-    individual ``p`` assigns to core ``a`` (remaining slots are padded with
-    ``-1``), and ``selection[p, j]`` is the core job ``j`` runs on.  This is
-    the representation the batched bandwidth allocator sweeps in one
-    vectorized event loop.
+    ``lane_order[p]`` lists individual ``p``'s jobs sorted by (core,
+    priority, job index): core ``a``'s execution order is the run of
+    ``queue_lengths[p, a]`` entries that follows the first
+    ``queue_lengths[p, :a].sum()``.  ``selection[p, j]`` is the core job ``j``
+    runs on.  This is the representation the batched bandwidth allocator
+    lays out as one flat sequence per (individual, core) lane.
     """
 
     selection: np.ndarray  # (pop, G) int
-    queues: np.ndarray  # (pop, A, G) int, -1 padded
+    lane_order: np.ndarray  # (pop, G) int, jobs sorted by (core, priority, index)
     queue_lengths: np.ndarray  # (pop, A) int
     num_jobs: int
 
     @property
     def pop_size(self) -> int:
         """Number of individuals in the batch."""
-        return self.queues.shape[0]
+        return self.queue_lengths.shape[0]
 
     @property
     def num_sub_accelerators(self) -> int:
         """Number of cores each mapping targets."""
-        return self.queues.shape[1]
+        return self.queue_lengths.shape[1]
 
     def mapping(self, index: int) -> Mapping:
         """Materialise one individual as a :class:`Mapping` description."""
-        assignments = tuple(
-            tuple(int(j) for j in self.queues[index, a, : self.queue_lengths[index, a]])
-            for a in range(self.num_sub_accelerators)
+        queues = np.split(self.lane_order[index], np.cumsum(self.queue_lengths[index])[:-1])
+        return Mapping(
+            assignments=tuple(tuple(int(j) for j in queue) for queue in queues),
+            num_jobs=self.num_jobs,
         )
-        return Mapping(assignments=assignments, num_jobs=self.num_jobs)
 
 
 class MappingCodec:
@@ -246,29 +250,31 @@ class MappingCodec:
 
         Per-row this performs the same repair, stable priority sort (ties
         break on job index), and per-core bucketing as :meth:`decode`, but
-        fully vectorized: the per-core queue slot of every job is derived from
-        a cumulative per-core count along the sorted order.
+        fully vectorized: a stable argsort of the priority-sorted core column
+        groups the jobs by core without disturbing their priority order.
         """
         repaired = self.repair_batch(population)
         pop = repaired.shape[0]
         num_jobs = self.num_jobs
         num_cores = self.num_sub_accelerators
         selection = repaired[:, :num_jobs].astype(int)
-        priority = repaired[:, num_jobs:]
         # Stable argsort by priority == lexsort((arange, priority)) per row.
-        order = np.argsort(priority, axis=1, kind="stable")
-        core_of_pos = np.take_along_axis(selection, order, axis=1)
-        # counts[p, pos, a] = how many of the first pos+1 sorted jobs sit on
-        # core a; the slot of each job within its core's queue follows.
-        counts = np.cumsum(core_of_pos[:, :, None] == np.arange(num_cores), axis=1)
-        rows = np.arange(pop)[:, None]
-        slots = counts[rows, np.arange(num_jobs)[None, :], core_of_pos] - 1
-        queues = np.full((pop, num_cores, num_jobs), -1, dtype=int)
-        queues[rows, core_of_pos, slots] = order
+        order = np.argsort(repaired[:, num_jobs:], axis=1, kind="stable")
+        # Narrow core ids (uint8 up to 256 cores) let the stable argsort run
+        # as a radix sort.
+        core_of_pos = np.take_along_axis(selection, order, axis=1).astype(
+            np.min_scalar_type(num_cores - 1)
+        )
+        by_core = np.argsort(core_of_pos, axis=1, kind="stable")
+        lane_order = np.take_along_axis(order, by_core, axis=1)
+        row_offsets = np.arange(pop)[:, None] * num_cores
+        queue_lengths = np.bincount(
+            (selection + row_offsets).ravel(), minlength=pop * num_cores
+        ).reshape(pop, num_cores)
         return MappingBatch(
             selection=selection,
-            queues=queues,
-            queue_lengths=counts[:, -1, :],
+            lane_order=lane_order,
+            queue_lengths=queue_lengths,
             num_jobs=num_jobs,
         )
 

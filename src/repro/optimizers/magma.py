@@ -131,20 +131,27 @@ class MagmaOptimizer(BaseOptimizer):
         # crossover applied to its rows (gen, then rg, then accel, whose
         # daughter is crossed with the already-updated son), sons and
         # daughters interleaved, and one mutation call over every child.
-        dad, mom = operators.draw_parent_pairs(len(parent_pool), (num_children + 1) // 2, self.rng)
+        rng = self.rng
+        dad, mom = operators.draw_parent_pairs(len(parent_pool), (num_children + 1) // 2, rng)
         son, daughter = parent_pool[dad], parent_pool[mom]
+        # A crossover drawing no rows draws no randomness, so skipping the
+        # call on an empty hit leaves the random stream untouched.
         if cfg.enable_crossover_gen:
-            hit = np.flatnonzero(self.rng.random(len(son)) < cfg.crossover_gen_rate)
-            son[hit], daughter[hit] = operators.crossover_gen(son[hit], daughter[hit], codec, self.rng)
+            hit = np.flatnonzero(rng.random(len(son)) < cfg.crossover_gen_rate)
+            if hit.size:
+                son[hit], daughter[hit] = operators.crossover_gen(son[hit], daughter[hit], codec, rng)
         if cfg.enable_crossover_rg:
-            hit = np.flatnonzero(self.rng.random(len(son)) < cfg.crossover_rg_rate)
-            son[hit], daughter[hit] = operators.crossover_rg(son[hit], daughter[hit], codec, self.rng)
+            hit = np.flatnonzero(rng.random(len(son)) < cfg.crossover_rg_rate)
+            if hit.size:
+                son[hit], daughter[hit] = operators.crossover_rg(son[hit], daughter[hit], codec, rng)
         if cfg.enable_crossover_accel:
-            hit = np.flatnonzero(self.rng.random(len(son)) < cfg.crossover_accel_rate)
-            son[hit] = operators.crossover_accel(son[hit], daughter[hit], codec, self.rng)
-            daughter[hit] = operators.crossover_accel(daughter[hit], son[hit], codec, self.rng)
+            hit = np.flatnonzero(rng.random(len(son)) < cfg.crossover_accel_rate)
+            if hit.size:
+                sons = operators.crossover_accel(son[hit], daughter[hit], codec, rng)
+                son[hit] = sons
+                daughter[hit] = operators.crossover_accel(daughter[hit], sons, codec, rng)
         children = np.concatenate([son, daughter], axis=1).reshape(-1, codec.encoding_length)
-        children = operators.mutate(children[:num_children], codec, self.rng, cfg.mutation_rate)
+        children = operators.mutate(children[:num_children], codec, rng, cfg.mutation_rate)
 
         next_population = np.vstack([population[:num_elites], children])
         next_fitnesses = np.concatenate(

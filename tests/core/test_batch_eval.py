@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from repro.accelerator import build_setting
+from repro.core.analyzer import JobAnalysisTable
 from repro.core.bw_allocator import BandwidthAllocator, BatchBandwidthAllocator
 from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import EVAL_BACKENDS, MappingEvaluator
 from repro.core.encoding import MappingCodec
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SchedulingError
 from repro.workloads import TaskType, build_task_workload
 
 
@@ -26,6 +27,24 @@ def _problem(setting: str, bandwidth: float, group_size: int, seed: int = 0):
         num_sub_accelerators=platform.num_sub_accelerators,
     )[0]
     return platform, group
+
+
+def _assert_batch_matches_scalar(bandwidth, codec, table, population):
+    """Batch makespans equal the scalar oracle's, row by row, bit for bit."""
+    batch_makespans = BatchBandwidthAllocator(bandwidth).makespan_cycles(
+        codec.decode_batch(population), table
+    )
+    scalar = BandwidthAllocator(bandwidth)
+    for i in range(len(population)):
+        expected = scalar.makespan_cycles(codec.decode(population[i]), table)
+        assert batch_makespans[i] == expected  # bitwise, no tolerance
+
+
+def _with_selection(codec, population, selection):
+    """Copy of *population* with every row's selection genome replaced."""
+    rows = np.array(population, dtype=float)
+    rows[:, : codec.num_jobs] = selection
+    return rows
 
 
 class TestBatchDecode:
@@ -51,6 +70,28 @@ class TestBatchDecode:
         assert batch.mapping(0) == codec.decode(encoding)
         assert batch.mapping(0).assignments == ((0, 2), (1, 3))
 
+    def test_decode_batch_with_empty_cores_matches_scalar_decode(self):
+        """Cores with no jobs decode to empty queues, wherever they sit."""
+        codec = MappingCodec(num_jobs=7, num_sub_accelerators=5)
+        rng = np.random.default_rng(4)
+        population = codec.random_population(40, rng=rng)
+        # Rows drawing from two of the five cores, plus all-on-one-core rows.
+        population[:20, :7] = rng.choice([1, 3], size=(20, 7))
+        population[20, :7] = 0
+        population[21, :7] = 4
+        batch = codec.decode_batch(population)
+        assert batch.queue_lengths[20].tolist() == [7, 0, 0, 0, 0]
+        assert batch.queue_lengths[21].tolist() == [0, 0, 0, 0, 7]
+        for i in range(len(population)):
+            assert batch.mapping(i) == codec.decode(population[i])
+
+    def test_lane_order_groups_jobs_by_core_in_priority_order(self):
+        codec = MappingCodec(num_jobs=6, num_sub_accelerators=3)
+        encoding = np.array([2, 0, 2, 0, 2, 2, 0.9, 0.5, 0.1, 0.2, 0.1, 0.0])
+        batch = codec.decode_batch(encoding[None, :])
+        assert batch.lane_order[0].tolist() == [3, 1, 5, 2, 4, 0]
+        assert batch.queue_lengths[0].tolist() == [2, 0, 4]
+
 
 class TestBatchAllocator:
     @pytest.mark.parametrize("setting,bandwidth,group_size", [
@@ -62,16 +103,86 @@ class TestBatchAllocator:
     def test_makespans_bitwise_equal_scalar(self, setting, bandwidth, group_size):
         platform, group = _problem(setting, bandwidth, group_size)
         evaluator = MappingEvaluator(group, platform)
-        table = evaluator.table
+        population = evaluator.codec.random_population(32, rng=3)
+        _assert_batch_matches_scalar(bandwidth, evaluator.codec, evaluator.table, population)
+
+    @pytest.mark.parametrize("pop_size", [1, 15, 16, 17, 33, 80])
+    def test_population_sizes_around_compaction(self, pop_size):
+        """Sizes on both sides of ``_COMPACTION_MIN_ROWS`` and twice it."""
+        platform, group = _problem("S2", 16.0, 20)
+        evaluator = MappingEvaluator(group, platform)
+        population = evaluator.codec.random_population(pop_size, rng=pop_size)
+        _assert_batch_matches_scalar(16.0, evaluator.codec, evaluator.table, population)
+
+    def test_sixteen_cores_at_search_group_size(self):
+        """S6 at G=200: 16-lane demand sums over a search-sized schedule."""
+        platform, group = _problem("S6", 256.0, 200)
+        evaluator = MappingEvaluator(group, platform)
+        population = evaluator.codec.random_population(12, rng=5)
+        _assert_batch_matches_scalar(256.0, evaluator.codec, evaluator.table, population)
+
+    def test_rows_with_empty_cores(self):
+        """Lanes that start on their sentinel stay idle and draw no bandwidth."""
+        platform, group = _problem("S3", 8.0, 16)  # 8 cores
+        evaluator = MappingEvaluator(group, platform)
         codec = evaluator.codec
-        population = codec.random_population(32, rng=3)
-        batch_makespans = BatchBandwidthAllocator(bandwidth).makespan_cycles(
-            codec.decode_batch(population), table
+        rng = np.random.default_rng(6)
+        population = codec.random_population(30, rng=rng)
+        population = _with_selection(codec, population, rng.choice([2, 5, 7], size=(30, 16)))
+        _assert_batch_matches_scalar(8.0, codec, evaluator.table, population)
+
+    @pytest.mark.parametrize("core", [0, 3])
+    def test_every_job_on_one_core(self, core):
+        platform, group = _problem("S2", 4.0, 12)
+        evaluator = MappingEvaluator(group, platform)
+        codec = evaluator.codec
+        population = _with_selection(codec, codec.random_population(20, rng=core), core)
+        _assert_batch_matches_scalar(4.0, codec, evaluator.table, population)
+
+    def test_compaction_retires_early_finishers(self):
+        """Rows that drain in fewer steps retire mid-sweep; survivors' bits hold.
+
+        With identical jobs, a row spreading its 8 jobs evenly over 4 cores
+        finishes in 2 events, while a row stacking them on one core needs 8,
+        so the 24 spread rows retire (and compact away) long before the rest.
+        """
+        latency = np.full((8, 4), 100.0)
+        latency[:, 2] = 70.0
+        table = JobAnalysisTable(
+            latency_cycles=latency,
+            required_bw_gbps=np.full((8, 4), 3.0),
+            energy_joules=np.ones((8, 4)),
+            dram_traffic_bytes=latency * 3.0,
+            job_flops=np.full(8, 1000.0),
         )
-        scalar = BandwidthAllocator(bandwidth)
-        for i in range(len(population)):
-            expected = scalar.makespan_cycles(codec.decode(population[i]), table)
-            assert batch_makespans[i] == expected  # bitwise, no tolerance
+        codec = MappingCodec(num_jobs=8, num_sub_accelerators=4)
+        population = codec.random_population(30, rng=7)
+        population[:24, :8] = np.tile([0, 1, 2, 3], 2)
+        population[24:, :8] = np.arange(6)[:, None] % 4
+        _assert_batch_matches_scalar(5.0, codec, table, population)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_work_raises_instead_of_idling(self):
+        """``latency * bw`` of +inf must not pass for an idle sentinel lane."""
+        latency = np.full((4, 2), 100.0)
+        bandwidth = np.full((4, 2), 2.0)
+        latency[1, 0] = 1e200
+        bandwidth[1, 0] = 1e200
+        table = JobAnalysisTable(
+            latency_cycles=latency,
+            required_bw_gbps=bandwidth,
+            energy_joules=np.ones((4, 2)),
+            dram_traffic_bytes=np.ones((4, 2)),
+            job_flops=np.full(4, 1000.0),
+        )
+        codec = MappingCodec(num_jobs=4, num_sub_accelerators=2)
+        encoding = np.array([0, 0, 1, 1, 0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(SchedulingError):
+            BandwidthAllocator(16.0).makespan_cycles(codec.decode(encoding), table)
+        with pytest.raises(SchedulingError):
+            BatchBandwidthAllocator(16.0).makespan_cycles(
+                codec.decode_batch(encoding[None, :]), table
+            )
 
     def test_residual_work_clamped_at_zero(self):
         """Regression guard for the residual-work clamp: floating-point

@@ -266,9 +266,11 @@ class TestParentPairs:
 
 
 class TestGenerationCrossoverRates:
-    @pytest.mark.parametrize("rate,expected_rows", [(0.0, 0), (1.0, 4)])
+    # Rate 0 hits no pair, so no crossover is called at all (an empty hit
+    # skips the call); rate 1 crosses all 4 pairs.
+    @pytest.mark.parametrize("rate,expected_calls", [(0.0, []), (1.0, [4])], ids=["0.0-0", "1.0-4"])
     def test_rate_bounds_apply_to_no_pair_or_every_pair(
-        self, rate, expected_rows, monkeypatch, small_platform, mix_group
+        self, rate, expected_calls, monkeypatch, small_platform, mix_group
     ):
         rows_seen = {"crossover_gen": [], "crossover_rg": [], "crossover_accel": []}
         for name, calls in rows_seen.items():
@@ -291,6 +293,6 @@ class TestGenerationCrossoverRates:
         population = optimizer._initial_population(evaluator, 10, None)
         optimizer._next_generation(evaluator, population, evaluator.evaluate_population(population))
         # 10 individuals, 2 elites: 8 children from 4 parent pairs.
-        assert rows_seen["crossover_gen"] == [expected_rows]
-        assert rows_seen["crossover_rg"] == [expected_rows]
-        assert rows_seen["crossover_accel"] == [expected_rows, expected_rows]
+        assert rows_seen["crossover_gen"] == expected_calls
+        assert rows_seen["crossover_rg"] == expected_calls
+        assert rows_seen["crossover_accel"] == expected_calls * 2
