@@ -1,15 +1,16 @@
-"""Perf smoke: per-chunk overhead of the work-stealing dispatch machinery.
+"""Perf smoke: per-chunk overhead of the rpc backend's work-stealing dispatch.
 
-The parallel/rpc speed benches measure whether a fleet beats one core — a
-property a single-core runner cannot demonstrate, so they skip-with-reason
+The rpc speed bench measures whether a host fleet beats one core — a
+property a single-core runner cannot demonstrate, so it skips-with-reason
 there.  What *can* be measured anywhere is the coordinator-side cost the
-dispatcher adds around each chunk: the steal-queue pop, the per-chunk
+rpc dispatcher adds around each chunk: the steal-queue pop, the per-chunk
 bookkeeping, and the row-offset scatter.  This bench drives the real
 :meth:`RpcEvaluationPool._dispatch` steal loop with stub clients whose
 ``evaluate`` returns instantly, so the measured wall time is pure dispatch
 machinery, and floors the sustained chunk rate.  If per-chunk overhead ever
 grows past the cost of evaluating a small chunk, stealing would stop paying
-for itself — that is the regression this gate exists to catch.
+for itself — that is the regression this gate exists to catch.  (The
+``parallel`` backend does not steal: it sends one shard per lane.)
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from repro.accelerator import build_setting
 from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
-from repro.core.parallel import EvaluatorSpec, split_chunks
-from repro.core.rpc import RpcEvaluationPool
+from repro.core.parallel import EvaluatorSpec
+from repro.core.rpc import RpcEvaluationPool, split_chunks
 from repro.workloads import TaskType, build_task_workload
 
 #: Minimum accepted sustained dispatch rate (chunks through the steal loop

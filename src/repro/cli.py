@@ -26,8 +26,8 @@ search cells, with per-cell results appended to a JSONL store::
 Fitness evaluation defaults to the vectorized ``batch`` backend; pass
 ``--eval-backend scalar`` to force the one-encoding-at-a-time reference
 oracle (bit-identical, much slower), or ``--eval-backend parallel`` to shard
-the batch sweep across worker processes (``--eval-workers N`` sizes the
-pool, default one per usable CPU, capped at 8)::
+the batch sweep across compute lanes (``--eval-workers N``: the coordinator
+plus N-1 worker processes, default one lane per usable CPU, capped at 8)::
 
     repro-magma search --setting S2 --task mix --eval-backend scalar
     repro-magma experiment fig9 --eval-backend parallel --eval-workers 4
@@ -539,8 +539,8 @@ def _add_eval_backend_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for --eval-backend parallel "
-        "(default: one per usable CPU, capped at 8)",
+        help="compute lanes for --eval-backend parallel: the coordinator plus "
+        "N-1 worker processes (default: one lane per usable CPU, capped at 8)",
     )
     parser.add_argument(
         "--eval-hosts",

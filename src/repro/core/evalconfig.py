@@ -3,7 +3,7 @@
 Every layer that runs searches — :class:`~repro.core.framework.M3E`, the
 :class:`~repro.core.evaluator.MappingEvaluator`, the campaign engine, the
 experiment runners, the mapping service, and the CLI — needs the same four
-decisions: which evaluation backend, how many worker processes, which remote
+decisions: which evaluation backend, how many compute lanes, which remote
 hosts, which RPC token.
 
 :class:`EvalConfig` carries all four: one frozen, hashable dataclass,
@@ -41,9 +41,11 @@ class EvalConfig:
         same sweep sharded across remote worker hosts), or ``"scalar"`` (the
         one-at-a-time reference oracle).  All four are bit-identical.
     workers:
-        Worker-process count for the ``parallel`` backend (default: one per
-        usable CPU, capped at 8).  Rejected for other backends, where it would be silently
-        meaningless.
+        Compute lanes for the ``parallel`` backend: the coordinator plus
+        ``workers - 1`` worker processes, each computing one shard of every
+        generation (default: one lane per usable CPU, capped at 8;
+        ``workers=1`` evaluates in process).  Rejected for other backends,
+        where it would be silently meaningless.
     hosts:
         Remote worker addresses for the ``rpc`` backend — a
         ``"host:port,host:port"`` string or a sequence of ``host:port``

@@ -3,8 +3,8 @@
 The batch evaluation engine simulates a whole population in one vectorized
 sweep, but a single process can only use one core.  The population sweep is
 embarrassingly parallel across *rows* (each individual's simulation is
-independent), so this module shards a population across a persistent pool of
-worker processes:
+independent), so this module splits each generation across N compute
+lanes: the coordinator itself plus N-1 dedicated worker processes.
 
 * :class:`EvaluatorSpec` is a small picklable recipe — codec shape, system
   bandwidth, objective, and the dense Job Analysis Table arrays — from which
@@ -12,18 +12,29 @@ worker processes:
   (heavier, model-bearing) :class:`~repro.workloads.groups.JobGroup` or
   platform objects across the process boundary.
 * :class:`SimulationRig` is the reconstructed state: codec + batched
-  allocator + table + objective.  The in-process ``batch`` backend and the
-  workers run the *same* rig code path, which is what makes the ``parallel``
-  backend bit-identical to ``batch`` by construction.
-* :class:`ParallelEvaluationPool` owns the worker pool: it bootstraps each
-  worker once (``initializer`` rebuilds the rig from the spec), splits a
-  population of repaired encodings into fixed-size work-stealing chunks that
-  idle workers pull from the pool's shared task queue, scatters each chunk's
-  fitnesses at its own row offset (row order is positional, so any steal
-  schedule gathers identically), and is reused across generations until
-  :meth:`ParallelEvaluationPool.close`.  Arrays travel zero-copy through a
-  :class:`SharedMemoryRing` — workers read encodings and write fitness rows
-  in place — so only tiny chunk descriptors cross the pool's pipes.
+  allocator + table + objective.  The in-process ``batch`` backend, the
+  coordinator's own shard and the workers run the *same* rig code path,
+  which is what makes the ``parallel`` backend bit-identical to ``batch``
+  by construction.
+* :class:`ParallelEvaluationPool` owns the lanes.  Per generation it cuts
+  the population into one contiguous, near-equal shard per lane
+  (:func:`split_shards`), writes it into a :class:`SharedMemoryRing` slot,
+  sends each worker a ``(segment, pop, width, start, stop)`` descriptor
+  over that worker's own pipe, computes shard 0 itself, and then gathers
+  the acks.  Every shard reads its rows and writes its fitnesses in place
+  at its own row offset, so only the tiny descriptors and acks cross the
+  pipes and the gathered result is row-ordered whatever the split.
+
+One shard per lane, not many small chunks, because every kernel call pays
+a fixed per-call cost that chunking multiplies (docs/PERFORMANCE.md).  The
+descriptors go out from the calling thread, before the coordinator starts
+its own shard: a helper thread would need the GIL that shard holds, and
+its worker would start late.
+
+A worker that dies mid-shard surfaces at once as ``EOFError``/``OSError``
+on its pipe; one that stays silent past ``task_timeout_s`` is terminated.
+Either way its shard is recomputed inline (bit-identically) and the worker
+is respawned on the next call.
 
 Memoization stays in the main process: the evaluator dispatches only rows
 that miss its encoding -> fitness cache and merges the freshly computed
@@ -38,6 +49,8 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,39 +64,27 @@ from repro.exceptions import ConfigurationError
 from repro.obs import get_metrics, get_tracer
 
 #: Populations below twice this are simulated inline in the main process: the
-#: dispatch overhead would exceed the simulation cost.
+#: dispatch overhead would exceed the simulation cost.  No shard is ever
+#: smaller than this, so small populations use fewer lanes.
 MIN_ROWS_PER_WORKER = 8
 
-#: Height of one work-stealing chunk: the fixed unit of dispatch every
-#: distributed backend pulls from its shared queue.  Small enough that a slow
-#: worker strands at most one chunk's worth of latency, large enough that the
-#: per-chunk dispatch overhead stays amortised (see BENCH_dispatch_overhead.json,
-#: written by benchmarks/test_dispatch_overhead.py).
-DEFAULT_CHUNK_ROWS = 16
-
 #: Test seams for the fault-injection property tests (inherited by forked
-#: workers at pool creation): a per-chunk delay to simulate slow workers, and
-#: a chunk start row whose worker kills itself mid-task to simulate a crash.
+#: workers when they start): a per-shard delay to simulate slow workers, and
+#: a shard start row whose worker kills itself mid-task to simulate a crash.
 _FAULT_DELAY_S: float = 0.0
-_FAULT_KILL_CHUNK_START: Optional[int] = None
+_FAULT_KILL_SHARD_START: Optional[int] = None
 
 
-def split_chunks(num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> List[Tuple[int, int]]:
-    """Fixed-size contiguous ``(start, stop)`` chunks — the work-stealing unit.
+def split_shards(num_rows: int, lanes: int) -> List[Tuple[int, int]]:
+    """*lanes* contiguous ``(start, stop)`` shards covering *num_rows* rows.
 
-    Chunks are *pulled* from a shared queue by whichever worker goes idle
-    first, not assigned up front.  Each chunk writes its fitnesses at its own
-    row offset, so the gathered result is row-ordered no matter which worker
-    computed which chunk or in what order — and because every row's
-    simulation is independent (the batch kernel is elementwise per row), the
-    values are bit-identical for every chunk size and steal schedule.
+    Shard heights differ by at most one row.  Each shard writes its
+    fitnesses at its own row offset and every row's simulation is
+    independent (the batch kernel is elementwise per row), so the gathered
+    values are bit-identical for every lane count.
     """
-    if chunk_rows < 1:
-        raise ConfigurationError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    return [
-        (start, min(start + chunk_rows, int(num_rows)))
-        for start in range(0, int(num_rows), chunk_rows)
-    ]
+    edges = [lane * int(num_rows) // lanes for lane in range(lanes + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def resolve_num_workers(num_workers: Optional[int]) -> int:
@@ -287,17 +288,16 @@ class SharedMemoryRing:
 # ----------------------------------------------------------------------
 # Worker process side
 # ----------------------------------------------------------------------
-#: Per-worker rig, rebuilt once by the pool initializer (module-global so the
-#: map function can reach it; each worker process has its own copy).
-_WORKER_RIG: Optional[SimulationRig] = None
-
 #: Per-worker shared-memory attachments, cached by segment name so each ring
-#: slot is mapped once per worker process, not once per chunk.
+#: slot is mapped once per worker process, not once per shard.
 _WORKER_SHM: Dict[str, shared_memory.SharedMemory] = {}
 
-#: Attachment cache bound: ring slots are few, but a long-lived worker serving
-#: many coordinators should not accumulate dead mappings without limit.
+#: Attachment cache bound: ring slots are few, but a long-lived worker should
+#: not accumulate dead mappings (the ring regrows slots) without limit.
 _WORKER_SHM_CACHE_LIMIT = 8
+
+#: Warm-up probe: a worker answers it with itself once its rig is built.
+_PING = "ping"
 
 
 def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
@@ -312,8 +312,8 @@ def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
     return segment
 
 
-def _bootstrap_worker(spec: EvaluatorSpec) -> None:
-    """Pool initializer: rebuild the evaluation state once per worker.
+def _bootstrap_worker(spec: EvaluatorSpec) -> SimulationRig:
+    """Rebuild the evaluation state once per worker.
 
     The coordinator's resolved seed travels inside the spec: a parallel
     worker is dedicated to one coordinator, so installing it as the worker's
@@ -321,62 +321,102 @@ def _bootstrap_worker(spec: EvaluatorSpec) -> None:
     own seed policy rather than re-resolving (or falling back to entropy)
     in the child process.
     """
-    global _WORKER_RIG
-    _WORKER_RIG = spec.build_rig()
+    rig = spec.build_rig()
     if spec.resolved_seed is not None:
         from repro.utils.rng import set_global_seed
 
         set_global_seed(spec.resolved_seed, source="worker-bootstrap")
+    return rig
 
 
-def _worker_ready(_: int) -> bool:
-    """Trivial map function for :meth:`ParallelEvaluationPool.warm_up`."""
-    return _WORKER_RIG is not None
-
-
-def _inject_chunk_faults(start: int) -> None:
+def _inject_shard_faults(start: int) -> None:
     """Honour the fault-injection test seams (no-ops in production)."""
     if _FAULT_DELAY_S > 0.0:
         time.sleep(_FAULT_DELAY_S)
-    if _FAULT_KILL_CHUNK_START is not None and start == _FAULT_KILL_CHUNK_START:
-        os._exit(1)  # simulate a worker crash mid-chunk
+    if _FAULT_KILL_SHARD_START is not None and start == _FAULT_KILL_SHARD_START:
+        os._exit(1)  # simulate a worker crash mid-shard
 
 
-def _evaluate_shm_chunk(task: Tuple[str, int, int, int, int]) -> Tuple[int, int]:
-    """Work-stealing map function: one chunk, read and written in place.
+def _evaluate_shm_shard(
+    rig: SimulationRig, task: Tuple[str, int, int, int, int]
+) -> Tuple[int, int, float]:
+    """One shard, read and written in place; returns ``(start, stop, compute_s)``.
 
     *task* is ``(segment_name, pop, width, start, stop)``: the worker maps
-    the named ring slot, reads its chunk of encoding rows **in place** (the
+    the named ring slot, reads its shard of encoding rows **in place** (the
     rig's decode never copies the float64 input), and writes the fitness row
-    back **in place** at the slot's output region — the only bytes that cross
-    the process boundary are this tiny task tuple and the ``(start, stop)``
-    acknowledgement.
+    back **in place** at the slot's output region.  ``compute_s`` is the
+    worker's own wall time for the shard, so the coordinator can split a
+    shard's latency into compute and wait.
     """
     name, pop, width, start, stop = task
-    if _WORKER_RIG is None:  # pragma: no cover - defensive, initializer always runs
-        raise RuntimeError("parallel evaluation worker used before bootstrap")
-    _inject_chunk_faults(start)
+    _inject_shard_faults(start)
+    began = time.perf_counter()
     segment = _attach_shared_memory(name)
     rows = np.ndarray((pop, width), dtype=np.float64, buffer=segment.buf)[start:stop]
-    fitnesses = _WORKER_RIG.fitnesses_for_rows(rows)
     out = np.ndarray((pop,), dtype=np.float64, buffer=segment.buf, offset=pop * width * 8)
-    out[start:stop] = fitnesses
-    return start, stop
+    out[start:stop] = rig.fitnesses_for_rows(rows)
+    return start, stop, time.perf_counter() - began
+
+
+def _worker_loop(conn: Connection, spec: EvaluatorSpec) -> None:
+    """Worker process entry point: bootstrap once, then serve shards in order.
+
+    Messages are shard descriptors (acked by :func:`_evaluate_shm_shard`'s
+    result), :data:`_PING` (echoed) or ``None`` (stop).  The coordinator
+    closing its end stops the loop too.  A shard that raises kills the
+    worker; the coordinator then recomputes it inline, which raises the
+    real error if the problem was not this process.
+    """
+    rig = _bootstrap_worker(spec)
+    try:
+        while True:
+            try:
+                task = conn.recv()
+            except (EOFError, OSError):
+                return
+            if task is None:
+                return
+            conn.send(_PING if task == _PING else _evaluate_shm_shard(rig, task))
+    finally:
+        while _WORKER_SHM:
+            _WORKER_SHM.popitem()[1].close()
+        conn.close()
 
 
 # ----------------------------------------------------------------------
 # Main process side
 # ----------------------------------------------------------------------
-class ParallelEvaluationPool:
-    """Persistent pool of evaluation workers sharing one :class:`EvaluatorSpec`.
+#: One worker lane: its process and the coordinator's end of its pipe.
+_Worker = Tuple[BaseProcess, Connection]
 
-    The pool is created lazily on the first evaluation, reused across
-    generations (workers keep their reconstructed rig for their lifetime),
-    and shut down cleanly by :meth:`close` (also invoked on garbage
-    collection and by ``with`` blocks).  A population is cut into fixed-size
-    contiguous chunks (:meth:`_chunks`) that idle workers steal from one
-    shared queue; each chunk writes its fitnesses at its own row offset, so
-    the gathered result preserves row order exactly whatever the schedule.
+
+def _reap(process: BaseProcess, grace_s: float) -> Optional[int]:
+    """Wait up to *grace_s* for *process* to exit, then terminate and kill it.
+
+    Returns the exit code (negative: the signal that ended it).
+    """
+    process.join(grace_s)
+    if process.is_alive():
+        process.terminate()
+        process.join(1.0)
+    if process.is_alive():  # pragma: no cover - SIGTERM ignored
+        process.kill()
+        process.join()
+    exitcode = process.exitcode
+    process.close()
+    return exitcode
+
+
+class ParallelEvaluationPool:
+    """N compute lanes sharing one :class:`EvaluatorSpec`: the coordinator plus N-1 workers.
+
+    Workers start lazily on the first sharded evaluation, keep their
+    reconstructed rig across generations, and stop on :meth:`close` (also
+    invoked on garbage collection and by ``with`` blocks).  Each generation
+    is one contiguous shard per lane; the coordinator computes shard 0
+    while the workers compute the rest, and every shard writes its
+    fitnesses at its own row offset, so row order is preserved exactly.
     """
 
     def __init__(
@@ -384,24 +424,23 @@ class ParallelEvaluationPool:
         spec: EvaluatorSpec,
         num_workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
         task_timeout_s: float = 60.0,
     ):
         self.spec = spec
+        #: Compute lanes: the coordinator plus ``num_workers - 1`` worker processes.
         self.num_workers = resolve_num_workers(num_workers)
         if start_method is None:
             # fork reuses the parent's imported modules (cheap bootstrap);
             # spawn is the portable fallback and works because the spec is
-            # picklable and the worker entry points are module-level.
+            # picklable and the worker entry point is module-level.
             start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self.start_method = start_method
-        if chunk_rows < 1:
-            raise ConfigurationError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        self.chunk_rows = int(chunk_rows)
-        #: How long to wait for one chunk acknowledgement before declaring
-        #: its worker lost and recomputing the missing chunks inline.
+        #: How long to wait for a worker's ack (after the coordinator's own
+        #: shard) before terminating it and recomputing its shard inline.
         self.task_timeout_s = float(task_timeout_s)
-        self._pool: Optional[multiprocessing.pool.Pool] = None
+        #: ``(process, coordinator end of its pipe)`` per worker lane; ``None``
+        #: until started, and again after the worker is lost or closed.
+        self._workers: List[Optional[_Worker]] = [None] * (self.num_workers - 1)
         self._fallback_rig: Optional[SimulationRig] = None
         self._ring: Optional[SharedMemoryRing] = None
         # Telemetry (docs/OBSERVABILITY.md): dispatch counters plus
@@ -411,17 +450,22 @@ class ParallelEvaluationPool:
         _metrics = get_metrics()
         self._m_chunks = _metrics.counter(
             "repro_chunks_dispatched_total",
-            "Work-stealing chunks dispatched to evaluation workers",
+            "Shards dispatched to evaluation workers",
             labels={"backend": "parallel"},
         )
         self._m_fallback = _metrics.counter(
             "repro_local_fallback_chunks_total",
-            "Chunks recomputed inline after a worker or fleet loss",
+            "Shards recomputed inline after a worker loss",
             labels={"backend": "parallel"},
         )
         self._m_deaths = _metrics.counter(
             "repro_worker_deaths_total",
-            "Workers (or whole pools) lost mid-evaluation",
+            "Workers lost mid-evaluation (died, or silent past the timeout)",
+            labels={"backend": "parallel"},
+        )
+        self._m_compute = _metrics.counter(
+            "repro_worker_compute_seconds_total",
+            "Seconds workers spent computing their shards, as reported in their acks",
             labels={"backend": "parallel"},
         )
 
@@ -429,10 +473,25 @@ class ParallelEvaluationPool:
     @property
     def is_running(self) -> bool:
         """True while worker processes are alive."""
-        return self._pool is not None
+        return any(worker is not None for worker in self._workers)
 
-    def _ensure_pool(self) -> multiprocessing.pool.Pool:
-        if self._pool is None:
+    def _start_worker(self) -> _Worker:
+        context = multiprocessing.get_context(self.start_method)
+        conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_worker_loop, args=(child_conn, self.spec), name="repro-eval-worker", daemon=True
+        )
+        try:
+            process.start()
+        finally:
+            # The worker now holds the only other end, so its death reads
+            # as EOF on ``conn`` at once.
+            child_conn.close()
+        return process, conn
+
+    def _ensure_workers(self, count: int) -> List[_Worker]:
+        """The first *count* worker lanes, starting any that are not running."""
+        if not all(self._workers[:count]):
             # Start the shared-memory resource tracker *before* forking
             # workers: a child forked without a live tracker would lazily
             # spawn its own on first attach, and that private tracker later
@@ -443,84 +502,115 @@ class ParallelEvaluationPool:
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
-            context = multiprocessing.get_context(self.start_method)
-            self._pool = context.Pool(
-                processes=self.num_workers,
-                initializer=_bootstrap_worker,
-                initargs=(self.spec,),
-            )
-        return self._pool
-
-    def _chunks(self, num_rows: int) -> List[Tuple[int, int]]:
-        """Fixed-size work-stealing chunks, shrunk so every worker gets work.
-
-        The chunk height is :attr:`chunk_rows` capped at an even split of the
-        population (never below :data:`MIN_ROWS_PER_WORKER`): a population
-        that used to fill every worker under static sharding still does under
-        work stealing, while large populations get several chunks per worker
-        for the queue to balance.
-        """
-        num_rows = int(num_rows)
-        if num_rows < 2 * MIN_ROWS_PER_WORKER:
-            # A population this small is overhead-bound: one (inline)
-            # chunk beats any dispatch.
-            return split_chunks(num_rows, max(1, num_rows))
-        even = -(-num_rows // self.num_workers)  # ceil division
-        height = min(self.chunk_rows, max(MIN_ROWS_PER_WORKER, even))
-        return split_chunks(num_rows, height)
+            for index in range(count):
+                if self._workers[index] is None:
+                    self._workers[index] = self._start_worker()
+        return self._workers[:count]  # type: ignore[return-value]
 
     def evaluate(self, rows: np.ndarray) -> np.ndarray:
         """Fitness of each (already repaired) encoding row, preserving row order."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if len(rows) == 0:
             return np.empty(0, dtype=float)
-        chunks = self._chunks(len(rows))
-        if len(chunks) == 1 or self.num_workers == 1:
-            # A single chunk gains nothing from IPC (one worker would do all
-            # the work anyway); run it in process and leave the pool alone.
+        lanes = min(self.num_workers, len(rows) // MIN_ROWS_PER_WORKER)
+        if lanes < 2:
+            # One lane gains nothing from IPC: run it in process and leave
+            # the workers alone.
             return self._local_rig().fitnesses_for_rows(rows)
-        pool = self._ensure_pool()
-        self._m_chunks.inc(len(chunks))
-        self._tracer.event("parallel.dispatch", chunks=len(chunks), rows=len(rows), transport="shm")
-        return self._evaluate_shared(pool, rows, chunks)
+        return self._evaluate_shared(rows, split_shards(len(rows), lanes))
 
-    def _evaluate_shared(
-        self,
-        pool: multiprocessing.pool.Pool,
-        rows: np.ndarray,
-        chunks: List[Tuple[int, int]],
-    ) -> np.ndarray:
+    def _evaluate_shared(self, rows: np.ndarray, shards: List[Tuple[int, int]]) -> np.ndarray:
         """Zero-copy dispatch: population and fitnesses travel via the ring.
 
         One ring slot holds the whole generation — the ``(pop, width)``
-        float64 population followed by the ``(pop,)`` fitness row.  Workers
-        pull ``(segment, start, stop)`` descriptors from the pool's shared
-        task queue (``imap_unordered`` with ``chunksize=1`` *is* the steal
-        queue: an idle worker takes the next chunk the moment it finishes its
-        last) and write results in place, so the arrays themselves never
-        cross the pipe in either direction.
+        float64 population followed by the ``(pop,)`` fitness row.  Shards
+        1.. go to the workers, shard 0 is computed here meanwhile, and a
+        shard whose worker is lost is recomputed here afterwards.
         """
         pop, width = rows.shape
         if self._ring is None:
             self._ring = SharedMemoryRing()
         segment = self._ring.acquire(rows.nbytes + pop * 8)
-        shared_rows = np.ndarray((pop, width), dtype=np.float64, buffer=segment.buf)
-        shared_rows[:] = rows
-        shared_out = np.ndarray((pop,), dtype=np.float64, buffer=segment.buf, offset=rows.nbytes)
-        tasks = [(segment.name, pop, width, start, stop) for start, stop in chunks]
-        acks = self._collect(pool.imap_unordered(_evaluate_shm_chunk, tasks, chunksize=1),
-                             len(chunks))
-        acked = {start for start, _ in acks}
-        missing = [chunk for chunk in chunks if chunk[0] not in acked]
+        np.ndarray((pop, width), dtype=np.float64, buffer=segment.buf)[:] = rows
+        out = np.ndarray((pop,), dtype=np.float64, buffer=segment.buf, offset=rows.nbytes)
+        workers = self._ensure_workers(len(shards) - 1)
+        sent = []
+        for index, ((_, conn), (start, stop)) in enumerate(zip(workers, shards[1:])):
+            try:
+                conn.send((segment.name, pop, width, start, stop))
+                sent.append(index)
+            except OSError:  # died since the last generation
+                self._lose_worker(index, "died", (start, stop))
+        self._m_chunks.inc(len(sent))
+
+        start, stop = shards[0]
+        began = time.perf_counter()
+        try:
+            out[start:stop] = self._local_rig().fitnesses_for_rows(rows[start:stop])
+        except BaseException:
+            # Nobody will read the workers' acks now; stop them so the next
+            # call starts from clean pipes.
+            self._stop_workers(grace_s=0.0)
+            raise
+        compute_s: List[Optional[float]] = [time.perf_counter() - began] + [None] * len(workers)
+
+        deadline = time.monotonic() + self.task_timeout_s
+        for index in sent:
+            ack = self._await_ack(index, deadline, shards[index + 1])
+            if ack is not None:
+                compute_s[index + 1] = ack[2]
+        self._m_compute.inc(sum(seconds for seconds in compute_s[1:] if seconds is not None))
+
+        missing = [shard for shard, seconds in zip(shards, compute_s) if seconds is None]
         if missing:
             self._note_inline_recovery(missing)
             rig = self._local_rig()
             for start, stop in missing:
-                shared_out[start:stop] = rig.fitnesses_for_rows(rows[start:stop])
-        return np.array(shared_out, dtype=float, copy=True)
+                out[start:stop] = rig.fitnesses_for_rows(rows[start:stop])
+        self._tracer.event(
+            "parallel.dispatch",
+            rows=pop,
+            shards=len(shards),
+            workers=len(sent),
+            shard_rows=[stop - start for start, stop in shards],
+            compute_s=compute_s,
+            transport="shm",
+        )
+        return np.array(out, dtype=float, copy=True)
+
+    def _await_ack(self, index: int, deadline: float, shard: Tuple[int, int]) -> Optional[tuple]:
+        """Worker *index*'s ack, or ``None`` once the worker is declared lost.
+
+        A dead worker's pipe reads as EOF at once; a live one that stays
+        silent until *deadline* is terminated.
+        """
+        _, conn = self._workers[index]  # type: ignore[misc]
+        try:
+            if conn.poll(max(0.0, deadline - time.monotonic())):
+                return conn.recv()
+            reason = "timeout"
+        except (EOFError, OSError):
+            reason = "died"
+        self._lose_worker(index, reason, shard)
+        return None
+
+    def _lose_worker(self, index: int, reason: str, shard: Tuple[int, int]) -> None:
+        """Stop worker *index* (respawned on the next call) and say so."""
+        process, conn = self._workers[index]  # type: ignore[misc]
+        self._workers[index] = None
+        conn.close()
+        exitcode = _reap(process, grace_s=0.0)
+        self._m_deaths.inc()
+        self._tracer.warning(
+            "parallel.worker-lost",
+            reason=reason,
+            exitcode=exitcode,
+            shard=[int(shard[0]), int(shard[1])],
+            timeout_s=self.task_timeout_s,
+        )
 
     def _note_inline_recovery(self, missing: List[Tuple[int, int]]) -> None:
-        """Make a silent recovery loud: which chunks a lost worker stranded.
+        """Make a silent recovery loud: which shards a lost worker stranded.
 
         Recovery itself stays automatic (results are bit-identical either
         way), but fleet degradation must be visible — the warning is recorded
@@ -529,43 +619,9 @@ class ParallelEvaluationPool:
         self._m_fallback.inc(len(missing))
         self._tracer.warning(
             "parallel.chunks-recovered-inline",
-            chunks=[[int(start), int(stop)] for start, stop in missing],
+            shards=[[int(start), int(stop)] for start, stop in missing],
             transport="shm",
         )
-
-    def _collect(self, iterator, expected: int) -> list:
-        """Up to *expected* results from the steal queue, bailing out on timeout.
-
-        A killed worker's in-flight chunk never produces a result, so an
-        unbounded ``for`` over ``imap_unordered`` would hang forever.  Each
-        ``next`` gets :attr:`task_timeout_s`; on timeout the remaining chunks
-        go to the caller's inline-recompute path and the wedged pool is
-        abandoned (an incomplete map job pins ``Pool.join`` forever, so a
-        clean ``close`` is no longer possible — the next generation lazily
-        builds a fresh pool instead).
-        """
-        results: list = []
-        for _ in range(expected):
-            try:
-                results.append(iterator.next(timeout=self.task_timeout_s))
-            except StopIteration:  # pragma: no cover - expected count is exact
-                break
-            except multiprocessing.TimeoutError:
-                self._m_deaths.inc()
-                self._tracer.warning(
-                    "parallel.pool-abandoned",
-                    timeout_s=self.task_timeout_s,
-                    chunks_pending=expected - len(results),
-                )
-                self._abandon_pool()
-                break
-        return results
-
-    def _abandon_pool(self) -> None:
-        """Terminate a pool wedged by a lost worker; the next use rebuilds it."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool = None
 
     def _local_rig(self) -> SimulationRig:
         if self._fallback_rig is None:
@@ -573,16 +629,32 @@ class ParallelEvaluationPool:
         return self._fallback_rig
 
     def warm_up(self) -> None:
-        """Start the workers eagerly (used by benchmarks to exclude startup cost)."""
-        self._ensure_pool().map(_worker_ready, range(self.num_workers), chunksize=1)
+        """Start every worker and wait for its rig (benchmarks exclude startup this way)."""
+        workers = self._ensure_workers(len(self._workers))
+        for _, conn in workers:
+            conn.send(_PING)
+        deadline = time.monotonic() + self.task_timeout_s
+        for index in range(len(workers)):
+            self._await_ack(index, deadline, (0, 0))
 
     # ------------------------------------------------------------------
+    def _stop_workers(self, grace_s: float) -> None:
+        """Ask every worker to stop; terminate any still running after *grace_s*."""
+        for index, worker in enumerate(self._workers):
+            if worker is None:
+                continue
+            self._workers[index] = None
+            process, conn = worker
+            try:
+                conn.send(None)
+            except OSError:  # already gone
+                pass
+            conn.close()
+            _reap(process, grace_s)
+
     def close(self) -> None:
-        """Shut the workers down and unlink the ring; both lazily re-create."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+        """Stop the workers and unlink the ring; both lazily re-create."""
+        self._stop_workers(grace_s=5.0)
         if self._ring is not None:
             self._ring.close()
             self._ring = None
@@ -595,8 +667,7 @@ class ParallelEvaluationPool:
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
-            if self._pool is not None:
-                self._pool.terminate()
+            self._stop_workers(grace_s=0.0)
             if self._ring is not None:
                 self._ring.close()
         except Exception:  # repro-lint: disable=RPL502 — GC finalizer must never raise

@@ -17,13 +17,16 @@ array) — so a fleet of workers needs nothing beyond this package and NumPy:
   coordinators (each connection gets its own rig and handler thread).
 * :class:`RpcWorkerClient` is one coordinator->worker connection: framing,
   auth, bootstrap, heartbeat, and shard evaluation.
-* :class:`RpcEvaluationPool` is the coordinator: it mirrors
-  :class:`~repro.core.parallel.ParallelEvaluationPool` — the same fixed-size
-  work-stealing chunks (:func:`~repro.core.parallel.split_chunks`) pulled
-  from a shared queue, each scattering its fitnesses at its own row offset —
-  so the ``rpc`` backend is bit-identical to ``batch``/``parallel`` by
-  construction (every row's simulation is independent, so chunking and steal
-  order cannot change the bits).  Memoization stays in the coordinator: the evaluator
+* :class:`RpcEvaluationPool` is the coordinator: it cuts a population into
+  fixed-size work-stealing chunks (:func:`split_chunks`) that one sender
+  thread per live host pulls from a shared queue, each chunk scattering its
+  fitnesses at its own row offset — so the ``rpc`` backend is bit-identical
+  to ``batch``/``parallel`` by construction (every row's simulation is
+  independent, so chunking and steal order cannot change the bits).  It
+  differs from :class:`~repro.core.parallel.ParallelEvaluationPool`, which
+  gives each local lane one contiguous shard and computes one itself:
+  remote hosts can differ in speed and vanish mid-chunk, so the fleet keeps
+  a steal queue.  Memoization stays in the coordinator: the evaluator
   dispatches only cache misses and merges the computed fitnesses back,
   exactly as with the process pool.  One deliberate policy difference:
   populations below :data:`~repro.core.parallel.MIN_ROWS_PER_WORKER` rows
@@ -61,13 +64,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.parallel import (
-    DEFAULT_CHUNK_ROWS,
-    MIN_ROWS_PER_WORKER,
-    EvaluatorSpec,
-    SimulationRig,
-    split_chunks,
-)
+from repro.core.parallel import MIN_ROWS_PER_WORKER, EvaluatorSpec, SimulationRig
 from repro.exceptions import ConfigurationError, RpcError, WorkerDiedError
 from repro.obs import get_metrics, get_tracer
 
@@ -104,6 +101,32 @@ _FRAME_NDARRAY = b"N"
 #: by the ascii dtype string and ndim big-endian u64 dimensions.
 _NDARRAY_HEADER = struct.Struct(">BB")
 _NDARRAY_DIM = struct.Struct(">Q")
+
+
+#: Height of one work-stealing chunk: the unit of dispatch the fleet pulls
+#: from its shared queue.  Small enough that a slow host strands at most one
+#: chunk's worth of latency, large enough that the per-chunk dispatch
+#: overhead stays amortised (see BENCH_dispatch_overhead.json, written by
+#: benchmarks/test_dispatch_overhead.py).
+DEFAULT_CHUNK_ROWS = 16
+
+
+def split_chunks(num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> List[Tuple[int, int]]:
+    """Fixed-size contiguous ``(start, stop)`` chunks — the work-stealing unit.
+
+    Chunks are *pulled* from a shared queue by whichever host goes idle
+    first, not assigned up front.  Each chunk writes its fitnesses at its own
+    row offset, so the gathered result is row-ordered no matter which host
+    computed which chunk or in what order — and because every row's
+    simulation is independent (the batch kernel is elementwise per row), the
+    values are bit-identical for every chunk size and steal schedule.
+    """
+    if chunk_rows < 1:
+        raise ConfigurationError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    return [
+        (start, min(start + chunk_rows, int(num_rows)))
+        for start in range(0, int(num_rows), chunk_rows)
+    ]
 
 
 def _enable_keepalive(sock: socket.socket) -> None:

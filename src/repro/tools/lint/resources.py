@@ -1,4 +1,4 @@
-"""RPL4xx — resource lifecycle: sockets, pools, files, and subprocesses close.
+"""RPL4xx — resource lifecycle: sockets, pools, pipes, files, and processes close.
 
 A leaked socket or process pool in the service tier survives the request
 that created it, so every call that *creates* an OS-backed resource must
@@ -46,14 +46,19 @@ QUALIFIED_CREATORS = frozenset(
         "tempfile.TemporaryFile",
         "urllib.request.urlopen",
         "multiprocessing.Pool",
+        "multiprocessing.Pipe",
+        "multiprocessing.Process",
     }
 )
 #: Method/constructor names that create resources regardless of module path
-#: (``context.Pool(...)``, ``listener.accept()``, ``concurrent.futures`` pools).
+#: (``context.Pool(...)``, ``context.Pipe()``, ``listener.accept()``,
+#: ``concurrent.futures`` pools).
 NAME_CREATORS = frozenset(
     {
         "Popen",
         "Pool",
+        "Pipe",
+        "Process",
         "ThreadPoolExecutor",
         "ProcessPoolExecutor",
         "NamedTemporaryFile",
@@ -61,8 +66,8 @@ NAME_CREATORS = frozenset(
         "accept",
     }
 )
-#: Methods that count as disposing of a resource.
-CLOSERS = frozenset({"close", "terminate", "shutdown", "release", "kill", "server_close"})
+#: Methods that count as disposing of a resource (``join`` reaps a process).
+CLOSERS = frozenset({"close", "terminate", "shutdown", "release", "kill", "server_close", "join"})
 
 
 @register

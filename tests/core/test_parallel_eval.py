@@ -7,7 +7,10 @@ throughput device.  These tests run with small worker counts so they stay
 cheap on single-core CI runners (correctness does not need real parallelism).
 """
 
+import multiprocessing
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -21,8 +24,9 @@ from repro.core.parallel import (
     EvaluatorSpec,
     ParallelEvaluationPool,
     SharedMemoryRing,
+    MIN_ROWS_PER_WORKER,
     resolve_num_workers,
-    split_chunks,
+    split_shards,
 )
 from repro.exceptions import ConfigurationError
 from repro.workloads import TaskType, build_task_workload
@@ -115,6 +119,7 @@ class TestParallelEvaluationPool:
             assert np.array_equal(pool.evaluate(rows), reference)
         finally:
             pool.close()
+        assert multiprocessing.active_children() == []  # close() reaped every worker
 
     def test_warm_up_starts_workers_and_next_evaluate_is_bit_identical(self):
         platform, group = _problem("S2", 16.0, 10)
@@ -279,18 +284,22 @@ class TestConfiguration:
             MappingEvaluator(group, platform, eval_config=EvalConfig(backend="parallel", workers=0))
 
 
-class TestWorkStealingProperties:
-    """Work-stealing dispatch must be invisible in the results.
+class TestShardingProperties:
+    """One-shard-per-lane dispatch must be invisible in the results.
 
-    The property under test: for every chunk size and fault schedule (slow
-    workers, a worker killed mid-chunk), the gathered fitnesses are bit-identical to the in-process
-    batch sweep — chunking and steal order are pure throughput devices.
+    The property under test: for every lane count, population size and
+    fault schedule (slow workers, a worker killed mid-shard, a worker silent
+    past the timeout), the gathered fitnesses are bit-identical to the
+    in-process batch sweep — the split is a pure throughput device.
     """
 
     @pytest.fixture()
-    def rig_and_rows(self):
+    def evaluator(self):
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        return MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+
+    @pytest.fixture()
+    def rig_and_rows(self, evaluator):
         spec = _spec_for(evaluator)
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(73, rng=5))
         return spec, rows, spec.build_rig().fitnesses_for_rows(rows)
@@ -299,51 +308,84 @@ class TestWorkStealingProperties:
     def _reset_fault_seams(self):
         yield
         parallel_module._FAULT_DELAY_S = 0.0
-        parallel_module._FAULT_KILL_CHUNK_START = None
+        parallel_module._FAULT_KILL_SHARD_START = None
 
-    def test_split_chunks_contract(self):
-        assert split_chunks(10, 4) == [(0, 4), (4, 8), (8, 10)]
-        assert split_chunks(8, 8) == [(0, 8)]
-        assert split_chunks(0, 16) == []
-        with pytest.raises(ConfigurationError):
-            split_chunks(10, 0)
+    def test_split_shards_contract(self):
+        assert split_shards(10, 3) == [(0, 3), (3, 6), (6, 10)]
+        assert split_shards(80, 2) == [(0, 40), (40, 80)]
+        assert split_shards(8, 1) == [(0, 8)]
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 16, 50])
-    def test_arbitrary_chunk_sizes_bit_identical(self, rig_and_rows, chunk_rows):
-        spec, rows, reference = rig_and_rows
-        with ParallelEvaluationPool(spec, num_workers=3, chunk_rows=chunk_rows) as pool:
-            assert np.array_equal(pool.evaluate(rows), reference)
+    @pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pop", [1, 15, 16, 17, 33, 73, 80, 200])
+    def test_every_partition_bit_identical(self, evaluator, num_workers, pop):
+        spec = _spec_for(evaluator)
+        rows = evaluator.codec.repair_batch(evaluator.codec.random_population(pop, rng=pop))
+        with ParallelEvaluationPool(spec, num_workers=num_workers) as pool:
+            assert np.array_equal(pool.evaluate(rows), spec.build_rig().fitnesses_for_rows(rows))
+            # Workers ran exactly when the population fills two lanes or more.
+            lanes = min(num_workers, pop // MIN_ROWS_PER_WORKER)
+            assert pool.is_running == (lanes >= 2)
 
     def test_slow_workers_bit_identical(self, rig_and_rows):
         spec, rows, reference = rig_and_rows
         parallel_module._FAULT_DELAY_S = 0.01
-        with ParallelEvaluationPool(spec, num_workers=3, chunk_rows=7) as pool:
+        with ParallelEvaluationPool(spec, num_workers=3) as pool:
             assert np.array_equal(pool.evaluate(rows), reference)
 
-    def test_killed_worker_recovers_bit_identical(self, rig_and_rows):
-        """The worker holding the chunk at row 14 kills itself mid-task: the
-        orphaned chunks are recomputed inline, the wedged pool is abandoned,
-        and the next generation dispatches on a fresh pool."""
+    def test_killed_worker_recovers_at_once_bit_identical(self, rig_and_rows):
+        """The worker holding the shard at row 24 kills itself mid-task: the
+        coordinator reads EOF on its pipe at once (not after the timeout),
+        recomputes the shard inline, and respawns the worker next call."""
+        from repro.obs import get_metrics, get_tracer
+
+        spec, rows, reference = rig_and_rows
+        get_tracer().clear()
+        deaths = get_metrics().counter("repro_worker_deaths_total", labels={"backend": "parallel"})
+        deaths_before = deaths.value
+        parallel_module._FAULT_KILL_SHARD_START = 24  # 73 rows, 3 lanes: (0, 24), (24, 48), (48, 73)
+        pool = ParallelEvaluationPool(spec, num_workers=3, task_timeout_s=30.0)
+        try:
+            began = time.perf_counter()
+            assert np.array_equal(pool.evaluate(rows), reference)
+            assert time.perf_counter() - began < 10.0  # well under task_timeout_s
+            parallel_module._FAULT_KILL_SHARD_START = None
+            assert np.array_equal(pool.evaluate(rows), reference)
+            assert all(pool._workers)  # the lost lane was respawned
+        finally:
+            pool.close()
+        assert deaths.value == deaths_before + 1
+        # Silent recovery is banned: the loss left structured warning events
+        # (with shard identity) in the tracer ring even though tracing was
+        # never enabled.
+        warnings_seen = get_tracer().records(kind="event", level="warning")
+        lost = [r for r in warnings_seen if r["name"] == "parallel.worker-lost"]
+        assert [(r["attrs"]["reason"], r["attrs"]["shard"], r["attrs"]["exitcode"]) for r in lost] == [
+            ("died", [24, 48], 1)
+        ]
+        recovered = [r for r in warnings_seen if r["name"] == "parallel.chunks-recovered-inline"]
+        assert [r["attrs"]["shards"] for r in recovered] == [[[24, 48]]]
+
+    def test_silent_worker_is_terminated_and_respawned(self, rig_and_rows):
+        """A live worker that never acks within task_timeout_s is terminated;
+        its shard is recomputed inline and a fresh worker serves the next call."""
         from repro.obs import get_tracer
 
         spec, rows, reference = rig_and_rows
         get_tracer().clear()
-        parallel_module._FAULT_KILL_CHUNK_START = 14
-        pool = ParallelEvaluationPool(spec, num_workers=3, chunk_rows=7, task_timeout_s=2.0)
+        parallel_module._FAULT_DELAY_S = 30.0
+        pool = ParallelEvaluationPool(spec, num_workers=2, task_timeout_s=0.5)
         try:
+            began = time.perf_counter()
             assert np.array_equal(pool.evaluate(rows), reference)
-            parallel_module._FAULT_KILL_CHUNK_START = None
+            assert time.perf_counter() - began < 10.0
+            assert not pool.is_running
+            parallel_module._FAULT_DELAY_S = 0.0
             assert np.array_equal(pool.evaluate(rows), reference)
+            assert pool.is_running
         finally:
             pool.close()
-        # Silent recovery is banned: the rebuild left structured warning
-        # events (with chunk identity) in the tracer ring even though
-        # tracing was never enabled.
-        warnings_seen = get_tracer().records(kind="event", level="warning")
-        names = {record["name"] for record in warnings_seen}
-        assert "parallel.pool-abandoned" in names
-        recovered = [r for r in warnings_seen if r["name"] == "parallel.chunks-recovered-inline"]
-        assert recovered and all(r["attrs"]["chunks"] for r in recovered)
+        lost = get_tracer().records(kind="event", name="parallel.worker-lost", level="warning")
+        assert [(r["attrs"]["reason"], r["attrs"]["exitcode"]) for r in lost] == [("timeout", -signal.SIGTERM)]
 
     def test_shared_memory_ring_rotates_and_grows(self):
         ring = SharedMemoryRing()

@@ -33,6 +33,7 @@ from repro.core.rpc import (
     parse_hosts,
     recv_frame,
     send_frame,
+    split_chunks,
 )
 from repro.exceptions import ConfigurationError, RpcError, WorkerDiedError
 from repro.workloads import TaskType, build_task_workload
@@ -664,8 +665,8 @@ class SlowWorker(EvalWorkerServer):
 class TestWorkStealingProperties:
     """Chunked work-stealing over the fleet must be invisible in the results.
 
-    Mirror of the parallel-backend property suite
-    (``tests/core/test_parallel_eval.py::TestWorkStealingProperties``): for
+    Counterpart of the parallel-backend property suite
+    (``tests/core/test_parallel_eval.py::TestShardingProperties``): for
     every chunk size and fault schedule (slow host, host killed mid-chunk)
     the gathered fitnesses are bit-identical to the in-process batch sweep —
     chunking and steal order are pure throughput devices.
@@ -680,6 +681,13 @@ class TestWorkStealingProperties:
             evaluator.codec.random_population(73, rng=5)
         )
         return spec, rows, spec.build_rig().fitnesses_for_rows(rows)
+
+    def test_split_chunks_contract(self):
+        assert split_chunks(10, 4) == [(0, 4), (4, 8), (8, 10)]
+        assert split_chunks(8, 8) == [(0, 8)]
+        assert split_chunks(0, 16) == []
+        with pytest.raises(ConfigurationError):
+            split_chunks(10, 0)
 
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 16, 50])
     def test_arbitrary_chunk_sizes_bit_identical(

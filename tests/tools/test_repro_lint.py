@@ -616,6 +616,45 @@ class TestResourceLifecycleChecker:
             """
         )
 
+    def test_detects_unclosed_pipe_and_unreaped_process(self):
+        assert "RPL401" in codes_in(
+            """
+            import multiprocessing
+
+            def ask(question):
+                parent, child = multiprocessing.Pipe()
+                parent.send(question)
+                return child.recv()
+            """
+        )
+        assert "RPL401" in codes_in(
+            """
+            def launch(context, target):
+                process = context.Process(target=target)
+                process.start()
+                return process.pid
+            """
+        )
+
+    def test_clean_pipe_handed_to_a_reaped_process(self):
+        assert (
+            codes_in(
+                """
+            def launch(context, target):
+                conn, child = context.Pipe()
+                process = context.Process(target=target, args=(child,))
+                process.start()
+                child.close()
+                try:
+                    return conn.recv()
+                finally:
+                    conn.close()
+                    process.join()
+            """
+            )
+            == []
+        )
+
 
 # ----------------------------------------------------------------------
 # Exception policy checker (RPL5xx)
