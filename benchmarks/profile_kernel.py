@@ -1,6 +1,6 @@
-"""Profile the batched bandwidth event-sweep kernel (docs/PERFORMANCE.md).
+"""Profile the batched bandwidth-allocation kernel (docs/PERFORMANCE.md).
 
-Runs the hot loop of :class:`~repro.core.bw_allocator.BatchBandwidthAllocator`
+Runs :meth:`~repro.core.bw_allocator.BatchBandwidthAllocator.makespan_cycles`
 under ``cProfile`` plus a wall-clock sweep over population sizes and settings,
 printing a per-setting measurement table and (optionally) dumping the raw
 profile stats for the CI artifact::
@@ -9,7 +9,7 @@ profile stats for the CI artifact::
 
 This is the measurement half of the ROADMAP item-3 raw-speed pass: measure
 the kernel first, then apply targeted fixes, then measure again — the
-before/after table lives in docs/PERFORMANCE.md and the step-rate floor is
+before/after table lives in docs/PERFORMANCE.md and the rate floors are
 gated by ``benchmarks/test_kernel_sweep.py`` -> ``BENCH_kernel_sweep.json``.
 """
 
@@ -70,8 +70,8 @@ def measure_point(setting: str, bandwidth: float, group_size: int, pop: int,
         start = time.perf_counter()
         allocator.makespan_cycles(batch, evaluator.table)
         best = min(best, time.perf_counter() - start)
-    # Every individual sees ~group_size completion events, so row-events is
-    # the natural unit of kernel work (each event is one vectorized step).
+    # Every individual has group_size completion events, so row-events is
+    # the natural unit of kernel work.
     row_events = pop * group_size
     return {
         "setting": setting,
@@ -95,7 +95,7 @@ def run_sweep() -> List[dict]:
 
 def profile_kernel(setting: str = "S2", bandwidth: float = 16.0,
                    group_size: int = 20, pop: int = 512) -> str:
-    """cProfile the kernel sweep; returns the cumulative-time stats text."""
+    """cProfile the kernel; returns the cumulative-time stats text."""
     platform, evaluator = build_problem(setting, bandwidth, group_size)
     allocator = BatchBandwidthAllocator(
         system_bandwidth_gbps=platform.system_bandwidth_gbps,
@@ -135,7 +135,7 @@ def main(argv: "List[str] | None" = None) -> int:
     table = "\n".join(lines)
     print(table)
     profile_text = profile_kernel()
-    print("\ncProfile (S2, pop=512, 5 sweeps, top 25 by cumulative time):")
+    print("\ncProfile (S2, pop=512, 5 calls, top 25 by cumulative time):")
     print(profile_text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

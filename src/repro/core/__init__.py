@@ -8,7 +8,7 @@ representation, the objectives, the fitness evaluator, and the top-level
 
 from repro.core.encoding import Mapping, MappingBatch, MappingCodec
 from repro.core.analyzer import JobAnalyzer, JobAnalysisTable, JobProfile
-from repro.core.bw_allocator import BandwidthAllocator, BatchBandwidthAllocator, ScheduleEvent
+from repro.core.bw_allocator import BandwidthAllocator, BatchBandwidthAllocator
 from repro.core.schedule import Schedule, ScheduledJob
 from repro.core.objectives import (
     Objective,
@@ -35,7 +35,6 @@ __all__ = [
     "JobAnalysisTable",
     "JobProfile",
     "BandwidthAllocator",
-    "ScheduleEvent",
     "Schedule",
     "ScheduledJob",
     "Objective",

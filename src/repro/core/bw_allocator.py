@@ -12,23 +12,39 @@ Table and produces either just the makespan (fast path used inside the
 optimization loop) or a full :class:`~repro.core.schedule.Schedule` with the
 job timeline and bandwidth segments (used for reporting and Fig. 15).
 
-Two allocators implement the same simulation:
+**Closed form.**  While the live jobs demand ``D`` in total, each receives
+``bw * min(1, B / D)`` of the system bandwidth ``B``, so every live job drains
+at the *same* fraction ``ratio = min(1, B / D)`` of its no-stall speed.  In
+virtual time (no-stall cycles) each core therefore runs its queue back to
+back: job ``k`` of a core ends at virtual time ``V_k = sum(latency[:k+1])``
+of that core's queue, whatever the other cores do.  Sorting all ``G`` end
+times gives the events in order; between consecutive events the live set,
+hence ``D``, is fixed, so the real makespan is::
+
+    makespan = sum_j (V_(j) - V_(j-1)) / min(1, B / D_j)
+
+where ``D`` starts at the sum of every core's first job's bandwidth and each
+event adds ``bw(next job on that core, or 0) - bw(finished job)``.  Under
+saturation (``D >= B`` throughout) each term is ``dv * D / B``, so the sum is
+the total traffic ``sum(latency * bw) / B`` whatever the job order.
+
+Two allocators implement it:
 
 * :class:`BandwidthAllocator` — the scalar reference oracle, one mapping at a
-  time, able to record the full timeline, and
+  time, a per-event loop that can record the full timeline, and
 * :class:`BatchBandwidthAllocator` — the vectorized engine behind the
-  ``batch`` evaluation backend: it stacks the per-core live-job state of a
-  whole population (``(cores, pop)`` arrays) so each iteration of the event
-  loop advances *every* individual at once.  Each (individual, core) lane
-  walks a flat job sequence closed by an idle sentinel, so a job launch is a
-  cursor bump and a gather.  Its makespans are bit-identical to the scalar
-  path; both sum the bandwidth demand sequentially in core order, so
-  floating-point rounding cannot diverge between them.
+  ``batch`` evaluation backend: a whole population in a few dozen NumPy
+  calls (per-lane running sums, one row-wise argsort, two cumsums) and no
+  per-event loop.
+
+Both perform the same IEEE operations in the same order (sequential sums in
+core and event order, ties broken by core then queue position), so their
+makespans are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -39,34 +55,44 @@ from repro.core.schedule import BandwidthSegment, Schedule, ScheduledJob
 from repro.exceptions import SchedulingError
 from repro.utils.units import DEFAULT_FREQUENCY_HZ
 
-#: Numerical tolerance when deciding that a job's remaining work is finished.
-_EPSILON = 1e-9
 
-#: The batched sweep compacts its state arrays down to the still-running rows
-#: once at least this many rows have converged (and they are the majority):
-#: below this, the gather costs more than the dead rows' masked no-op steps.
-_COMPACTION_MIN_ROWS = 16
+#: Rows of at most this many jobs sort events with a stable argsort; longer
+#: rows use the default argsort plus a tie repair.  On 80-row populations
+#: the stable sort was ~20% faster for the whole kernel at G=20 (S2) and
+#: 5-15% slower at G >= 48 on 16 cores (S6).
+_STABLE_SORT_MAX_JOBS = 32
 
 
-@dataclass(frozen=True)
-class ScheduleEvent:
-    """One re-allocation event: a job finished and bandwidth was re-split."""
+def _check_positive(system_bandwidth_gbps: float, frequency_hz: float) -> None:
+    if system_bandwidth_gbps <= 0:
+        raise SchedulingError(f"system bandwidth must be positive, got {system_bandwidth_gbps}")
+    if frequency_hz <= 0:
+        raise SchedulingError(f"frequency must be positive, got {frequency_hz}")
 
-    time_cycles: float
-    finished_job_index: int
-    sub_accelerator_index: int
+
+def _check_shape(num_jobs: int, num_cores: int, table: JobAnalysisTable) -> None:
+    if num_jobs != table.num_jobs:
+        raise SchedulingError(
+            f"mapping covers {num_jobs} jobs but the analysis table has {table.num_jobs}"
+        )
+    if num_cores > table.num_sub_accelerators:
+        raise SchedulingError(
+            f"mapping targets {num_cores} cores but the analysis table only has "
+            f"{table.num_sub_accelerators}"
+        )
+
+
+def _bad_job(job_index: int, core: int) -> SchedulingError:
+    return SchedulingError(
+        f"job {job_index} has non-positive or non-finite latency/bandwidth on core {core}"
+    )
 
 
 class BandwidthAllocator:
     """Implements the proportional bandwidth re-allocation of Algorithm 1."""
 
     def __init__(self, system_bandwidth_gbps: float, frequency_hz: float = DEFAULT_FREQUENCY_HZ):
-        if system_bandwidth_gbps <= 0:
-            raise SchedulingError(
-                f"system bandwidth must be positive, got {system_bandwidth_gbps}"
-            )
-        if frequency_hz <= 0:
-            raise SchedulingError(f"frequency must be positive, got {frequency_hz}")
+        _check_positive(system_bandwidth_gbps, frequency_hz)
         self.system_bandwidth_gbps = system_bandwidth_gbps
         self.frequency_hz = frequency_hz
 
@@ -93,286 +119,192 @@ class BandwidthAllocator:
         table: JobAnalysisTable,
         record: bool,
     ) -> Tuple[float, List[ScheduledJob], List[BandwidthSegment]]:
-        """Event-driven simulation of Algorithm 1.
+        """Event-by-event walk of Algorithm 1 in virtual time.
 
-        Each core executes its assigned jobs in order.  At every event (a job
-        completion) the system bandwidth is re-split proportionally to the
-        live jobs' required bandwidth, capped so no job receives more than it
-        needs when the total demand is below the system budget.
+        Each event finishes the live job with the earliest virtual end time
+        (ties: lowest core first) and launches that core's next job.  The
+        real time between events is the virtual time between them divided by
+        the drain ratio ``min(1, B / D)`` of the interval.
         """
-        if mapping.num_jobs != table.num_jobs:
-            raise SchedulingError(
-                f"mapping covers {mapping.num_jobs} jobs but the analysis table has {table.num_jobs}"
-            )
-        num_cores = mapping.num_sub_accelerators
-        if num_cores > table.num_sub_accelerators:
-            raise SchedulingError(
-                f"mapping targets {num_cores} cores but the analysis table only has "
-                f"{table.num_sub_accelerators}"
-            )
+        queues = mapping.assignments
+        num_cores = len(queues)
+        _check_shape(mapping.num_jobs, num_cores, table)
+        latency_table = table.latency_cycles
+        bw_table = table.required_bw_gbps
 
-        queues: List[List[int]] = [list(core_jobs) for core_jobs in mapping.assignments]
-        queue_pos = [0] * num_cores
+        def job_params(core: int, slot: int) -> Tuple[float, float]:
+            """(latency, bw) of *core*'s job at queue *slot*, validated."""
+            job_index = queues[core][slot]
+            latency = float(latency_table[job_index, core])
+            bw = float(bw_table[job_index, core])
+            if not (latency > 0 and bw > 0 and math.isfinite(latency * bw)):
+                raise _bad_job(job_index, core)
+            return latency, bw
 
-        # Per-core live-job state.
-        current_job = np.full(num_cores, -1, dtype=int)
-        remaining_work = np.zeros(num_cores)  # latency_cycles * required_bw
-        required_bw = np.zeros(num_cores)
-        job_start = np.zeros(num_cores)
+        position = [0] * num_cores
+        #: Virtual end time of each core's live job (inf once its queue is done).
+        lane_end = [math.inf] * num_cores
+        live_bw = [0.0] * num_cores
+        lane_start = [0.0] * num_cores  # real start time of each live job
+        demand = 0.0
+        for core in range(num_cores):
+            if queues[core]:
+                lane_end[core], live_bw[core] = job_params(core, 0)
+                demand += live_bw[core]
 
         scheduled_jobs: List[ScheduledJob] = []
         segments: List[BandwidthSegment] = []
-
-        def launch_next(core: int, now: float) -> None:
-            """Pop the next job of *core*'s queue (if any) and make it live."""
-            if queue_pos[core] < len(queues[core]):
-                job_index = queues[core][queue_pos[core]]
-                queue_pos[core] += 1
-                latency = table.latency_cycles[job_index, core]
-                bw = table.required_bw_gbps[job_index, core]
-                if latency <= 0 or bw <= 0:
-                    raise SchedulingError(
-                        f"job {job_index} has non-positive latency/bandwidth on core {core}"
-                    )
-                current_job[core] = job_index
-                remaining_work[core] = latency * bw
-                required_bw[core] = bw
-                job_start[core] = now
-            else:
-                current_job[core] = -1
-                remaining_work[core] = 0.0
-                required_bw[core] = 0.0
-
-        now = 0.0
-        for core in range(num_cores):
-            launch_next(core, now)
-
-        active = current_job >= 0
-        while np.any(active):
-            # Sum the demand core-by-core in index order (idle cores hold an
-            # exact 0.0, which leaves a sequential float sum unchanged).  The
-            # batched allocator's np.add.accumulate adds in the same order, so
-            # both paths round identically even on platforms with 8+ cores
-            # where NumPy's pairwise sum would differ.
-            total_demand = 0.0
-            for bw_value in required_bw:
-                total_demand += float(bw_value)
-            allocation = np.zeros(num_cores)
-            if total_demand <= self.system_bandwidth_gbps:
-                allocation[active] = required_bw[active]
-            else:
-                allocation[active] = required_bw[active] * (self.system_bandwidth_gbps / total_demand)
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                runtimes = np.where(active, remaining_work / np.maximum(allocation, _EPSILON), np.inf)
-            dt = float(runtimes.min())
-            if not np.isfinite(dt) or dt < 0:
-                raise SchedulingError("bandwidth allocation produced a non-finite time step")
-
-            if record:
+        virtual_now = now = 0.0
+        bandwidth = self.system_bandwidth_gbps
+        for _ in range(mapping.num_jobs):
+            core = min(range(num_cores), key=lane_end.__getitem__)
+            virtual_end = lane_end[core]
+            if not demand > 0:
+                raise SchedulingError("live jobs' bandwidth demand rounded to a non-positive value")
+            ratio = min(bandwidth / demand, 1.0)
+            start = now
+            now += (virtual_end - virtual_now) / ratio
+            if record and virtual_end > virtual_now:
                 segments.append(
                     BandwidthSegment(
-                        start_cycle=now,
-                        end_cycle=now + dt,
-                        allocation_gbps=tuple(float(a) for a in allocation),
+                        start_cycle=start,
+                        end_cycle=now,
+                        allocation_gbps=tuple(bw * ratio for bw in live_bw),
                     )
                 )
-
-            # Cores whose runtime equals the step finish now; computing this from
-            # the runtimes (rather than the drained remaining work) guarantees
-            # at least one job completes per event even under floating-point
-            # rounding, so the loop always terminates.
-            finished = active & (runtimes <= dt * (1.0 + 1e-12) + _EPSILON)
-
-            # Advance time and drain work proportionally to each core's allocation.
-            remaining_work[active] -= dt * allocation[active]
-            # Floating-point rounding can drive a non-finished core's residual
-            # slightly negative, which would yield a negative runtime (and a
-            # spurious SchedulingError) on the next event; clamp at zero.
-            np.maximum(remaining_work, 0.0, out=remaining_work)
-            remaining_work[finished] = 0.0
-            now += dt
-            for core in np.flatnonzero(finished):
-                job_index = int(current_job[core])
-                if record:
-                    scheduled_jobs.append(
-                        ScheduledJob(
-                            job_index=job_index,
-                            sub_accelerator_index=int(core),
-                            start_cycle=float(job_start[core]),
-                            end_cycle=float(now),
-                            no_stall_latency_cycles=float(table.latency_cycles[job_index, core]),
-                            required_bw_gbps=float(table.required_bw_gbps[job_index, core]),
-                        )
+            virtual_now = virtual_end
+            slot = position[core]
+            if record:
+                job_index = queues[core][slot]
+                scheduled_jobs.append(
+                    ScheduledJob(
+                        job_index=job_index,
+                        sub_accelerator_index=core,
+                        start_cycle=lane_start[core],
+                        end_cycle=now,
+                        no_stall_latency_cycles=float(latency_table[job_index, core]),
+                        required_bw_gbps=live_bw[core],
                     )
-                launch_next(int(core), now)
-            active = current_job >= 0
+                )
+            lane_start[core] = now
+            position[core] = slot = slot + 1
+            if slot < len(queues[core]):
+                latency, next_bw = job_params(core, slot)
+                lane_end[core] = virtual_end + latency
+            else:
+                next_bw = 0.0
+                lane_end[core] = math.inf
+            demand += next_bw - live_bw[core]
+            live_bw[core] = next_bw
 
+        if not math.isfinite(now):
+            raise SchedulingError("bandwidth allocation produced a non-finite makespan")
         return now, scheduled_jobs, segments
 
 
 class BatchBandwidthAllocator:
-    """Vectorized Algorithm 1 over a whole population of mappings.
+    """Vectorized closed-form Algorithm 1 over a whole population of mappings.
 
-    State arrays are shaped ``(cores, rows)``: one *lane* per (individual,
-    core).  Each lane walks a flat sequence of its queued jobs closed by an
-    idle sentinel, so launching a lane's next job is a cursor bump plus two
-    gathers, and an exhausted lane needs no mask.  Each iteration of the
-    event loop advances every still-running individual by its own next
-    event.  Individuals finish after different event counts; finished rows
-    idle (their step is forced to zero) until enough of them retire to
-    compact the state arrays down to the live rows.
+    Per call, the latencies are laid out zero-padded as ``(Lmax + 1, pop *
+    cores)``; a running sum down each lane (one vector add per queue depth)
+    gives every job's virtual end time; one argsort per row, with ties in
+    the scalar's order, puts the ``G`` events in order; one cumsum of the
+    per-event bandwidth steps gives each interval's demand and one cumsum of
+    ``dv / ratio`` the real time.  There is no per-event loop.
 
     Every floating-point operation mirrors the scalar
-    :class:`BandwidthAllocator` element-wise, so the returned makespans are
-    bit-identical to running the scalar simulation per individual.
+    :class:`BandwidthAllocator` element-wise and in order, so the returned
+    makespans are bit-identical to running the scalar walk per individual.
     """
 
     def __init__(self, system_bandwidth_gbps: float, frequency_hz: float = DEFAULT_FREQUENCY_HZ):
-        if system_bandwidth_gbps <= 0:
-            raise SchedulingError(
-                f"system bandwidth must be positive, got {system_bandwidth_gbps}"
-            )
-        if frequency_hz <= 0:
-            raise SchedulingError(f"frequency must be positive, got {frequency_hz}")
+        _check_positive(system_bandwidth_gbps, frequency_hz)
         self.system_bandwidth_gbps = system_bandwidth_gbps
         self.frequency_hz = frequency_hz
 
     # ------------------------------------------------------------------
     def makespan_cycles(self, batch: MappingBatch, table: JobAnalysisTable) -> np.ndarray:
         """Simulate every mapping of *batch* and return a ``(pop,)`` makespan array."""
-        if batch.num_jobs != table.num_jobs:
-            raise SchedulingError(
-                f"mapping covers {batch.num_jobs} jobs but the analysis table has {table.num_jobs}"
-            )
         num_cores = batch.num_sub_accelerators
-        if num_cores > table.num_sub_accelerators:
-            raise SchedulingError(
-                f"mapping targets {num_cores} cores but the analysis table only has "
-                f"{table.num_sub_accelerators}"
-            )
-        pop = batch.pop_size
-        num_jobs = batch.num_jobs
-        lane_order = batch.lane_order
-        core_of_slot = np.take_along_axis(batch.selection, lane_order, axis=1)
-        latency = table.latency_cycles[lane_order, core_of_slot]
-        bw = table.required_bw_gbps[lane_order, core_of_slot]
-        # latency * bw is the exact multiplication the scalar launch performs.
+        _check_shape(batch.num_jobs, num_cores, table)
+        pop, num_jobs = batch.pop_size, batch.num_jobs
+        lane_cores = batch.lane_cores
+        table_index = batch.lane_order * table.num_sub_accelerators + lane_cores
+        latency = table.latency_cycles.take(table_index)
+        bw = table.required_bw_gbps.take(table_index)
+        # Validate the whole table at once (positive latencies and positive
+        # finite products imply positive bandwidths; NaN fails every
+        # comparison).  Only a table holding an invalid entry needs the
+        # batch's own entries checked: a mapping that never uses the entry
+        # still simulates, as on the scalar path.
+        table_latency = table.latency_cycles
         with np.errstate(over="ignore", invalid="ignore"):
-            work = latency * bw
-        bad = ~((latency > 0) & (bw > 0) & np.isfinite(work))
-        if np.any(bad):
-            row, slot = np.argwhere(bad)[0]
-            raise SchedulingError(
-                f"job {lane_order[row, slot]} has non-positive or non-finite "
-                f"latency/bandwidth on core {core_of_slot[row, slot]}"
-            )
+            table_work = table_latency * table.required_bw_gbps
+            if not (table_latency.min() > 0 and table_work.min() > 0 and table_work.max() < np.inf):
+                bad = np.argwhere(~((latency > 0) & (bw > 0) & np.isfinite(latency * bw)))
+                if bad.size:
+                    row, slot = bad[0]
+                    raise _bad_job(batch.lane_order[row, slot], lane_cores[row, slot])
 
-        # Every (row, core) lane's jobs, in execution order, followed by one
-        # idle sentinel (work = +inf, bw = 0): row p's lanes fill the flat
-        # slots [p * width, (p + 1) * width) in core order.  A lane parked on
-        # its sentinel draws no bandwidth and its runtime inf / _EPSILON never
-        # finishes, so the sweep needs no active mask; and since every real
-        # job's work is finite, a row whose step is inf has run out of jobs.
-        width = num_jobs + num_cores
-        rows_2d = np.arange(pop)[:, None]
-        slots = rows_2d * width + np.arange(num_jobs) + core_of_slot
-        seq_work = np.full(pop * width, np.inf)
-        seq_bw = np.zeros(pop * width)
-        seq_work[slots] = work
-        seq_bw[slots] = bw
+        # Zero-padded (depth, lane) layout, lane = row * cores + core: the
+        # lane-major entry i of a row sits at depth i - (its lane's start).
+        # The deepest level is always padding, so a lane's last job sees a
+        # zero "next bandwidth".  Rows concatenate whole, so the flat cumsum
+        # of the queue lengths is each lane's start in the flat entry order.
+        lengths = batch.queue_lengths.reshape(-1)
+        num_lanes = lengths.size
+        lane = lane_cores + np.arange(0, num_lanes, num_cores)[:, None]
+        entry = np.arange(lane.size).reshape(pop, num_jobs)
+        slots = (entry - (np.cumsum(lengths) - lengths).take(lane)) * num_lanes + lane
+        depth = int(lengths.max(initial=0)) + 1
+        padded_latency = np.zeros((depth, num_lanes))
+        padded_latency.reshape(-1)[slots] = latency
+        padded_bw = np.zeros(depth * num_lanes)
+        padded_bw[slots] = bw
+        # Virtual end times: a per-lane running sum, one vector add per depth
+        # level across every lane, so each lane adds sequentially exactly as
+        # the scalar's running sum does.
+        for level in range(1, depth - 1):
+            np.add(padded_latency[level - 1], padded_latency[level], out=padded_latency[level])
+        virtual_end = padded_latency.take(slots)
 
-        # Lane state is (cores, rows): with cores leading, the per-row demand
-        # and step reductions run over the outer axis as whole-row vector ops.
-        # Cursors are absolute sequence positions, so compacting rows is a
-        # plain column gather.
-        lane_start = np.cumsum(batch.queue_lengths, axis=1) - batch.queue_lengths
-        cursor = (lane_start + np.arange(num_cores) + rows_2d * width).T.copy()
-        remaining_work = seq_work[cursor]
-        required_bw = seq_bw[cursor]
-        now = np.zeros(pop)
-        #: Compacted column -> original row (identity until rows retire).
-        row_index = np.arange(pop)
-        makespans = np.empty(pop)
+        # Events in virtual-time order.  The scalar walk breaks ties by core
+        # then queue position, i.e. by lane-major index, which a stable
+        # argsort keeps.  On long rows the default argsort is faster even
+        # with its tied runs (left in any order) re-sorted by index: one
+        # sort of the unique keys (run, index).
+        stable = num_jobs <= _STABLE_SORT_MAX_JOBS
+        order = np.argsort(virtual_end, axis=1, kind="stable" if stable else None)
+        order += entry[:, :1]
+        times = np.zeros((pop, num_jobs + 1))
+        times[:, 1:] = virtual_end.take(order)
+        if not stable:
+            event_v = times[:, 1:]
+            index_bits = int(order.size).bit_length()
+            run = np.zeros(order.shape, dtype=np.int64)
+            np.not_equal(event_v[:, 1:], event_v[:, :-1], out=run[:, 1:])
+            np.cumsum(run, axis=1, out=run)
+            run <<= index_bits
+            run |= order
+            run.sort(axis=1)
+            order = run & ((1 << index_bits) - 1)
+        # Interval demand: each lane's first bandwidth summed in core order,
+        # then one step per event, next job's bw - finished job's bw.  The
+        # last event's step would only describe the empty tail: dropped.
+        bw_step = padded_bw[num_lanes:] - padded_bw[:-num_lanes]
+        steps = np.concatenate(
+            (padded_bw[:num_lanes].reshape(pop, num_cores), bw_step.take(slots.take(order[:, :-1]))),
+            axis=1,
+        )
+        demand = np.cumsum(steps, axis=1)[:, num_cores - 1:]
+        if not demand.min(initial=np.inf) > 0:
+            raise SchedulingError("live jobs' bandwidth demand rounded to a non-positive value")
 
-        advanced = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while True:
-                # Buffers for this compaction epoch: the event loop runs O(G)
-                # steps whose cost is per-op overhead on small arrays, so
-                # every op below is in place (identical values, no allocation).
-                n = len(row_index)
-                demand_acc, alloc, runtime, drain = (np.empty((num_cores, n)) for _ in range(4))
-                demand = demand_acc[-1]
-                ratio, step, thresh = np.empty(n), np.empty(n), np.empty(n)
-                dead = np.empty(n, dtype=bool)
-                done = np.empty((num_cores, n), dtype=bool)
-                flat_cursor = cursor.reshape(-1)
-                flat_work = remaining_work.reshape(-1)
-                flat_bw = required_bw.reshape(-1)
-                while True:
-                    # np.add.accumulate adds sequentially by definition, so
-                    # the demand sum rounds exactly like the scalar's per-core
-                    # loop (sentinel lanes hold an exact 0.0).
-                    np.add.accumulate(required_bw, axis=0, out=demand_acc)
-                    # min(B / demand, 1) is the scalar's capped/uncapped split
-                    # bit for bit: under budget the quotient is >= 1 and
-                    # x * 1.0 returns x's bits exactly.
-                    np.divide(self.system_bandwidth_gbps, demand, out=ratio)
-                    np.minimum(ratio, 1.0, out=ratio)
-                    np.multiply(required_bw, ratio, out=alloc)
-                    np.maximum(alloc, _EPSILON, out=drain)  # drain doubles as the denominator
-                    np.divide(remaining_work, drain, out=runtime)
-                    runtime.min(axis=0, out=step)
-                    np.isinf(step, out=dead)
-                    num_dead = int(np.count_nonzero(dead))
-                    if num_dead == n or (
-                        num_dead >= _COMPACTION_MIN_ROWS and 2 * num_dead >= n
-                    ):
-                        break
-                    # Every live row finishes at least one job per step, so a
-                    # sweep that needs more than G steps is not converging
-                    # (a NaN step finishes nothing).
-                    advanced += 1
-                    if advanced > num_jobs:
-                        raise SchedulingError("bandwidth allocation produced a non-finite time step")
-                    if num_dead:
-                        np.copyto(step, 0.0, where=dead)
-
-                    np.multiply(step, 1.0 + 1e-12, out=thresh)
-                    np.add(thresh, _EPSILON, out=thresh)
-                    np.less_equal(runtime, thresh, out=done)
-
-                    np.multiply(alloc, step, out=drain)
-                    np.subtract(remaining_work, drain, out=remaining_work)
-                    np.maximum(remaining_work, 0.0, out=remaining_work)
-                    np.add(now, step, out=now)
-
-                    # Launch: each finished lane steps its cursor to the next
-                    # entry of its sequence (a job, or the sentinel).
-                    lanes = np.flatnonzero(done)
-                    position = flat_cursor[lanes]
-                    position += 1
-                    flat_cursor[lanes] = position
-                    flat_work[lanes] = seq_work[position]
-                    flat_bw[lanes] = seq_bw[position]
-
-                # Retire the rows whose lanes all sit on their sentinels and
-                # carry only the live rows on: each row's trajectory is
-                # independent (every op is elementwise per row), so dropping
-                # finished rows cannot perturb the survivors' bits.
-                retired = np.flatnonzero(dead)
-                if np.any(required_bw[:, retired]):
-                    # A live lane's runtime overflowed to inf.
-                    raise SchedulingError("bandwidth allocation produced a non-finite time step")
-                makespans[row_index[retired]] = now[retired]
-                if num_dead == n:
-                    return makespans
-                keep = np.flatnonzero(~dead)
-                row_index = row_index[keep]
-                # take() keeps the state C-contiguous (a[:, keep] would be
-                # Fortran-ordered), so the flat views above stay views.
-                cursor = cursor.take(keep, axis=1)
-                remaining_work = remaining_work.take(keep, axis=1)
-                required_bw = required_bw.take(keep, axis=1)
-                now = now[keep]
+        ratio = np.divide(self.system_bandwidth_gbps, demand)
+        np.minimum(ratio, 1.0, out=ratio)
+        elapsed = times[:, 1:] - times[:, :-1]
+        elapsed /= ratio
+        makespans = np.cumsum(elapsed, axis=1)[:, -1]
+        if not makespans.max(initial=0.0) < np.inf:
+            raise SchedulingError("bandwidth allocation produced a non-finite makespan")
+        return makespans

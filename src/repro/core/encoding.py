@@ -13,15 +13,16 @@ flat vector of length ``2 * G`` split into two genomes:
 :class:`Mapping` is a decoded mapping description (per-core ordered job
 lists), i.e. the "mapping description" consumed by the BW allocator.
 
-The codec also offers a batched API — :meth:`MappingCodec.repair_batch` and
-:meth:`MappingCodec.decode_batch` — that repairs/decodes a whole ``(pop, 2G)``
-population in vectorized NumPy and yields a :class:`MappingBatch`, the
-lane-major array form consumed by the batched bandwidth allocator
-(:class:`~repro.core.bw_allocator.BatchBandwidthAllocator`): each row's jobs
-sorted by (core, priority, job index), so every core's execution queue is one
-contiguous run.  Two stable argsorts and one ``bincount`` build it, with no
-``(pop, G, A)`` intermediate.  The batch decode is bit-identical to decoding
-each row with :meth:`MappingCodec.decode`.
+The codec also offers a batched API in vectorized NumPy:
+:meth:`MappingCodec.repair_batch` repairs a whole ``(pop, 2G)`` population
+and :meth:`MappingCodec.decode_batch` decodes the repaired rows into a
+:class:`MappingBatch`, the lane-major array form consumed by the batched
+bandwidth allocator (:class:`~repro.core.bw_allocator.BatchBandwidthAllocator`):
+each row's jobs sorted by (core, priority, job index), so every core's
+execution queue is one contiguous run.  A priority argsort, one sort of
+``(core, rank)`` keys and one ``bincount`` build it, with no ``(pop, G, A)``
+intermediate.  The batch decode is bit-identical to decoding each row with
+:meth:`MappingCodec.decode`.
 """
 
 from __future__ import annotations
@@ -92,13 +93,14 @@ class MappingBatch:
     ``lane_order[p]`` lists individual ``p``'s jobs sorted by (core,
     priority, job index): core ``a``'s execution order is the run of
     ``queue_lengths[p, a]`` entries that follows the first
-    ``queue_lengths[p, :a].sum()``.  ``selection[p, j]`` is the core job ``j``
-    runs on.  This is the representation the batched bandwidth allocator
-    lays out as one flat sequence per (individual, core) lane.
+    ``queue_lengths[p, :a].sum()``, and ``lane_cores[p, i]`` is the core
+    that runs ``lane_order[p, i]``.  This is the representation the batched
+    bandwidth allocator lays out as one padded queue per (individual, core)
+    lane.
     """
 
-    selection: np.ndarray  # (pop, G) int
     lane_order: np.ndarray  # (pop, G) int, jobs sorted by (core, priority, index)
+    lane_cores: np.ndarray  # (pop, G) int, the core of each lane_order entry
     queue_lengths: np.ndarray  # (pop, A) int
     num_jobs: int
 
@@ -245,35 +247,48 @@ class MappingCodec:
             num_jobs=self.num_jobs,
         )
 
-    def decode_batch(self, population: np.ndarray) -> MappingBatch:
-        """Decode a ``(pop, 2G)`` population into a :class:`MappingBatch`.
+    def decode_batch(self, repaired: np.ndarray) -> MappingBatch:
+        """Decode a ``(pop, 2G)`` population of repaired rows into a :class:`MappingBatch`.
 
-        Per-row this performs the same repair, stable priority sort (ties
-        break on job index), and per-core bucketing as :meth:`decode`, but
-        fully vectorized: a stable argsort of the priority-sorted core column
-        groups the jobs by core without disturbing their priority order.
+        The rows must already be in the encoding domain — the output of
+        :meth:`repair_batch`, which every evaluation path applies once before
+        memoizing and dispatching rows.  Per row this performs the same
+        priority sort (ties break on job index) and per-core bucketing as
+        :meth:`decode`, but fully vectorized: sorting the priority-sorted
+        jobs by core, rank as tie-break, groups them by core without
+        disturbing their priority order.
         """
-        repaired = self.repair_batch(population)
         pop = repaired.shape[0]
         num_jobs = self.num_jobs
         num_cores = self.num_sub_accelerators
-        selection = repaired[:, :num_jobs].astype(int)
-        # Stable argsort by priority == lexsort((arange, priority)) per row.
-        order = np.argsort(repaired[:, num_jobs:], axis=1, kind="stable")
-        # Narrow core ids (uint8 up to 256 cores) let the stable argsort run
-        # as a radix sort.
-        core_of_pos = np.take_along_axis(selection, order, axis=1).astype(
-            np.min_scalar_type(num_cores - 1)
-        )
-        by_core = np.argsort(core_of_pos, axis=1, kind="stable")
-        lane_order = np.take_along_axis(order, by_core, axis=1)
-        row_offsets = np.arange(pop)[:, None] * num_cores
+        priority = np.ascontiguousarray(repaired[:, num_jobs:])
+        row_base = np.arange(pop)[:, None] * num_jobs
+        # Priority order, ties on job index (lexsort((arange, priority))).
+        # The default argsort is not stable but is much faster, and equals
+        # the stable order whenever no row holds two equal priorities.
+        order = np.argsort(priority, axis=1)
+        flat_order = order + row_base
+        ranked = priority.take(flat_order)
+        if (ranked[:, 1:] == ranked[:, :-1]).any():
+            order = np.argsort(priority, axis=1, kind="stable")
+            flat_order = order + row_base
+        # Group by core, keeping priority order: the keys (core, rank) are
+        # unique, so a plain (SIMD) sort of them is the stable sort by core.
+        rank_bits = (num_jobs - 1).bit_length()
+        key_type = np.int32 if num_cores << rank_bits <= 2**31 else np.int64
+        cores = repaired[:, :num_jobs].astype(key_type)
+        keys = cores.take(flat_order) << rank_bits
+        keys |= np.arange(num_jobs, dtype=key_type)
+        keys.sort(axis=1)
+        lane_cores = keys >> rank_bits
+        keys &= (1 << rank_bits) - 1
+        lane_order = order.take(keys + row_base)
         queue_lengths = np.bincount(
-            (selection + row_offsets).ravel(), minlength=pop * num_cores
+            (cores + np.arange(pop)[:, None] * num_cores).reshape(-1), minlength=pop * num_cores
         ).reshape(pop, num_cores)
         return MappingBatch(
-            selection=selection,
             lane_order=lane_order,
+            lane_cores=lane_cores,
             queue_lengths=queue_lengths,
             num_jobs=num_jobs,
         )

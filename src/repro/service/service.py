@@ -29,6 +29,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import lru_cache
 from typing import Any, Dict, Optional
 
 from repro.accelerator import build_setting, list_settings
@@ -145,7 +146,7 @@ class MappingRequest:
         )
         if budget <= 0:
             raise ServiceError(f"budget must be positive, got {budget}")
-        num_cores = build_setting(setting, bandwidth_gbps).num_sub_accelerators
+        num_cores = _setting_core_count(setting)
         if group_size < num_cores:
             raise ServiceError(
                 f"group_size {group_size} is smaller than the {num_cores} "
@@ -163,6 +164,16 @@ class MappingRequest:
             "budget": budget,
             "optimizer_options": options,
         }
+
+
+@lru_cache(maxsize=None)
+def _setting_core_count(setting: str) -> int:
+    """Sub-accelerator count of a preset; it does not depend on bandwidth.
+
+    Cached because every request (cache hits included) checks it.  Callers
+    validate *setting* first, so the cache holds at most one entry per preset.
+    """
+    return build_setting(setting).num_sub_accelerators
 
 
 @dataclass

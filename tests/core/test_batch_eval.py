@@ -32,7 +32,7 @@ def _problem(setting: str, bandwidth: float, group_size: int, seed: int = 0):
 def _assert_batch_matches_scalar(bandwidth, codec, table, population):
     """Batch makespans equal the scalar oracle's, row by row, bit for bit."""
     batch_makespans = BatchBandwidthAllocator(bandwidth).makespan_cycles(
-        codec.decode_batch(population), table
+        codec.decode_batch(codec.repair_batch(population)), table
     )
     scalar = BandwidthAllocator(bandwidth)
     for i in range(len(population)):
@@ -58,7 +58,7 @@ class TestBatchDecode:
 
     def test_decode_batch_matches_scalar_decode(self):
         codec = MappingCodec(num_jobs=11, num_sub_accelerators=3)
-        population = codec.random_population(30, rng=1)
+        population = codec.repair_batch(codec.random_population(30, rng=1))
         batch = codec.decode_batch(population)
         for i in range(len(population)):
             assert batch.mapping(i) == codec.decode(population[i])
@@ -70,6 +70,18 @@ class TestBatchDecode:
         assert batch.mapping(0) == codec.decode(encoding)
         assert batch.mapping(0).assignments == ((0, 2), (1, 3))
 
+    def test_decode_batch_many_tied_priorities_match_scalar_decode(self):
+        """Rows drawing priorities from three values: long runs of ties on
+        the same core must still order by job index."""
+        codec = MappingCodec(num_jobs=64, num_sub_accelerators=3)
+        rng = np.random.default_rng(12)
+        population = codec.random_population(20, rng=rng)
+        population[:, 64:] = rng.choice([0.25, 0.5, 0.75], size=(20, 64))
+        population[10:, 64:] = rng.random((10, 64))  # untied rows in the same batch
+        batch = codec.decode_batch(codec.repair_batch(population))
+        for i in range(len(population)):
+            assert batch.mapping(i) == codec.decode(population[i])
+
     def test_decode_batch_with_empty_cores_matches_scalar_decode(self):
         """Cores with no jobs decode to empty queues, wherever they sit."""
         codec = MappingCodec(num_jobs=7, num_sub_accelerators=5)
@@ -79,7 +91,7 @@ class TestBatchDecode:
         population[:20, :7] = rng.choice([1, 3], size=(20, 7))
         population[20, :7] = 0
         population[21, :7] = 4
-        batch = codec.decode_batch(population)
+        batch = codec.decode_batch(codec.repair_batch(population))
         assert batch.queue_lengths[20].tolist() == [7, 0, 0, 0, 0]
         assert batch.queue_lengths[21].tolist() == [0, 0, 0, 0, 7]
         for i in range(len(population)):
@@ -106,13 +118,27 @@ class TestBatchAllocator:
         population = evaluator.codec.random_population(32, rng=3)
         _assert_batch_matches_scalar(bandwidth, evaluator.codec, evaluator.table, population)
 
-    @pytest.mark.parametrize("pop_size", [1, 15, 16, 17, 33, 80])
-    def test_population_sizes_around_compaction(self, pop_size):
-        """Sizes on both sides of ``_COMPACTION_MIN_ROWS`` and twice it."""
-        platform, group = _problem("S2", 16.0, 20)
+    @pytest.mark.parametrize("layout", ["one_job_per_lane", "one_lane_holds_all", "empty_lanes"])
+    @pytest.mark.parametrize("pop_size", [1, 33])
+    def test_padding_edge_cases(self, layout, pop_size):
+        """Padded-layout extremes: ``Lmax`` = 1, a single lane of all G jobs
+        (``Lmax`` = G), and lanes that hold no job at all."""
+        platform, group = _problem("S3", 8.0, 8)  # 8 cores, 8 jobs
         evaluator = MappingEvaluator(group, platform)
-        population = evaluator.codec.random_population(pop_size, rng=pop_size)
-        _assert_batch_matches_scalar(16.0, evaluator.codec, evaluator.table, population)
+        codec = evaluator.codec
+        rng = np.random.default_rng(pop_size)
+        population = codec.random_population(pop_size, rng=rng)
+        selection = {
+            "one_job_per_lane": np.array([rng.permutation(8) for _ in range(pop_size)]),
+            "one_lane_holds_all": rng.integers(0, 8, size=(pop_size, 1)),
+            "empty_lanes": rng.choice([1, 6], size=(pop_size, 8)),
+        }[layout]
+        population = _with_selection(codec, population, selection)
+        batch = codec.decode_batch(codec.repair_batch(population))
+        expected_depth = {"one_job_per_lane": 1, "one_lane_holds_all": 8}.get(layout)
+        if expected_depth is not None:
+            assert batch.queue_lengths.max() == expected_depth
+        _assert_batch_matches_scalar(8.0, codec, evaluator.table, population)
 
     def test_sixteen_cores_at_search_group_size(self):
         """S6 at G=200: 16-lane demand sums over a search-sized schedule."""
@@ -139,18 +165,21 @@ class TestBatchAllocator:
         population = _with_selection(codec, codec.random_population(20, rng=core), core)
         _assert_batch_matches_scalar(4.0, codec, evaluator.table, population)
 
-    def test_compaction_retires_early_finishers(self):
-        """Rows that drain in fewer steps retire mid-sweep; survivors' bits hold.
+    def test_tied_virtual_end_times_across_cores(self):
+        """Identical jobs end at equal virtual times on several cores at once;
+        the batch's tie order (core, then queue position) must match the
+        scalar walk's, or the running demand sum would round differently.
 
-        With identical jobs, a row spreading its 8 jobs evenly over 4 cores
-        finishes in 2 events, while a row stacking them on one core needs 8,
-        so the 24 spread rows retire (and compact away) long before the rest.
+        Cores 0, 1 and 3 run 100-cycle jobs, core 2 70-cycle ones; each job
+        needs its own bandwidth in [2, 4) GB/s, so the demand steps of tied
+        events differ and their summation order shows in the bits.  With
+        5 GB/s every interval is contended.
         """
         latency = np.full((8, 4), 100.0)
         latency[:, 2] = 70.0
         table = JobAnalysisTable(
             latency_cycles=latency,
-            required_bw_gbps=np.full((8, 4), 3.0),
+            required_bw_gbps=np.random.default_rng(3).uniform(2.0, 4.0, size=(8, 4)),
             energy_joules=np.ones((8, 4)),
             dram_traffic_bytes=latency * 3.0,
             job_flops=np.full(8, 1000.0),
@@ -163,7 +192,7 @@ class TestBatchAllocator:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_work_raises_instead_of_idling(self):
-        """``latency * bw`` of +inf must not pass for an idle sentinel lane."""
+        """A job whose ``latency * bw`` overflows to +inf is rejected."""
         latency = np.full((4, 2), 100.0)
         bandwidth = np.full((4, 2), 2.0)
         latency[1, 0] = 1e200
@@ -184,13 +213,30 @@ class TestBatchAllocator:
                 codec.decode_batch(encoding[None, :]), table
             )
 
-    def test_residual_work_clamped_at_zero(self):
-        """Regression guard for the residual-work clamp: floating-point
-        rounding in ``remaining_work -= dt * allocation`` must never leave a
-        live core with negative residual work (which would surface as a
-        negative ``runtimes.min()`` and a spurious SchedulingError on the next
-        event).  Stress heavily-contended (low-bandwidth) schedules, where
-        near-tie completion events make the drain arithmetic most delicate."""
+    def test_demand_cancelled_to_zero_raises(self):
+        """A 1e20 GB/s job next to a 1e-5 GB/s one: when the first finishes,
+        the running demand ``1e20 + 1e-5 - 1e20`` rounds to 0.0 while the
+        second is still live.  Both allocators refuse instead of dividing
+        by zero."""
+        table = JobAnalysisTable(
+            latency_cycles=np.array([[1.0, 1.0], [100.0, 100.0]]),
+            required_bw_gbps=np.array([[1e20, 1e20], [1e-5, 1e-5]]),
+            energy_joules=np.ones((2, 2)),
+            dram_traffic_bytes=np.ones((2, 2)),
+            job_flops=np.full(2, 1000.0),
+        )
+        codec = MappingCodec(num_jobs=2, num_sub_accelerators=2)
+        encoding = np.array([0, 1, 0.5, 0.5])
+        with pytest.raises(SchedulingError):
+            BandwidthAllocator(16.0).makespan_cycles(codec.decode(encoding), table)
+        with pytest.raises(SchedulingError):
+            BatchBandwidthAllocator(16.0).makespan_cycles(
+                codec.decode_batch(encoding[None, :]), table
+            )
+
+    def test_contended_schedules_stay_finite_and_positive(self):
+        """Heavily contended (low-bandwidth) schedules, where many events fall
+        close together, still yield finite positive makespans."""
         platform, group = _problem("S5", 1.0, 24)
         evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="scalar"))
         rng = np.random.default_rng(9)

@@ -146,6 +146,12 @@ class TestCommittedBaselines:
                 "test_kernel_sweep.py", "MIN_S2_ROW_EVENTS_PER_SECOND"),
             ("BENCH_kernel_sweep.json", "s6_row_events_per_second"): (
                 "test_kernel_sweep.py", "MIN_S6_ROW_EVENTS_PER_SECOND"),
+            ("BENCH_kernel_sweep.json", "s2_pop80_row_events_per_second"): (
+                "test_kernel_sweep.py", "MIN_S2_POP80_ROW_EVENTS_PER_SECOND"),
+            ("BENCH_kernel_sweep.json", "s6_pop80_row_events_per_second"): (
+                "test_kernel_sweep.py", "MIN_S6_POP80_ROW_EVENTS_PER_SECOND"),
+            ("BENCH_generation_step.json", "reference_to_build_ratio"): (
+                "test_generation_step.py", "MIN_REFERENCE_TO_BUILD_RATIO"),
             ("BENCH_frame_codec.json", "ndarray_frame_gb_per_second"): (
                 "test_frame_codec_speed.py", "MIN_GB_PER_SECOND"),
             ("BENCH_dispatch_overhead.json", "chunks_per_second"): (
