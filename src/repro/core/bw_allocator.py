@@ -40,6 +40,13 @@ Two allocators implement it:
 Both perform the same IEEE operations in the same order (sequential sums in
 core and event order, ties broken by core then queue position), so their
 makespans are bit-identical.
+
+**Precondition.**  Both keep ``D`` as that running sum rather than summing
+the live bandwidths afresh at each event, so its rounding error scales with
+the spread ``max(bw) / min(bw)`` of the bandwidths a mapping uses.  Both
+reject (:class:`~repro.exceptions.SchedulingError`) a mapping whose spread
+could put any interval's demand more than ``1e-6`` off, relative; see
+:func:`_check_bw_spread`.
 """
 
 from __future__ import annotations
@@ -50,17 +57,10 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.analyzer import JobAnalysisTable
-from repro.core.encoding import Mapping, MappingBatch
+from repro.core.encoding import Mapping, MappingBatch, stable_argsort_rows
 from repro.core.schedule import BandwidthSegment, Schedule, ScheduledJob
 from repro.exceptions import SchedulingError
 from repro.utils.units import DEFAULT_FREQUENCY_HZ
-
-
-#: Rows of at most this many jobs sort events with a stable argsort; longer
-#: rows use the default argsort plus a tie repair.  On 80-row populations
-#: the stable sort was ~20% faster for the whole kernel at G=20 (S2) and
-#: 5-15% slower at G >= 48 on 16 cores (S6).
-_STABLE_SORT_MAX_JOBS = 32
 
 
 def _check_positive(system_bandwidth_gbps: float, frequency_hz: float) -> None:
@@ -82,6 +82,35 @@ def _check_shape(num_jobs: int, num_cores: int, table: JobAnalysisTable) -> None
         )
 
 
+#: Worst-case relative error allowed in an interval's running demand (see
+#: :func:`_check_bw_spread`).
+_MAX_DEMAND_ERROR = 1e-6
+
+
+def _check_bw_spread(spread: float, num_jobs: int, num_cores: int) -> None:
+    """Reject bandwidths too far apart for the running demand sum.
+
+    Both allocators keep the interval demand ``D`` as a running sum of
+    per-event steps, ``D += bw(next) - bw(finished)``, not a fresh sum of the
+    live bandwidths.  Its rounding error grows with the bandwidths that
+    pass through it: each of the at most ``G + A`` additions errs by at
+    most one unit roundoff ``u`` of a value no larger than ``(A + 1) *
+    max(bw)``, while a live interval's demand is at least ``min(bw)``.  So
+    the relative error of every interval's demand is at most ``u * (G + A) *
+    (A + 1) * spread``, ``spread = max(bw) / min(bw)`` over the bandwidths
+    the mapping uses.  A mapping whose bound exceeds :data:`_MAX_DEMAND_ERROR`
+    is rejected rather than given a wrong makespan (at ``G = 200`` on 16
+    cores, spreads beyond about 2.4e6; the built-in workloads stay under
+    6e3).
+    """
+    unit_roundoff = np.finfo(float).eps / 2
+    if not spread * unit_roundoff * (num_jobs + num_cores) * (num_cores + 1) <= _MAX_DEMAND_ERROR:
+        raise SchedulingError(
+            f"required bandwidths span a factor of {spread:.3g}, too wide for the "
+            f"running demand sum of {num_jobs} jobs on {num_cores} cores"
+        )
+
+
 def _bad_job(job_index: int, core: int) -> SchedulingError:
     return SchedulingError(
         f"job {job_index} has non-positive or non-finite latency/bandwidth on core {core}"
@@ -89,7 +118,13 @@ def _bad_job(job_index: int, core: int) -> SchedulingError:
 
 
 class BandwidthAllocator:
-    """Implements the proportional bandwidth re-allocation of Algorithm 1."""
+    """Implements the proportional bandwidth re-allocation of Algorithm 1.
+
+    Requires every used latency and bandwidth to be positive and finite,
+    with a finite product, and the used bandwidths' spread to satisfy
+    :func:`_check_bw_spread`; otherwise it raises
+    :class:`~repro.exceptions.SchedulingError`.
+    """
 
     def __init__(self, system_bandwidth_gbps: float, frequency_hz: float = DEFAULT_FREQUENCY_HZ):
         _check_positive(system_bandwidth_gbps, frequency_hz)
@@ -132,14 +167,18 @@ class BandwidthAllocator:
         latency_table = table.latency_cycles
         bw_table = table.required_bw_gbps
 
-        def job_params(core: int, slot: int) -> Tuple[float, float]:
-            """(latency, bw) of *core*'s job at queue *slot*, validated."""
-            job_index = queues[core][slot]
+        def job_params(core: int, job_index: int) -> Tuple[float, float]:
+            """(latency, bw) of *job_index* on *core*, validated."""
             latency = float(latency_table[job_index, core])
             bw = float(bw_table[job_index, core])
             if not (latency > 0 and bw > 0 and math.isfinite(latency * bw)):
                 raise _bad_job(job_index, core)
             return latency, bw
+
+        params = [[job_params(core, job) for job in queue] for core, queue in enumerate(queues)]
+        used_bw = [bw for queue in params for _, bw in queue]
+        if used_bw:
+            _check_bw_spread(max(used_bw) / min(used_bw), mapping.num_jobs, num_cores)
 
         position = [0] * num_cores
         #: Virtual end time of each core's live job (inf once its queue is done).
@@ -149,7 +188,7 @@ class BandwidthAllocator:
         demand = 0.0
         for core in range(num_cores):
             if queues[core]:
-                lane_end[core], live_bw[core] = job_params(core, 0)
+                lane_end[core], live_bw[core] = params[core][0]
                 demand += live_bw[core]
 
         scheduled_jobs: List[ScheduledJob] = []
@@ -189,7 +228,7 @@ class BandwidthAllocator:
             lane_start[core] = now
             position[core] = slot = slot + 1
             if slot < len(queues[core]):
-                latency, next_bw = job_params(core, slot)
+                latency, next_bw = params[core][slot]
                 lane_end[core] = virtual_end + latency
             else:
                 next_bw = 0.0
@@ -215,6 +254,8 @@ class BatchBandwidthAllocator:
     Every floating-point operation mirrors the scalar
     :class:`BandwidthAllocator` element-wise and in order, so the returned
     makespans are bit-identical to running the scalar walk per individual.
+    It has the scalar's preconditions, checked per row: the batch raises
+    :class:`~repro.exceptions.SchedulingError` when any row would alone.
     """
 
     def __init__(self, system_bandwidth_gbps: float, frequency_hz: float = DEFAULT_FREQUENCY_HZ):
@@ -245,6 +286,8 @@ class BatchBandwidthAllocator:
                 if bad.size:
                     row, slot = bad[0]
                     raise _bad_job(batch.lane_order[row, slot], lane_cores[row, slot])
+        spread = bw.max(axis=1, initial=0.0) / bw.min(axis=1, initial=np.inf)
+        _check_bw_spread(float(spread.max(initial=0.0)), num_jobs, num_cores)
 
         # Zero-padded (depth, lane) layout, lane = row * cores + core: the
         # lane-major entry i of a row sits at depth i - (its lane's start).
@@ -270,24 +313,11 @@ class BatchBandwidthAllocator:
 
         # Events in virtual-time order.  The scalar walk breaks ties by core
         # then queue position, i.e. by lane-major index, which a stable
-        # argsort keeps.  On long rows the default argsort is faster even
-        # with its tied runs (left in any order) re-sorted by index: one
-        # sort of the unique keys (run, index).
-        stable = num_jobs <= _STABLE_SORT_MAX_JOBS
-        order = np.argsort(virtual_end, axis=1, kind="stable" if stable else None)
+        # argsort keeps.
+        order = stable_argsort_rows(virtual_end)
         order += entry[:, :1]
         times = np.zeros((pop, num_jobs + 1))
         times[:, 1:] = virtual_end.take(order)
-        if not stable:
-            event_v = times[:, 1:]
-            index_bits = int(order.size).bit_length()
-            run = np.zeros(order.shape, dtype=np.int64)
-            np.not_equal(event_v[:, 1:], event_v[:, :-1], out=run[:, 1:])
-            np.cumsum(run, axis=1, out=run)
-            run <<= index_bits
-            run |= order
-            run.sort(axis=1)
-            order = run & ((1 << index_bits) - 1)
         # Interval demand: each lane's first bandwidth summed in core order,
         # then one step per event, next job's bw - finished job's bw.  The
         # last event's step would only describe the empty tail: dropped.

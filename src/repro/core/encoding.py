@@ -35,6 +35,37 @@ import numpy as np
 from repro.exceptions import EncodingError
 from repro.utils.rng import SeedLike, ensure_rng
 
+#: Rows up to this long sort with NumPy's stable argsort; longer rows with
+#: the default argsort plus a tie repair (see :func:`stable_argsort_rows`).
+_STABLE_ARGSORT_MAX_COLUMNS = 32
+
+
+def stable_argsort_rows(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, axis=1, kind="stable")`` of a finite 2-D array.
+
+    Equal values keep their column order.  On long rows NumPy's default
+    (SIMD) argsort is about 2.3x faster than its stable one, so rows longer
+    than :data:`_STABLE_ARGSORT_MAX_COLUMNS` use it and then put each run of
+    equal values back in column order with one plain sort of the unique
+    integer keys ``(run, column)``.  The result is the same either way; on
+    short rows the stable sort is the faster of the two.
+    """
+    num_columns = values.shape[1]
+    if num_columns <= _STABLE_ARGSORT_MAX_COLUMNS:
+        return np.argsort(values, axis=1, kind="stable")
+    order = np.argsort(values, axis=1)
+    ranked = np.take_along_axis(values, order, axis=1)
+    column_bits = (num_columns - 1).bit_length()
+    key_type = np.int32 if num_columns << column_bits < 2**31 else np.int64
+    keys = np.zeros(order.shape, dtype=key_type)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=keys[:, 1:])
+    np.cumsum(keys, axis=1, out=keys)
+    keys <<= column_bits
+    keys |= order
+    keys.sort(axis=1)
+    keys &= (1 << column_bits) - 1
+    return keys.astype(np.intp)
+
 
 @dataclass(frozen=True)
 class Mapping:
@@ -261,17 +292,10 @@ class MappingCodec:
         pop = repaired.shape[0]
         num_jobs = self.num_jobs
         num_cores = self.num_sub_accelerators
-        priority = np.ascontiguousarray(repaired[:, num_jobs:])
         row_base = np.arange(pop)[:, None] * num_jobs
-        # Priority order, ties on job index (lexsort((arange, priority))).
-        # The default argsort is not stable but is much faster, and equals
-        # the stable order whenever no row holds two equal priorities.
-        order = np.argsort(priority, axis=1)
+        # Stable argsort by priority == lexsort((arange, priority)) per row.
+        order = stable_argsort_rows(repaired[:, num_jobs:])
         flat_order = order + row_base
-        ranked = priority.take(flat_order)
-        if (ranked[:, 1:] == ranked[:, :-1]).any():
-            order = np.argsort(priority, axis=1, kind="stable")
-            flat_order = order + row_base
         # Group by core, keeping priority order: the keys (core, rank) are
         # unique, so a plain (SIMD) sort of them is the stable sort by core.
         rank_bits = (num_jobs - 1).bit_length()

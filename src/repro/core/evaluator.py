@@ -403,15 +403,10 @@ class MappingEvaluator:
         parallel workers never need shared state.
         """
         repaired = self.codec.repair_batch(population)
-        # One bytes copy of the (C-contiguous) block, sliced per row: the
-        # same keys as row.tobytes(), without a view object per row.
-        block = repaired.tobytes()
-        width = repaired.shape[1] * repaired.itemsize
-        keys = [block[start:start + width] for start in range(0, len(block), width)]
-        cache = self._fitness_cache
+        keys = [row.tobytes() for row in repaired]
         fresh: Dict[bytes, int] = {}
         for i, key in enumerate(keys):
-            if key not in cache and key not in fresh:
+            if key not in self._fitness_cache and key not in fresh:
                 fresh[key] = i
         hits = len(keys) - len(fresh)
         self.memo_hits += hits
@@ -422,15 +417,12 @@ class MappingEvaluator:
         if fresh:
             self._m_memo_misses.inc(len(fresh))
             self._m_row_events.inc(len(fresh) * self.group.size)
-            values = np.array(simulate(repaired[list(fresh.values())]), dtype=float)
-            computed = dict(zip(fresh, values.tolist()))
-            if len(cache) < _FITNESS_CACHE_LIMIT:
-                cache.update(computed)
-            if not hits:
-                # Every row was a distinct miss, simulated in row order.
-                return values, repaired
+            values = simulate(repaired[list(fresh.values())])
+            computed = {key: float(values[slot]) for slot, key in enumerate(fresh)}
+            if len(self._fitness_cache) < _FITNESS_CACHE_LIMIT:
+                self._fitness_cache.update(computed)
         fitnesses = np.array(
-            [computed[key] if key in computed else cache[key] for key in keys], dtype=float
+            [computed.get(key, self._fitness_cache.get(key)) for key in keys], dtype=float
         )
         return fitnesses, repaired
 

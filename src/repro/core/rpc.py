@@ -65,7 +65,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.parallel import MIN_ROWS_PER_WORKER, EvaluatorSpec, SimulationRig
-from repro.exceptions import ConfigurationError, RpcError, WorkerDiedError
+from repro.exceptions import ConfigurationError, EncodingError, RpcError, WorkerDiedError
 from repro.obs import get_metrics, get_tracer
 
 #: Environment variable both sides read when no token is given explicitly.
@@ -498,9 +498,12 @@ class EvalWorkerServer:
                             conn, {"op": "error", "message": "eval before bootstrap"}
                         )
                         continue
-                    _send_array(
-                        conn, np.asarray(self._eval(rig, message), dtype=np.float64)
-                    )
+                    try:
+                        fitnesses = self._eval(rig, message)
+                    except EncodingError as exc:
+                        _send_message(conn, {"op": "error", "message": str(exc)})
+                        continue
+                    _send_array(conn, np.asarray(fitnesses, dtype=np.float64))
                     continue
                 op = message.get("op")
                 if op == "bootstrap":
@@ -512,10 +515,12 @@ class EvalWorkerServer:
                             conn, {"op": "error", "message": "eval before bootstrap"}
                         )
                         continue
-                    _send_message(
-                        conn,
-                        {"op": "result", "fitnesses": self._eval(rig, message["rows"])},
-                    )
+                    try:
+                        fitnesses = self._eval(rig, message["rows"])
+                    except EncodingError as exc:
+                        _send_message(conn, {"op": "error", "message": str(exc)})
+                        continue
+                    _send_message(conn, {"op": "result", "fitnesses": fitnesses})
                 elif op == "ping":
                     _send_message(conn, {"op": "pong"})
                 elif op == "shutdown":
@@ -552,8 +557,15 @@ class EvalWorkerServer:
         return spec.build_rig()
 
     def _eval(self, rig: SimulationRig, rows: np.ndarray) -> np.ndarray:
-        """Score one shard (overridable; the fault-injection tests use this seam)."""
-        fitnesses = rig.fitnesses_for_rows(rows)
+        """Score one shard (overridable; the fault-injection tests use this seam).
+
+        Rows arrive over the network, so they are repaired here before the
+        rig decodes them: a malformed shard (wrong width, non-finite values)
+        raises :class:`EncodingError`, and an out-of-domain gene is projected
+        as everywhere else.  Repair leaves the coordinator's already repaired
+        rows bit-for-bit unchanged.
+        """
+        fitnesses = rig.fitnesses_for_rows(rig.codec.repair_batch(rows))
         with self._lock:
             self.evals_served += 1
             self.rows_served += len(np.atleast_2d(rows))

@@ -10,7 +10,7 @@ import pytest
 
 from repro.accelerator import build_setting
 from repro.core.analyzer import JobAnalysisTable
-from repro.core.bw_allocator import BandwidthAllocator, BatchBandwidthAllocator
+from repro.core.bw_allocator import BandwidthAllocator, BatchBandwidthAllocator, _check_bw_spread
 from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import EVAL_BACKENDS, MappingEvaluator
 from repro.core.encoding import MappingCodec
@@ -165,7 +165,8 @@ class TestBatchAllocator:
         population = _with_selection(codec, codec.random_population(20, rng=core), core)
         _assert_batch_matches_scalar(4.0, codec, evaluator.table, population)
 
-    def test_tied_virtual_end_times_across_cores(self):
+    @pytest.mark.parametrize("num_jobs", [8, 64])  # both sides of the row-sort switch
+    def test_tied_virtual_end_times_across_cores(self, num_jobs):
         """Identical jobs end at equal virtual times on several cores at once;
         the batch's tie order (core, then queue position) must match the
         scalar walk's, or the running demand sum would round differently.
@@ -175,19 +176,19 @@ class TestBatchAllocator:
         events differ and their summation order shows in the bits.  With
         5 GB/s every interval is contended.
         """
-        latency = np.full((8, 4), 100.0)
+        latency = np.full((num_jobs, 4), 100.0)
         latency[:, 2] = 70.0
         table = JobAnalysisTable(
             latency_cycles=latency,
-            required_bw_gbps=np.random.default_rng(3).uniform(2.0, 4.0, size=(8, 4)),
-            energy_joules=np.ones((8, 4)),
+            required_bw_gbps=np.random.default_rng(3).uniform(2.0, 4.0, size=(num_jobs, 4)),
+            energy_joules=np.ones((num_jobs, 4)),
             dram_traffic_bytes=latency * 3.0,
-            job_flops=np.full(8, 1000.0),
+            job_flops=np.full(num_jobs, 1000.0),
         )
-        codec = MappingCodec(num_jobs=8, num_sub_accelerators=4)
+        codec = MappingCodec(num_jobs=num_jobs, num_sub_accelerators=4)
         population = codec.random_population(30, rng=7)
-        population[:24, :8] = np.tile([0, 1, 2, 3], 2)
-        population[24:, :8] = np.arange(6)[:, None] % 4
+        population[:24, :num_jobs] = np.tile([0, 1, 2, 3], num_jobs // 4)
+        population[24:, :num_jobs] = np.arange(6)[:, None] % 4
         _assert_batch_matches_scalar(5.0, codec, table, population)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -213,26 +214,46 @@ class TestBatchAllocator:
                 codec.decode_batch(encoding[None, :]), table
             )
 
-    def test_demand_cancelled_to_zero_raises(self):
-        """A 1e20 GB/s job next to a 1e-5 GB/s one: when the first finishes,
-        the running demand ``1e20 + 1e-5 - 1e20`` rounds to 0.0 while the
-        second is still live.  Both allocators refuse instead of dividing
-        by zero."""
+    @pytest.mark.parametrize("high_bw,low_bw,system_bw", [
+        (1e20, 1e-5, 16.0),  # 1e20 + 1e-5 - 1e20 rounds the live demand to 0
+        (1e17, 10.0, 12.0),  # the demand reads 16 instead of 10 after the big job
+    ])
+    def test_bandwidth_spread_too_wide_for_running_demand_raises(
+        self, high_bw, low_bw, system_bw
+    ):
+        """The interval demand is a running sum of bandwidth steps; with
+        bandwidths this far apart its rounding error swamps the small job's
+        demand once the big job ends.  Both allocators refuse the mapping
+        instead of returning a wrong makespan.  The bound reads only the
+        bandwidths a mapping uses: a row that leaves the big entry unused
+        simulates, bit-identically on both."""
         table = JobAnalysisTable(
-            latency_cycles=np.array([[1.0, 1.0], [100.0, 100.0]]),
-            required_bw_gbps=np.array([[1e20, 1e20], [1e-5, 1e-5]]),
-            energy_joules=np.ones((2, 2)),
-            dram_traffic_bytes=np.ones((2, 2)),
-            job_flops=np.full(2, 1000.0),
+            latency_cycles=np.array([[1.0, 1.0], [100.0, 100.0], [50.0, 50.0]]),
+            required_bw_gbps=np.array([[high_bw, low_bw], [low_bw, low_bw], [low_bw, low_bw]]),
+            energy_joules=np.ones((3, 2)),
+            dram_traffic_bytes=np.ones((3, 2)),
+            job_flops=np.full(3, 1000.0),
         )
-        codec = MappingCodec(num_jobs=2, num_sub_accelerators=2)
-        encoding = np.array([0, 1, 0.5, 0.5])
-        with pytest.raises(SchedulingError):
-            BandwidthAllocator(16.0).makespan_cycles(codec.decode(encoding), table)
-        with pytest.raises(SchedulingError):
-            BatchBandwidthAllocator(16.0).makespan_cycles(
-                codec.decode_batch(encoding[None, :]), table
-            )
+        codec = MappingCodec(num_jobs=3, num_sub_accelerators=2)
+        population = np.array([
+            [0, 1, 1, 0.5, 0.5, 0.5],  # job 0 at high_bw on core 0
+            [1, 0, 1, 0.5, 0.5, 0.5],  # job 0 at low_bw on core 1
+        ])
+        with pytest.raises(SchedulingError, match="span a factor"):
+            BandwidthAllocator(system_bw).makespan_cycles(codec.decode(population[0]), table)
+        with pytest.raises(SchedulingError, match="span a factor"):
+            BatchBandwidthAllocator(system_bw).makespan_cycles(codec.decode_batch(population), table)
+        _assert_batch_matches_scalar(system_bw, codec, table, population[1:])
+
+    def test_bandwidth_spread_bound_leaves_built_in_workloads_alone(self):
+        """The widest built-in tables (S6, G=200, mixed tasks) sit far inside
+        the running demand's spread bound."""
+        platform, group = _problem("S6", 256.0, 200)
+        evaluator = MappingEvaluator(group, platform)
+        bw = evaluator.table.required_bw_gbps
+        spread = bw.max() / bw.min()
+        assert spread < 1e4
+        _check_bw_spread(100 * spread, 200, 16)  # passes with 100x headroom
 
     def test_contended_schedules_stay_finite_and_positive(self):
         """Heavily contended (low-bandwidth) schedules, where many events fall

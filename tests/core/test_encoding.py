@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.encoding import Mapping, MappingCodec
+from repro.core.encoding import Mapping, MappingCodec, stable_argsort_rows
 from repro.exceptions import EncodingError
 
 
@@ -97,6 +97,26 @@ class TestDecode:
         mapping = codec.decode(encoding)
         assert mapping.assignments[0] == (0, 3)
         assert mapping.assignments[1] == (4, 2, 1)
+
+
+class TestStableArgsortRows:
+    @pytest.mark.parametrize("num_columns", [1, 2, 31, 32, 33, 64, 200, 1100])
+    @pytest.mark.parametrize("ties", ["none", "three_values", "all_equal", "integers"])
+    def test_equals_numpy_stable_argsort(self, num_columns, ties):
+        """Both sides of the row-length switch give NumPy's stable order,
+        whatever the tie pattern, with the same index dtype."""
+        rng = np.random.default_rng(num_columns)
+        shape = (25, num_columns)
+        values = {
+            "none": rng.random(shape),
+            "three_values": rng.choice([0.25, 0.5, 0.75], size=shape),
+            "all_equal": np.full(shape, 0.5),
+            "integers": rng.integers(0, 5, size=shape).astype(float),
+        }[ties]
+        expected = np.argsort(values, axis=1, kind="stable")
+        order = stable_argsort_rows(values)
+        assert order.dtype == expected.dtype
+        assert np.array_equal(order, expected)
 
 
 class TestEncodeRoundTrip:

@@ -195,6 +195,35 @@ class TestProtocol:
         finally:
             client.close()
 
+    def test_worker_checks_rows_arriving_over_the_wire(self, workers):
+        """The worker repairs every shard it receives: malformed rows are a
+        protocol error (the connection stays usable), out-of-domain genes
+        are projected exactly as the coordinator's repair projects them."""
+        platform, group = _problem("S2", 16.0, 10)
+        batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        codec = batch.codec
+        client = RpcWorkerClient(workers[0].host, workers[0].port, token=TOKEN)
+        client.connect()
+        try:
+            client.bootstrap(_spec_for(batch))
+            width = codec.encoding_length
+            with pytest.raises(RpcError, match="population must be"):
+                client.evaluate(np.zeros((3, width + 1)))
+            nan_row = np.full((1, width), 0.5)
+            nan_row[0, 0] = np.nan
+            with pytest.raises(RpcError, match="non-finite"):
+                client.evaluate(nan_row)
+            # Core genes equal to A, fractional and negative, priorities
+            # outside [0, 1): each must score as its repaired row does.
+            raw = np.random.default_rng(2).uniform(-1.0, 1.5, size=(6, width))
+            raw[:, : codec.num_jobs] *= codec.num_sub_accelerators
+            raw[0, : codec.num_jobs] = codec.num_sub_accelerators
+            raw[1, 0] = 1.7
+            expected = batch.evaluate_population(raw, count_samples=False)
+            assert np.array_equal(client.evaluate(raw), expected)
+        finally:
+            client.close()
+
 
 class TestRpcBackendEquivalence:
     @pytest.mark.parametrize("setting,bandwidth,group_size,objective", [
