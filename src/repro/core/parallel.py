@@ -31,6 +31,13 @@ descriptors go out from the calling thread, before the coordinator starts
 its own shard: a helper thread would need the GIL that shard holds, and
 its worker would start late.
 
+Before each dispatch every worker is pinned to a CPU of its own, none of
+them the coordinator's current one (:func:`worker_cpus`).  Left to itself,
+Linux often wakes a worker on the CPU of the coordinator that sent it its
+descriptor, and the two shards then run one after the other; whether it
+does depends on recent load, so an unpinned fleet switches between a
+parallel and a serial speed from one search to the next.
+
 A worker that dies mid-shard surfaces at once as ``EOFError``/``OSError``
 on its pipe; one that stays silent past ``task_timeout_s`` is terminated.
 Either way its shard is recomputed inline (bit-identically) and the worker
@@ -44,6 +51,7 @@ simulated exactly once per search, same as the ``batch`` backend).
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import time
@@ -51,7 +59,7 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +93,32 @@ def split_shards(num_rows: int, lanes: int) -> List[Tuple[int, int]]:
     """
     edges = [lane * int(num_rows) // lanes for lane in range(lanes + 1)]
     return list(zip(edges, edges[1:]))
+
+
+def worker_cpus(coordinator_cpu: int, allowed: Collection[int], num_workers: int) -> Optional[List[int]]:
+    """One CPU per worker from *allowed*, none of them *coordinator_cpu*.
+
+    ``None`` when there are too few other CPUs for a lane each (or the
+    coordinator's CPU is unknown, negative): placement is then the OS's.
+    """
+    others = sorted(set(allowed) - {coordinator_cpu})
+    if coordinator_cpu < 0 or len(others) < num_workers:
+        return None
+    return others[:num_workers]
+
+
+def _load_sched_getcpu() -> Optional[Callable[[], int]]:
+    """The C library's ``sched_getcpu``, where workers can be pinned at all."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        return ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError):  # pragma: no cover - no such symbol
+        return None
+
+
+#: The calling thread's current CPU, or ``None`` where workers are not pinned.
+_SCHED_GETCPU = _load_sched_getcpu()
 
 
 def resolve_num_workers(num_workers: Optional[int]) -> int:
@@ -534,6 +568,7 @@ class ParallelEvaluationPool:
         np.ndarray((pop, width), dtype=np.float64, buffer=segment.buf)[:] = rows
         out = np.ndarray((pop,), dtype=np.float64, buffer=segment.buf, offset=rows.nbytes)
         workers = self._ensure_workers(len(shards) - 1)
+        self._pin_workers(workers)
         sent = []
         for index, ((_, conn), (start, stop)) in enumerate(zip(workers, shards[1:])):
             try:
@@ -577,6 +612,20 @@ class ParallelEvaluationPool:
             transport="shm",
         )
         return np.array(out, dtype=float, copy=True)
+
+    def _pin_workers(self, workers: List[_Worker]) -> None:
+        """Pin each worker to its own CPU away from the coordinator's (see the module doc).
+
+        Repeated every generation, because the coordinator may have moved.
+        """
+        if _SCHED_GETCPU is None:
+            return
+        cpus = worker_cpus(_SCHED_GETCPU(), os.sched_getaffinity(0), len(workers))
+        for (process, _), cpu in zip(workers, cpus or ()):
+            try:
+                os.sched_setaffinity(process.pid, {cpu})
+            except OSError:  # exited; its send fails next and recovers it
+                pass
 
     def _await_ack(self, index: int, deadline: float, shard: Tuple[int, int]) -> Optional[tuple]:
         """Worker *index*'s ack, or ``None`` once the worker is declared lost.

@@ -27,6 +27,7 @@ from repro.core.parallel import (
     MIN_ROWS_PER_WORKER,
     resolve_num_workers,
     split_shards,
+    worker_cpus,
 )
 from repro.exceptions import ConfigurationError
 from repro.workloads import TaskType, build_task_workload
@@ -132,6 +133,32 @@ class TestParallelEvaluationPool:
             assert pool.is_running
             assert np.array_equal(pool.evaluate(rows), reference)
             assert pool.is_running  # the warmed pool served the dispatch
+
+    def test_worker_cpus_avoid_the_coordinator(self):
+        """Each worker gets a CPU of its own and none gets the coordinator's;
+        with too few other CPUs (or an unknown one) placement is the OS's."""
+        assert worker_cpus(1, {0, 1}, 1) == [0]
+        assert worker_cpus(0, {0, 1, 2, 3}, 2) == [1, 2]
+        assert worker_cpus(5, {0, 1}, 2) == [0, 1]  # coordinator outside the mask
+        assert worker_cpus(1, {0, 1}, 2) is None
+        assert worker_cpus(0, {0}, 1) is None
+        assert worker_cpus(-1, {0, 1, 2}, 1) is None
+
+    @pytest.mark.skipif(
+        parallel_module._SCHED_GETCPU is None or len(parallel_module.os.sched_getaffinity(0)) < 2,
+        reason="needs sched_getcpu and two CPUs",
+    )
+    def test_dispatch_pins_each_worker_to_one_cpu(self):
+        platform, group = _problem("S2", 16.0, 10)
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        rows = evaluator.codec.repair_batch(evaluator.codec.random_population(40, rng=9))
+        reference = evaluator._rig.fitnesses_for_rows(rows)
+        allowed = parallel_module.os.sched_getaffinity(0)
+        with ParallelEvaluationPool(_spec_for(evaluator), num_workers=2) as pool:
+            assert np.array_equal(pool.evaluate(rows), reference)
+            (process, _), = pool._workers
+            pinned = parallel_module.os.sched_getaffinity(process.pid)
+        assert len(pinned) == 1 and pinned <= allowed
 
     def test_empty_population_needs_no_workers(self):
         platform, group = _problem("S1", 16.0, 8)
