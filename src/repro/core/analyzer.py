@@ -10,12 +10,13 @@ as a constant-time lookup inside the optimization loop, which is what makes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerator import AcceleratorPlatform, SubAcceleratorConfig
+from repro.costmodel import AnalyticalCostModel, FlexibleArrayCostModel
 from repro.exceptions import SchedulingError
 from repro.workloads.groups import JobGroup
 from repro.workloads.jobs import Job
@@ -195,30 +196,47 @@ class JobAnalysisTable:
             )
 
 
+def hardware_key(config: SubAcceleratorConfig) -> Tuple:
+    """Every field of a core's configuration except its ``name``.
+
+    Cost-model results depend on the hardware alone, so cores that differ
+    only by name (S6's 16 cores are 4 distinct configs) share one cost model
+    and one memo entry per layer.
+    """
+    return tuple(
+        getattr(config, f.name) for f in dataclass_fields(config) if f.name != "name"
+    )
+
+
 class JobAnalyzer:
     """Profiles jobs on sub-accelerators and builds :class:`JobAnalysisTable` objects.
 
-    Cost-model evaluations are memoised on ``(layer, sub-accelerator config)``
-    so workloads with repeated layer shapes (the common case in batched-job
-    benchmarks) are analysed quickly.
+    Cost-model evaluations are memoised on ``(layer, hardware)``, where the
+    hardware is a core's configuration without its name (:func:`hardware_key`),
+    so repeated layer shapes (the common case in batched-job benchmarks) and
+    identical cores are each analysed once.
     """
 
     def __init__(self, platform: AcceleratorPlatform):
         self.platform = platform
-        self._cost_models = [sub.build_cost_model() for sub in platform.sub_accelerators]
-        self._cache: Dict[Tuple[LayerShape, SubAcceleratorConfig], Tuple[float, float, float, float]] = {}
+        self._hardware = [hardware_key(sub) for sub in platform.sub_accelerators]
+        self._cost_models: Dict[Tuple, AnalyticalCostModel | FlexibleArrayCostModel] = {}
+        for key, sub in zip(self._hardware, platform.sub_accelerators):
+            if key not in self._cost_models:
+                self._cost_models[key] = sub.build_cost_model()
+        self._cache: Dict[Tuple[LayerShape, Tuple], Tuple[float, float, float, float]] = {}
 
     # ------------------------------------------------------------------
     def profile_layer(self, layer: LayerShape, sub_index: int) -> Tuple[float, float, float, float]:
         """Profile one layer on one core: (latency, bw, energy, traffic)."""
-        if not (0 <= sub_index < len(self._cost_models)):
+        if not (0 <= sub_index < len(self._hardware)):
             raise SchedulingError(
-                f"sub-accelerator index {sub_index} out of range [0, {len(self._cost_models)})"
+                f"sub-accelerator index {sub_index} out of range [0, {len(self._hardware)})"
             )
-        config = self.platform.sub_accelerators[sub_index]
-        key = (layer, config)
+        hardware = self._hardware[sub_index]
+        key = (layer, hardware)
         if key not in self._cache:
-            estimate = self._cost_models[sub_index].evaluate(layer)
+            estimate = self._cost_models[hardware].evaluate(layer)
             self._cache[key] = (
                 estimate.no_stall_latency_cycles,
                 estimate.required_bw_gbps,

@@ -28,10 +28,23 @@ from typing import Any, Dict, Tuple
 
 from repro.exceptions import ServiceError
 from repro.obs import render_prometheus
-from repro.service.service import MappingService
+from repro.service.service import MappingJob, MappingService
 
 #: Content type of the Prometheus text exposition format we emit.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def render_status_with_result(status: Dict[str, Any], result_text: str) -> str:
+    """``json.dumps(dict(status, result=result), sort_keys=True)``, byte for byte.
+
+    *result_text* is the result already rendered with
+    ``json.dumps(..., sort_keys=True)``.  Each status field is rendered the
+    same way and the result is spliced in at its sorted key position, so a
+    store hit never re-serializes its (large, unchanging) answer.
+    """
+    fields = {key: json.dumps(value, sort_keys=True) for key, value in status.items()}
+    fields["result"] = result_text
+    return "{" + ", ".join(f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "}"
 
 
 class MappingServiceHTTPServer(ThreadingHTTPServer):
@@ -78,9 +91,7 @@ class _Handler(BaseHTTPRequestHandler):
                 elif job.state != "done":
                     self._reply(202, job.status())
                 else:
-                    payload = job.status()
-                    payload["result"] = job.result.to_dict()
-                    self._reply(200, payload)
+                    self._reply_with_result(200, job)
             else:
                 self._reply(404, {"error": f"unknown path {self.path!r}"})
         except ServiceError as error:
@@ -103,14 +114,19 @@ class _Handler(BaseHTTPRequestHandler):
         except ServiceError as error:
             self._reply(400, {"error": str(error)})
             return
-        payload = job.status()
         if job.state == "done" and job.result is not None:
-            payload["result"] = job.result.to_dict()
-        self._reply(200, payload)
+            self._reply_with_result(200, job)
+        else:
+            self._reply(200, job.status())
 
     # ------------------------------------------------------------------
     def _reply(self, code: int, payload: Dict[str, Any]) -> None:
         self._reply_text(code, json.dumps(payload, sort_keys=True), "application/json")
+
+    def _reply_with_result(self, code: int, job: MappingJob) -> None:
+        """Reply with a done job's status plus its memoized result text."""
+        text = render_status_with_result(job.status(), self.server.service.result_text(job))
+        self._reply_text(code, text, "application/json")
 
     def _reply_text(self, code: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")

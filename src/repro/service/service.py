@@ -22,6 +22,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import queue
 import socket
@@ -316,6 +317,12 @@ class MappingService:
             # instant hits.
             self.store.repair()
             self._index: Dict[str, SearchResultSummary] = {}  # guarded-by: _lock
+            # Canonical JSON text of indexed answers, rendered on a
+            # fingerprint's first hit (not here: rendering the whole index
+            # would slow startup).  ``_index`` entries are never replaced, so
+            # a rendered text never goes stale and the memo is bounded by
+            # the index.
+            self._result_text: Dict[str, str] = {}  # guarded-by: _lock
             for fingerprint, record in self.store.best_by_fingerprint().items():
                 self._index[fingerprint] = SearchResultSummary.from_dict(record["result"])
             self._threads = [
@@ -438,6 +445,31 @@ class MappingService:
             raise ServiceError(f"job {job_id} failed: {job.error}")
         assert job.result is not None
         return job.result
+
+    def result_text(self, job: MappingJob) -> str:
+        """``json.dumps(job.result.to_dict(), sort_keys=True)`` of a done job.
+
+        The text of an indexed answer is rendered once and then served from
+        memory, so a store hit costs a dictionary lookup instead of a
+        ~17 KB re-serialization.  A result that is not the indexed answer
+        for its fingerprint (a miss that lost a race to another replica's
+        answer) is rendered afresh.
+        """
+        summary = job.result
+        assert summary is not None
+        fingerprint = job.fingerprint
+        with self._lock:
+            indexed = self._index.get(fingerprint) is summary
+            text = self._result_text.get(fingerprint) if indexed else None
+        if text is not None:
+            return text
+        # Rendered outside the lock; two racing first hits both render and
+        # the first to store wins, which is harmless (equal text).
+        text = json.dumps(summary.to_dict(), sort_keys=True)
+        if indexed:
+            with self._lock:
+                text = self._result_text.setdefault(fingerprint, text)
+        return text
 
     # ------------------------------------------------------------------
     # Introspection

@@ -15,6 +15,7 @@ a proper dump/load round trip.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import hashlib
@@ -136,10 +137,26 @@ class SearchResultSummary:
         The ``telemetry`` block is excluded unless explicitly requested:
         the durable record (stores, campaign resume, equality tests) must
         stay byte-identical whether or not the producing search was traced.
+
+        Built field by field rather than with ``dataclasses.asdict``, which
+        deep-copies the encoding and history one float at a time.  The lists
+        are copied with ``list()`` (floats are immutable) and the nested
+        blocks with ``copy.deepcopy``, so the caller owns every container it
+        gets back, as with ``asdict``.
         """
-        data = dataclasses.asdict(self)
-        if not (include_telemetry and self.telemetry is not None):
-            data.pop("telemetry", None)
+        data: Dict[str, Any] = {
+            "optimizer_name": self.optimizer_name,
+            "best_fitness": self.best_fitness,
+            "objective_value": self.objective_value,
+            "throughput_gflops": self.throughput_gflops,
+            "makespan_cycles": self.makespan_cycles,
+            "samples_used": self.samples_used,
+            "best_encoding": list(self.best_encoding),
+            "history": list(self.history),
+            "metadata": copy.deepcopy(self.metadata),
+        }
+        if include_telemetry and self.telemetry is not None:
+            data["telemetry"] = copy.deepcopy(self.telemetry)
         return data
 
     @classmethod

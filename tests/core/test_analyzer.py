@@ -1,8 +1,11 @@
 """Tests for the Job Analyzer and Job Analysis Table."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.accelerator import AcceleratorPlatform
 from repro.core.analyzer import JobAnalyzer, JobAnalysisTable
 from repro.exceptions import SchedulingError
 from repro.workloads.layers import fully_connected
@@ -35,6 +38,27 @@ class TestJobAnalyzer:
         second = analyzer.profile_layer(layer, 0)
         assert first == second
         assert len(analyzer._cache) == 1
+
+    def test_cores_differing_only_by_name_share_memo_and_cost_model(self, small_platform, mix_group):
+        hb, lb = small_platform.sub_accelerators
+        twins = AcceleratorPlatform(
+            name="twins",
+            sub_accelerators=(hb, replace(hb, name="hb1"), lb, replace(lb, name="lb1")),
+            system_bandwidth_gbps=16.0,
+        )
+        analyzer = JobAnalyzer(twins)
+        assert len(analyzer._cost_models) == 2
+        layer = fully_connected(4, 256, 256)
+        assert analyzer.profile_layer(layer, 0) == analyzer.profile_layer(layer, 1)
+        assert len(analyzer._cache) == 1
+
+        # The table equals one built core by core, each core on its own.
+        table = analyzer.analyze(mix_group)
+        for a, sub in enumerate(twins.sub_accelerators):
+            single = AcceleratorPlatform(name=sub.name, sub_accelerators=(sub,), system_bandwidth_gbps=16.0)
+            column = JobAnalyzer(single).analyze(mix_group)
+            for name in ("latency_cycles", "required_bw_gbps", "energy_joules", "dram_traffic_bytes"):
+                assert getattr(table, name)[:, a].tobytes() == getattr(column, name)[:, 0].tobytes()
 
     def test_profile_layer_rejects_bad_core_index(self, small_platform):
         analyzer = JobAnalyzer(small_platform)

@@ -34,6 +34,72 @@ def _call(base: str, path: str, body=None):
         return response.status, json.loads(response.read().decode("utf-8"))
 
 
+def _raw(base: str, path: str, body=None) -> bytes:
+    data = json.dumps(body).encode("utf-8") if body is not None else None
+    request = urllib.request.Request(
+        base + path, data=data, headers={"Content-Type": "application/json"}
+    )
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return response.read()
+
+
+class TestResultReplies:
+    """Replies that carry a result splice in the service's memoized text."""
+
+    REQUEST = {"task": "vision", "seed": 0}
+
+    def _solve(self, service):
+        job = service.submit(self.REQUEST)
+        assert service.wait(job.job_id, timeout=120)
+        return service.result(job.job_id)
+
+    def test_hit_reply_bytes_equal_a_full_render(self, frontend):
+        service, base = frontend
+        summary = self._solve(service)
+        body = _raw(base, "/submit", self.REQUEST)
+        status = service.status(json.loads(body)["id"])
+        assert status["cached"] is True
+        expected = json.dumps(dict(status, result=summary.to_dict()), sort_keys=True)
+        assert body == expected.encode("utf-8")
+
+    def test_second_hit_does_not_render_the_result_again(self, frontend, monkeypatch):
+        from repro.utils.serialization import SearchResultSummary
+
+        service, base = frontend
+        self._solve(service)
+        calls = []
+        to_dict = SearchResultSummary.to_dict
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return to_dict(self, *args, **kwargs)
+
+        monkeypatch.setattr(SearchResultSummary, "to_dict", counting)
+        first = json.loads(_raw(base, "/submit", self.REQUEST))
+        assert len(calls) == 1
+        second = json.loads(_raw(base, "/submit", self.REQUEST))
+        assert len(calls) == 1
+        assert first["result"] == second["result"]
+        _raw(base, f"/result/{second['id']}")
+        assert len(calls) == 1
+
+    def test_result_of_a_finished_miss_matches_a_later_hit(self, frontend):
+        service, base = frontend
+        submitted = json.loads(_raw(base, "/submit", self.REQUEST))
+        assert submitted["cached"] is False
+        assert service.wait(submitted["id"], timeout=120)
+        miss = _raw(base, f"/result/{submitted['id']}")
+        hit = _raw(base, "/submit", self.REQUEST)
+        result = json.loads(miss)["result"]
+        assert json.loads(hit)["result"] == result
+        spliced = b'"result": ' + json.dumps(result, sort_keys=True).encode("utf-8")
+        assert spliced in miss and spliced in hit
+        for body in (miss, hit):
+            payload = json.loads(body)
+            status = {key: value for key, value in payload.items() if key != "result"}
+            assert body == json.dumps(dict(status, result=result), sort_keys=True).encode("utf-8")
+
+
 class TestRoutes:
     def test_healthz(self, frontend):
         _, base = frontend

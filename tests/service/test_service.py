@@ -1,6 +1,9 @@
 """End-to-end tests for the mapping service (the PR's acceptance criteria)."""
 
+import json
+import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -281,6 +284,67 @@ class TestQueueSemantics:
                 service.status(first.job_id)
         finally:
             service.close()
+
+
+class TestResultText:
+    """The memoized canonical text of indexed answers (the hit path)."""
+
+    REQUEST = MappingRequest(task="language", setting="S1", seed=3)
+
+    @pytest.fixture()
+    def solved_store(self, tmp_path):
+        store_path = str(tmp_path / "solutions.jsonl")
+        with MappingService(store=store_path, scale=SCALE, workers=1) as first:
+            first.result(first.submit(self.REQUEST).job_id, timeout=120)
+        return store_path
+
+    def test_rendered_on_first_hit_not_at_startup(self, solved_store):
+        with MappingService(store=solved_store, scale=SCALE, workers=1) as service:
+            assert service._result_text == {}
+            hit = service.submit(self.REQUEST)
+            assert service._result_text == {}
+            text = service.result_text(hit)
+            assert text == json.dumps(hit.result.to_dict(), sort_keys=True)
+            assert service.result_text(service.submit(self.REQUEST)) is text
+            assert list(service._result_text) == [hit.fingerprint]
+
+    def test_a_result_that_is_not_the_indexed_answer_is_rendered_afresh(self, solved_store):
+        with MappingService(store=solved_store, scale=SCALE, workers=1) as service:
+            hit = service.submit(self.REQUEST)
+            indexed = service.result_text(hit)
+            other = replace(hit, result=replace(hit.result, best_fitness=-1.0))
+            text = service.result_text(other)
+            assert text == json.dumps(other.result.to_dict(), sort_keys=True) != indexed
+            assert service._result_text == {hit.fingerprint: indexed}
+
+    def test_concurrent_first_hits_share_one_text(self, solved_store):
+        threads_n, rounds = 8, 20
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MappingService(store=solved_store, scale=SCALE, workers=1) as service:
+                hit = service.submit(self.REQUEST)
+                for _ in range(rounds):
+                    with service._lock:
+                        service._result_text.clear()
+                    barrier = threading.Barrier(threads_n)
+                    texts = []
+
+                    def first_hit():
+                        barrier.wait(timeout=10)
+                        texts.append(service.result_text(hit))
+
+                    workers = [threading.Thread(target=first_hit) for _ in range(threads_n)]
+                    for worker in workers:
+                        worker.start()
+                    for worker in workers:
+                        worker.join(timeout=30)
+                        assert not worker.is_alive()
+                    # Every racer returns the one text the memo kept.
+                    assert len(texts) == threads_n
+                    assert all(text is service._result_text[hit.fingerprint] for text in texts)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestShutdown:

@@ -1,11 +1,13 @@
 """Tests for the shared JSON serialization helpers."""
 
+import copy
 import dataclasses
 import enum
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.accelerator import build_setting
 from repro.core.framework import M3E
@@ -105,3 +107,69 @@ class TestSearchResultSummary:
         payload = jsonable(tiny_result)
         assert payload["optimizer_name"] == tiny_result.optimizer_name
         json.dumps(payload)
+
+
+# Arbitrary JSON-safe blocks, as from_result's ``jsonable`` produces them.
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+json_blocks = st.dictionaries(st.text(max_size=8), json_values, max_size=5)
+
+summaries = st.builds(
+    SearchResultSummary,
+    optimizer_name=st.text(max_size=12),
+    best_fitness=finite_floats,
+    objective_value=finite_floats,
+    throughput_gflops=finite_floats,
+    makespan_cycles=finite_floats,
+    samples_used=st.integers(min_value=0, max_value=10**9),
+    best_encoding=st.lists(finite_floats, max_size=40),
+    history=st.lists(finite_floats, max_size=40),
+    metadata=json_blocks,
+    telemetry=st.none() | json_blocks,
+)
+
+
+class TestToDictContract:
+    """``to_dict`` is ``dataclasses.asdict`` without the telemetry block."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(summaries)
+    def test_equals_asdict_minus_telemetry(self, summary):
+        expected = dataclasses.asdict(summary)
+        expected.pop("telemetry")
+        data = summary.to_dict()
+        assert data == expected
+        assert list(data) == list(expected)
+        assert json.dumps(data, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(summaries)
+    def test_returned_containers_are_the_callers(self, summary):
+        before = copy.deepcopy(summary)
+        data = summary.to_dict(include_telemetry=True)
+        data["best_encoding"].append(1.0)
+        data["history"].clear()
+        data["metadata"]["added"] = 1
+        for value in data["metadata"].values():
+            if isinstance(value, (list, dict)):
+                value.clear()
+        if "telemetry" in data:
+            data["telemetry"]["added"] = 1
+        assert summary == before
+        assert summary.telemetry == before.telemetry
+
+    @settings(max_examples=100, deadline=None)
+    @given(summaries)
+    def test_telemetry_only_when_requested_and_present(self, summary):
+        assert "telemetry" not in summary.to_dict()
+        with_block = summary.to_dict(include_telemetry=True)
+        if summary.telemetry is None:
+            assert "telemetry" not in with_block
+        else:
+            assert with_block["telemetry"] == summary.telemetry
+            assert with_block["telemetry"] is not summary.telemetry
