@@ -2,8 +2,8 @@
 
 The point of the service layer is that repeated queries stop paying for the
 GA: the first request runs a real search, every identical request afterwards
-is answered from the persistent solution store via an in-memory index.  This
-benchmark records, to ``BENCH_service.json``:
+is answered from the persistent solution store, pinned in memory on its
+first hit.  This benchmark records, to ``BENCH_service.json``:
 
 * ``search_seconds`` — wall time of the initial (cache-miss) search;
 * ``cache_hit_latency_ms`` (median + p95) — wall time of an identical

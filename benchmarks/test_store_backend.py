@@ -10,6 +10,11 @@ serve`` replicas sharing one ``sqlite:`` store stay fast — and bit-identical
   store through the indexed backend;
 * ``requests_per_second`` — sustained submit throughput across *two* live
   replicas under concurrent client threads;
+* ``startup_index_speedup`` — the eager startup index the service used to
+  build (``best_records("fingerprint")`` plus a
+  :class:`~repro.utils.serialization.SearchResultSummary` per record) over
+  the whole lazy ``MappingService`` constructor, which only lists the
+  stored fingerprints (best of :data:`STARTUP_REPEATS` constructions);
 
 and asserts the structural guarantee the tier is built on: the replica that
 never ran the search answers the shared fingerprint bit-identically to the
@@ -22,13 +27,15 @@ import json
 import threading
 import time
 
-from repro.service import MappingRequest, MappingService
+from repro.service import MappingRequest, MappingService, SolutionStore
+from repro.utils.serialization import SearchResultSummary
 from repro.utils.sqlite_store import SqliteStoreBackend
 
 SEED_RECORDS = 100_000
 LOOKUP_SAMPLES = 500
 BURST_PER_CLIENT = 500
 CLIENTS_PER_REPLICA = 2
+STARTUP_REPEATS = 3
 
 
 def _seed_record(index: int) -> dict:
@@ -48,6 +55,29 @@ def _seed_record(index: int) -> dict:
             "history": [fitness / 2, fitness],
         },
     }
+
+
+def _service_startup_seconds(store_url: str, scale) -> float:
+    start = time.perf_counter()
+    service = MappingService(store=store_url, scale=scale, workers=2)
+    seconds = time.perf_counter() - start
+    try:
+        assert service.healthz()["solutions"] == SEED_RECORDS
+    finally:
+        service.close()
+    return seconds
+
+
+def _eager_index_seconds(store_url: str) -> float:
+    with SolutionStore(store_url) as store:
+        start = time.perf_counter()
+        index = {
+            fingerprint: SearchResultSummary.from_dict(record["result"])
+            for fingerprint, record in store.backend.best_records("fingerprint").items()
+        }
+        seconds = time.perf_counter() - start
+    assert len(index) == SEED_RECORDS
+    return seconds
 
 
 def test_two_replicas_share_a_hundred_thousand_solution_store(
@@ -75,6 +105,10 @@ def test_two_replicas_share_a_hundred_thousand_solution_store(
     backend.close()
     latencies.sort()
     lookup_ms = latencies[len(latencies) // 2] * 1e3
+
+    # Service startup over the full store, lazy against eager.
+    startup_s = min(_service_startup_seconds(store_url, scale) for _ in range(STARTUP_REPEATS))
+    eager_s = _eager_index_seconds(store_url)
 
     replica_a = MappingService(
         store=store_url, scale=scale, workers=2, replica_id="bench-a"
@@ -139,6 +173,9 @@ def test_two_replicas_share_a_hundred_thousand_solution_store(
         "burst_requests": total_requests,
         "requests_per_second": requests_per_second,
         "stored_records": stored,
+        "startup_seconds": startup_s,
+        "eager_index_seconds": eager_s,
+        "startup_index_speedup": eager_s / startup_s,
     }
     with open("BENCH_store_backend.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -146,5 +183,7 @@ def test_two_replicas_share_a_hundred_thousand_solution_store(
     report_lines.append(
         f"[store-backend] seeded {SEED_RECORDS} records in {seed_seconds:.2f}s "
         f"({SEED_RECORDS / seed_seconds:.0f}/s), lookup {lookup_ms:.3f}ms median, "
-        f"2 replicas sustained {requests_per_second:.0f} req/s"
+        f"2 replicas sustained {requests_per_second:.0f} req/s, "
+        f"startup {startup_s * 1e3:.1f}ms vs eager index {eager_s * 1e3:.0f}ms "
+        f"({eager_s / startup_s:.1f}x)"
     )

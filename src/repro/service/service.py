@@ -6,9 +6,12 @@
   experiment scale (concrete group size / budget / optimizer options), and
   fingerprinted with the same canonical-JSON identity campaign cells use.
 * A fingerprint already solved in the :class:`~repro.service.store.SolutionStore`
-  is answered instantly from an in-memory index — no optimizer runs, and the
-  returned :class:`~repro.utils.serialization.SearchResultSummary` is
-  bit-identical to the one the original search produced.
+  is answered from the store — no optimizer runs, and the returned
+  :class:`~repro.utils.serialization.SearchResultSummary` is bit-identical to
+  the one the original search produced.  Startup only lists the stored
+  fingerprints; a fingerprint's first hit reads the store's best record for
+  it (one indexed lookup) and pins that answer in memory, so every later hit
+  is a dictionary lookup.
 * A miss enqueues a search job on a pool of worker threads driving the
   existing evaluation backends; identical in-flight requests are deduplicated
   onto one job.  Jobs move ``queued -> running -> done | failed``.
@@ -313,18 +316,22 @@ class MappingService:
                 for outcome in ("cache-hit", "deduped", "queued")
             }
             # Never-corrupt startup: drop a torn trailing line a previous
-            # crash may have left, then index best-per-fingerprint for
-            # instant hits.
+            # crash may have left, then list the stored fingerprints.  Their
+            # answers are read from the store on first hit, not here, so
+            # startup parses no record.  A frozenset is immutable, so
+            # threads read it without the lock.
             self.store.repair()
+            self._stored = frozenset(self.store.fingerprints())
+            # Answers pinned on first hit or on a finished search.
             self._index: Dict[str, SearchResultSummary] = {}  # guarded-by: _lock
-            # Canonical JSON text of indexed answers, rendered on a
-            # fingerprint's first hit (not here: rendering the whole index
-            # would slow startup).  ``_index`` entries are never replaced, so
-            # a rendered text never goes stale and the memo is bounded by
-            # the index.
+            # Pinned fingerprints that are not in ``_stored``, so healthz
+            # counts answerable fingerprints without a set union.
+            self._solved_since_startup = 0  # guarded-by: _lock
+            # Canonical JSON text of pinned answers, rendered on a
+            # fingerprint's first hit.  ``_index`` entries are never
+            # replaced, so a rendered text never goes stale and the memo is
+            # bounded by the index.
             self._result_text: Dict[str, str] = {}  # guarded-by: _lock
-            for fingerprint, record in self.store.best_by_fingerprint().items():
-                self._index[fingerprint] = SearchResultSummary.from_dict(record["result"])
             self._threads = [
                 threading.Thread(target=self._worker, name=f"mapping-worker-{i}", daemon=True)
                 for i in range(workers)
@@ -355,17 +362,20 @@ class MappingService:
             request = MappingRequest.from_dict(request)
         payload = request.resolve(self.scale)
         fingerprint = payload_fingerprint(payload)
-        remote = None
-        if self.store.shared:
-            # Another replica feeding the shared store may have solved this
-            # fingerprint since our startup index was built.  Consulting the
-            # store happens *before* taking the lock (it may be network I/O);
-            # the race of a concurrent local solve is harmless — duplicate
-            # appends resolve to the best record.
+        stored = None
+        if self.store.shared or fingerprint in self._stored:
+            # A fingerprint stored at startup is read from the store on its
+            # first hit; on a shared store another replica may have solved
+            # any fingerprint since startup.  The store is consulted *before*
+            # taking the lock (it may be network I/O); racing first hits and
+            # a concurrent local solve are harmless: the first answer pinned
+            # wins, and duplicate appends resolve to the best record.  A
+            # fingerprint removed from the store since startup reads ``None``
+            # and is searched as an ordinary miss.
             with self._lock:
                 unknown = fingerprint not in self._index and fingerprint not in self._inflight
             if unknown:
-                remote = self.store.lookup_result(fingerprint)
+                stored = self.store.lookup_result(fingerprint)
         with self._lock:
             if self._closed:
                 raise ServiceError("service is shut down")
@@ -378,8 +388,8 @@ class MappingService:
             job = MappingJob(job_id=self._next_id(), fingerprint=fingerprint, request=payload)
             self._jobs[job.job_id] = job
             cached = self._index.get(fingerprint)
-            if cached is None and remote is not None:
-                cached = self._index.setdefault(fingerprint, remote)
+            if cached is None and stored is not None:
+                cached = self._pin(fingerprint, stored)
             if cached is not None:
                 self.stats["cache_hits"] += 1
                 job.cached = True
@@ -407,6 +417,19 @@ class MappingService:
         states = [job.state for job in self._inflight.values()]
         self._g_queue_depth.set(sum(1 for state in states if state == "queued"))
         self._g_inflight.set(sum(1 for state in states if state == "running"))
+
+    def _pin(self, fingerprint: str, summary: SearchResultSummary) -> SearchResultSummary:  # holds-lock: _lock
+        """Index *summary* as *fingerprint*'s answer unless one is pinned already.
+
+        Returns the pinned answer.  Entries are never replaced, so every hit
+        on a fingerprint returns one object and its memoized text.
+        """
+        pinned = self._index.get(fingerprint)
+        if pinned is None:
+            pinned = self._index[fingerprint] = summary
+            if fingerprint not in self._stored:
+                self._solved_since_startup += 1
+        return pinned
 
     def _next_id(self) -> str:  # holds-lock: _lock
         self._counter += 1
@@ -494,7 +517,7 @@ class MappingService:
                 "queue_depth": int(self._metrics.value_of("repro_service_queue_depth")),
                 "in_flight": int(self._metrics.value_of("repro_service_inflight")),
                 "jobs": len(self._jobs),
-                "solutions": len(self._index),
+                "solutions": len(self._stored) + self._solved_since_startup,
                 "warm_tasks": len(self.warm_store) if self.warm_store is not None else 0,
                 "store": self.store.path,
                 **{key: int(value) for key, value in self.stats.items()},
@@ -564,7 +587,7 @@ class MappingService:
         with self._lock:
             self._inflight.pop(job.fingerprint, None)
             if summary is not None:
-                self._index.setdefault(job.fingerprint, summary)
+                self._pin(job.fingerprint, summary)
                 self.stats["searches_run"] += 1
                 job.result = summary
                 job.state = "done"

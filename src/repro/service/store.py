@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.utils.serialization import SearchResultSummary
-from repro.utils.storage import BackedStore, record_fitness
+from repro.utils.storage import BackedStore
 
 
 class SolutionStore(BackedStore):
@@ -67,11 +67,7 @@ class SolutionStore(BackedStore):
         return SearchResultSummary.from_dict(record["result"])
 
     def best_by_fingerprint(self) -> Dict[str, Dict[str, Any]]:
-        """The best-fitness record per fingerprint (one pass over the store).
-
-        This is the service's startup index: answering a repeated request
-        from it is a dict lookup, not a store scan.
-        """
+        """The best-fitness record per fingerprint (one pass over the store)."""
         return self.backend.best_records("fingerprint")
 
     def best_by_task(self) -> Dict[str, Dict[str, Any]]:
@@ -81,8 +77,3 @@ class SolutionStore(BackedStore):
         a throughput-optimal solution never warm-starts an energy search.
         """
         return self.backend.best_records("task_key")
-
-
-def _fitness(record: Dict[str, Any]) -> float:
-    # Kept as an alias: duplicate resolution now lives with the backends.
-    return record_fitness(record)

@@ -93,7 +93,7 @@ class SqliteStoreBackend(StoreBackend):
     def iter_records(self) -> Iterator[Dict[str, Any]]:  # acquires-lock: _lock
         # Materialized under the lock: the shared connection cannot stream
         # rows concurrently with another thread's append, and stores are
-        # read in full at well-defined points (startup index, resume scan).
+        # read in full at well-defined points (warm-library load, compaction).
         with self._lock:
             rows = self._connection().execute(
                 "SELECT record FROM records ORDER BY seq"

@@ -11,10 +11,12 @@ from repro.core.evalconfig import EvalConfig
 from repro.exceptions import ServiceError
 from repro.experiments.settings import get_scale
 from repro.service import MappingRequest, MappingService, SolutionStore, WarmStartLibrary
-from repro.utils.serialization import SearchResultSummary
+from repro.service.netstore import NetworkStoreServer
+from repro.utils.serialization import SearchResultSummary, payload_fingerprint
 
 
 SCALE = "tiny"
+TOKEN = "service-secret"
 
 
 @pytest.fixture()
@@ -203,20 +205,24 @@ class TestEvalBackendParity:
         assert parallel_record == batch_record
 
 
+def _stub_summary(tag, fitness):
+    return SearchResultSummary(
+        optimizer_name=tag,
+        best_fitness=fitness,
+        objective_value=fitness,
+        throughput_gflops=fitness,
+        makespan_cycles=1.0,
+        samples_used=1,
+        best_encoding=[0.0],
+        history=[fitness],
+    )
+
+
 def _blocking_execute(release: threading.Event, started: threading.Event):
     def execute(self, job):
         started.set()
         release.wait(timeout=30)
-        return SearchResultSummary(
-            optimizer_name="stub",
-            best_fitness=1.0,
-            objective_value=1.0,
-            throughput_gflops=1.0,
-            makespan_cycles=1.0,
-            samples_used=1,
-            best_encoding=[0.0],
-            history=[1.0],
-        )
+        return _stub_summary("stub", 1.0)
 
     return execute
 
@@ -345,6 +351,86 @@ class TestResultText:
                     assert all(text is service._result_text[hit.fingerprint] for text in texts)
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.fixture(params=["jsonl", "sqlite", "tcp"])
+def store_url(request, tmp_path, monkeypatch):
+    """One solution-store URL per transport (tcp served over sqlite)."""
+    monkeypatch.delenv("REPRO_RPC_TOKEN", raising=False)
+    if request.param == "tcp":
+        server = NetworkStoreServer(f"sqlite:{tmp_path / 'backing.sqlite3'}", token=TOKEN).start()
+        yield f"{server.url}?token={TOKEN}"
+        server.shutdown()
+    else:
+        yield f"{request.param}:{tmp_path / ('solutions.' + request.param)}"
+
+
+class TestLazyStartupIndex:
+    """Startup lists the stored fingerprints; each answer is read on first hit."""
+
+    REQUESTS = [MappingRequest(task="vision", setting="S1", seed=seed) for seed in range(3)]
+    #: Per request, the (tag, fitness) records appended in order: a better
+    #: later record, an equal-fitness tie, and a single record.
+    RECORDS = [
+        [("first", 1.0), ("better-later", 5.0), ("worse", 2.0)],
+        [("tie-earliest", 3.0), ("tie-later", 3.0)],
+        [("only", 4.0)],
+    ]
+
+    def _fill_store(self, store_url):
+        scale = get_scale(SCALE)
+        fingerprints = []
+        with SolutionStore(store_url) as store:
+            for request, records in zip(self.REQUESTS, self.RECORDS):
+                payload = request.resolve(scale)
+                fingerprint = payload_fingerprint(payload)
+                for tag, fitness in records:
+                    store.append(fingerprint, payload, "vision/throughput", _stub_summary(tag, fitness))
+                fingerprints.append(fingerprint)
+            best = store.backend.best_records("fingerprint")
+        return fingerprints, best
+
+    def test_first_hit_answers_the_backends_best_record(self, store_url):
+        fingerprints, best = self._fill_store(store_url)
+        with MappingService(store=store_url, scale=SCALE, workers=1) as service:
+            # Startup pins nothing but counts every stored fingerprint.
+            assert service._index == {}
+            assert service.healthz()["solutions"] == len(self.REQUESTS)
+            for request, fingerprint in zip(self.REQUESTS, fingerprints):
+                hit = service.submit(request)
+                assert hit.cached and hit.fingerprint == fingerprint
+                assert hit.result.to_dict() == best[fingerprint]["result"]
+            tags = [service._index[fingerprint].optimizer_name for fingerprint in fingerprints]
+            assert tags == ["better-later", "tie-earliest", "only"]
+            assert service.stats["searches_run"] == 0
+            assert service.healthz()["solutions"] == len(self.REQUESTS)
+
+    def test_second_hit_returns_the_pinned_object(self, store_url):
+        self._fill_store(store_url)
+        with MappingService(store=store_url, scale=SCALE, workers=1) as service:
+            first = service.submit(self.REQUESTS[0])
+            text = service.result_text(first)
+            second = service.submit(self.REQUESTS[0])
+            assert second.result is first.result
+            assert service.result_text(second) is text
+
+    def test_fingerprint_removed_before_its_first_hit_is_searched(self, store_url, monkeypatch):
+        monkeypatch.setattr(MappingService, "_execute", lambda self, job: _stub_summary("fresh", 0.5))
+        self._fill_store(store_url)
+        with MappingService(store=store_url, scale=SCALE, workers=1) as service:
+            service.store.truncate()
+            job = service.submit(self.REQUESTS[0])
+            assert not job.cached
+            assert service.result(job.job_id, timeout=30).optimizer_name == "fresh"
+            assert service.stats["searches_run"] == 1
+            again = service.submit(self.REQUESTS[0])
+            assert again.cached and again.result.optimizer_name == "fresh"
+            # The re-solved fingerprint was already counted at startup; a
+            # fingerprint new to the store adds one solution.
+            assert service.healthz()["solutions"] == len(self.REQUESTS)
+            new = service.submit(MappingRequest(task="mix", setting="S1", seed=0))
+            service.result(new.job_id, timeout=30)
+            assert service.healthz()["solutions"] == len(self.REQUESTS) + 1
 
 
 class TestShutdown:

@@ -8,6 +8,7 @@ import pytest
 from repro.service.store import SolutionStore
 from repro.utils.jsonl_store import AppendOnlyJsonlStore
 from repro.utils.serialization import SearchResultSummary
+from repro.utils.storage import StoreBackend
 
 
 def _summary(fitness: float, encoding=None) -> SearchResultSummary:
@@ -100,6 +101,122 @@ class TestFastFingerprintScan:
             handle.write(json.dumps({"fingerprint": 123}) + "\n")
             handle.write(json.dumps({"other": "no fingerprint here"}) + "\n")
         assert store.fingerprints() == {"123"}
+
+
+def _fill_dupes(store, records=60, fingerprints=6):
+    for i in range(records):
+        store.append_record(
+            {"fingerprint": f"fp-{i % fingerprints}", "request": {"i": i},
+             "result": {"best_fitness": float(i % 5)}}
+        )
+
+
+class TestSelectiveLookup:
+    """The jsonl lookup seeks to and parses only the fingerprint's own lines."""
+
+    def test_matches_the_full_parse_lookup(self, tmp_path):
+        store = AppendOnlyJsonlStore(str(tmp_path / "dupes.jsonl"))
+        for i in range(300):
+            fingerprint = f"{i % 40:032x}"
+            # Some records mention another record's fingerprint as data.
+            note = f"{(i + 1) % 40:032x}" if i % 3 == 0 else "plain"
+            store.append_record(
+                {"fingerprint": fingerprint, "request": {"note": note, "i": i},
+                 "result": {"best_fitness": float(i % 7)}}
+            )
+        for i in range(41):
+            fingerprint = f"{i:032x}"
+            assert store.lookup(fingerprint) == StoreBackend.lookup(store, fingerprint)
+        assert store.lookup(f"{40:032x}") is None
+
+    def test_a_mention_as_data_is_not_a_match(self, tmp_path):
+        store = AppendOnlyJsonlStore(str(tmp_path / "mention.jsonl"))
+        store.append_record({"fingerprint": "other", "request": {"note": "aaa"},
+                             "result": {"best_fitness": 9.0}})
+        assert store.lookup("aaa") is None
+        store.append_record({"fingerprint": "aaa", "result": {"best_fitness": 1.0}})
+        assert store.lookup("aaa")["result"]["best_fitness"] == 1.0
+        # A nested key that sorts first is what the scan indexes the line
+        # under, but it is not the record's fingerprint.
+        store.append_record({"fingerprint": "ccc", "config": {"fingerprint": "bbb"},
+                             "result": {"best_fitness": 2.0}})
+        assert "bbb" in store.fingerprints()
+        assert store.lookup("bbb") is None
+
+    def test_missing_file_reads_none(self, tmp_path):
+        assert AppendOnlyJsonlStore(str(tmp_path / "absent.jsonl")).lookup("aaa") is None
+
+    def test_malformed_line_with_the_fingerprint_raises(self, tmp_path):
+        store = AppendOnlyJsonlStore(str(tmp_path / "bad.jsonl"))
+        store.append_record({"fingerprint": "aaa", "result": {"best_fitness": 1.0}})
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write('{"fingerprint": "bbb", "result": \n')
+        assert store.lookup("aaa")["result"]["best_fitness"] == 1.0
+        with pytest.raises(json.JSONDecodeError):
+            store.lookup("bbb")
+
+    def test_parses_only_its_own_records(self, tmp_path, monkeypatch):
+        store = AppendOnlyJsonlStore(str(tmp_path / "own.jsonl"))
+        _fill_dupes(store, records=120, fingerprints=40)
+        store.fingerprints()
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+        assert store.lookup("fp-7")["request"]["i"] == 7
+        assert len(parsed) == 3
+        # Records appended since the scan are indexed, not parsed.
+        _fill_dupes(store, records=40, fingerprints=40)
+        assert store.lookup("fp-7")["request"]["i"] == 7
+        assert len(parsed) == 7
+
+    def test_sees_records_appended_since_the_scan(self, tmp_path):
+        store = AppendOnlyJsonlStore(str(tmp_path / "grow.jsonl"))
+        store.append_record({"fingerprint": "aaa", "result": {"best_fitness": 1.0}})
+        assert store.fingerprints() == {"aaa"}
+        store.append_record({"fingerprint": "aaa", "result": {"best_fitness": 2.0}})
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"fingerprint": "bbb", "result": {"best_fitness": 3.0}}) + "\n")
+            handle.write('{"fingerprint": "ccc", "result": {"best_fi')
+        assert store.lookup("aaa")["result"]["best_fitness"] == 2.0
+        assert store.lookup("bbb")["result"]["best_fitness"] == 3.0
+        # A torn trailing line is not indexed until it is complete.
+        assert store.lookup("ccc") is None
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write('tness": 4.0}}\n')
+        assert store.lookup("ccc")["result"]["best_fitness"] == 4.0
+        assert store.fingerprints() == {"aaa", "bbb", "ccc"}
+
+    @pytest.mark.parametrize(
+        "rewrite", ["compact", "truncate", "repair", "other-compact", "in-place-shrink"]
+    )
+    def test_index_follows_a_rewritten_file(self, tmp_path, rewrite):
+        path = str(tmp_path / "rewrite.jsonl")
+        store = AppendOnlyJsonlStore(path)
+        _fill_dupes(store)
+        assert store.lookup("fp-1")["request"]["i"] == 19
+        if rewrite == "compact":
+            store.compact()
+        elif rewrite == "truncate":
+            # Refilled past its old size, so only the reset catches it.
+            store.truncate()
+            _fill_dupes(store, records=90, fingerprints=9)
+        elif rewrite == "repair":
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write('{"fingerprint": "fp-torn"')
+            store.repair()
+        elif rewrite == "other-compact":
+            # Another object replaces the file and grows it past its old
+            # size, so only the changed inode tells.
+            other = AppendOnlyJsonlStore(path)
+            other.compact()
+            _fill_dupes(other, records=90, fingerprints=9)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps({"fingerprint": "fp-1", "result": {"best_fitness": 0.5}}) + "\n")
+        expected = {record["fingerprint"] for record in store.records()}
+        for fingerprint in sorted(expected | {f"fp-{i}" for i in range(9)}):
+            assert store.lookup(fingerprint) == StoreBackend.lookup(store, fingerprint)
+        assert store.fingerprints() == expected
 
 
 class TestConcurrentWrites:
