@@ -1,8 +1,8 @@
 """Benchmark regression gate for CI.
 
 The benchmark smoke suite writes one ``BENCH_*.json`` per perf claim (batch
-speedup, parallel speedup, rpc speedup, service hit ratios...).  This script
-compares the freshly measured ratios against the committed floors in
+speedup, parallel speedup, service hit ratios...) into ``.bench-out/``.
+This script compares the measured ratios against the committed floors in
 ``benchmarks/baselines.json`` and exits non-zero when any ratio has dropped
 below its floor — turning "the README says 3x" into a gate a PR cannot
 silently regress.
@@ -21,8 +21,8 @@ Rules:
 
 Usage::
 
-    python benchmarks/check_regression.py            # after the smoke suite
-    python benchmarks/check_regression.py --dir . --baselines benchmarks/baselines.json
+    python benchmarks/check_regression.py --dir .bench-out   # after the smoke suite
+    python benchmarks/check_regression.py                    # the committed results at the root
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def write_step_summary(findings: List[Dict[str, Any]], path: str) -> None:
             "",
             "These floors could not be measured on this runner; each skip",
             "records why.  The core-count-independent benches (kernel step",
-            "rate, frame codec GB/s, dispatch overhead) still gate above.",
+            "rate, generation step) still gate above.",
             "",
             "| benchmark | metric | reason |",
             "|---|---|---|",
@@ -164,7 +164,8 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--dir", default=".", metavar="DIR",
-        help="directory holding the freshly produced BENCH_*.json files",
+        help="directory holding the BENCH_*.json files: .bench-out after a bench "
+        "run (default: the current directory, i.e. the committed results)",
     )
     args = parser.parse_args(argv)
 

@@ -8,13 +8,18 @@ trade-off is controlled by the ``REPRO_SCALE`` environment variable
 defaults to ``smoke`` so that ``pytest benchmarks/ --benchmark-only``
 completes in a few minutes; export ``REPRO_SCALE=paper`` to re-run at the
 paper's full group size and sampling budget.
+
+Benches write their results (``BENCH_*.json`` and ``reproduction_summary.txt``)
+into :data:`BENCH_OUT_DIR`, never over the results committed at the repo
+root; docs/PERFORMANCE.md says how a committed result is updated.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
@@ -31,7 +36,29 @@ def scale():
     return get_scale()
 
 
-#: Written into the working directory; see :func:`merge_summary`.
+#: Where every bench result goes: a git-ignored directory under the working
+#: directory, so a run never rewrites a committed result.
+BENCH_OUT_DIR = ".bench-out"
+
+
+def bench_out_path(name: str) -> str:
+    """The path of result file *name* under :data:`BENCH_OUT_DIR` (created on demand)."""
+    os.makedirs(BENCH_OUT_DIR, exist_ok=True)
+    return os.path.join(BENCH_OUT_DIR, name)
+
+
+@pytest.fixture
+def write_bench_result():
+    """``write(name, payload)``: save one bench's JSON result via :func:`bench_out_path`."""
+
+    def write(name: str, payload: Dict[str, Any]) -> None:
+        with open(bench_out_path(name), "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+
+    return write
+
+
+#: Written under :data:`BENCH_OUT_DIR`; see :func:`merge_summary`.
 SUMMARY_FILE = "reproduction_summary.txt"
 _RULE = "=" * 72
 _HEADER = [_RULE, "Reproduction summary (paper vs measured)", _RULE]
@@ -82,7 +109,7 @@ def _session_results():
     results: Dict[str, List[str]] = {}
     yield results
     if results:
-        print("\n" + "\n".join(merge_summary(SUMMARY_FILE, results, get_scale().name)))
+        print("\n" + "\n".join(merge_summary(bench_out_path(SUMMARY_FILE), results, get_scale().name)))
 
 
 @pytest.fixture
@@ -90,7 +117,7 @@ def report_lines(request, _session_results):
     """Collector for one test's human-readable result lines.
 
     At session end every test's lines are merged into
-    ``reproduction_summary.txt`` in the working directory (see
+    ``reproduction_summary.txt`` under :data:`BENCH_OUT_DIR` (see
     :func:`merge_summary`) and the whole file is printed (visible with
     ``pytest -s``), so the measured values can be compared against
     EXPERIMENTS.md even when pytest captures stdout.

@@ -12,7 +12,6 @@ regression to the pre-optimization kernel would trip it.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -41,7 +40,7 @@ def _best_of(callable_, repeats: int = 3) -> float:
     return best
 
 
-def test_batch_backend_at_least_3x_faster(report_lines):
+def test_batch_backend_at_least_3x_faster(report_lines, write_bench_result):
     platform = build_setting(SETTING, BANDWIDTH_GBPS)
     group = build_task_workload(
         TaskType.MIX,
@@ -82,8 +81,7 @@ def test_batch_backend_at_least_3x_faster(report_lines):
         "speedup": speedup,
         "min_required_speedup": MIN_SPEEDUP,
     }
-    with open("BENCH_batch_eval.json", "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
+    write_bench_result("BENCH_batch_eval.json", record)
     report_lines.append(
         f"batch-eval speedup: {speedup:.1f}x "
         f"(scalar {scalar_seconds*1e3:.1f} ms vs batch {batch_seconds*1e3:.1f} ms, "

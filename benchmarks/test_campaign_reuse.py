@@ -13,7 +13,6 @@ asserts the two structural guarantees of the campaign engine:
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.core.analyzer import AnalysisTableCache
@@ -36,7 +35,7 @@ def _grid() -> ScenarioSpec:
     )
 
 
-def test_campaign_reuses_tables_and_resumes_for_free(scale, tmp_path, report_lines):
+def test_campaign_reuses_tables_and_resumes_for_free(scale, tmp_path, report_lines, write_bench_result):
     spec = _grid()
     num_cells = len(SETTINGS) * len(TASKS) * len(METHODS)
     unique_problems = len(SETTINGS) * len(TASKS)
@@ -86,8 +85,7 @@ def test_campaign_reuses_tables_and_resumes_for_free(scale, tmp_path, report_lin
         "resume_seconds": resume_seconds,
         "resume_cells_rerun": resumed.cells_run,
     }
-    with open("BENCH_campaign.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    write_bench_result("BENCH_campaign.json", payload)
 
     report_lines.append(
         f"[campaign] {num_cells} cells, {report.table_builds} table builds "

@@ -19,7 +19,6 @@ against the per-child operator loop it replaced.
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.accelerator import build_setting
@@ -99,11 +98,10 @@ def measure_generation_step(repeats: int = REPEATS) -> dict:
     }
 
 
-def test_generation_build_is_cheap_against_reference_loop(report_lines):
+def test_generation_build_is_cheap_against_reference_loop(report_lines, write_bench_result):
     record = measure_generation_step()
     record["min_reference_to_build_ratio"] = MIN_REFERENCE_TO_BUILD_RATIO
-    with open("BENCH_generation_step.json", "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
+    write_bench_result("BENCH_generation_step.json", record)
     report_lines.append(
         f"generation step (S2, G=20, {record['children']} children): build "
         f"{record['build_seconds'] * 1e3:.2f} ms, evaluate {record['eval_seconds'] * 1e3:.2f} ms, "

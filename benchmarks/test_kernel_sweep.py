@@ -1,8 +1,8 @@
 """Perf smoke: raw rate of the batched bandwidth-allocation kernel.
 
-The parallel/rpc speed benches must skip-with-reason on core-starved runners
-(a fleet timesharing one CPU cannot demonstrate a speedup), which would
-leave the raw-speed pass ungated there.  This bench closes that hole: the
+The parallel speed bench must skip-with-reason on core-starved runners
+(worker processes timesharing one CPU cannot demonstrate a speedup), which
+would leave the raw-speed pass ungated there.  This bench closes that hole: the
 kernel's rate is a single-core property, so it measures — and floors — on
 every machine.  The unit is *row-events per second*: each of the ``pop``
 individuals has ``group_size`` job-completion events, whichever way the
@@ -19,7 +19,6 @@ G=20 and S6 at G=200 are the problems perfbench's ``search_small`` and
 
 from __future__ import annotations
 
-import json
 
 from profile_kernel import measure_point
 
@@ -43,7 +42,7 @@ POPULATION_SIZE = 512
 SEARCH_POPULATION_SIZE = 80
 
 
-def test_kernel_step_rate_floors(report_lines):
+def test_kernel_step_rate_floors(report_lines, write_bench_result):
     points = {
         "s2": (measure_point("S2", 16.0, 20, POPULATION_SIZE), MIN_S2_ROW_EVENTS_PER_SECOND),
         "s6": (measure_point("S6", 256.0, 64, POPULATION_SIZE), MIN_S6_ROW_EVENTS_PER_SECOND),
@@ -62,8 +61,7 @@ def test_kernel_step_rate_floors(report_lines):
         record[f"{key}_seconds"] = point["seconds"]
         record[f"{key}_row_events_per_second"] = point["row_events_per_second"]
         record[f"min_{key}_row_events_per_second"] = floor
-    with open("BENCH_kernel_sweep.json", "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
+    write_bench_result("BENCH_kernel_sweep.json", record)
     for pop, suffix in ((POPULATION_SIZE, ""), (SEARCH_POPULATION_SIZE, "_pop80")):
         s2, _ = points[f"s2{suffix}"]
         s6, _ = points[f"s6{suffix}"]

@@ -11,7 +11,6 @@ appends, sink writes), which is exactly what ``--trace`` adds.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -35,7 +34,7 @@ SWEEPS = 8
 REPEATS = 5
 
 
-def test_tracing_overhead_under_five_percent(report_lines, tmp_path):
+def test_tracing_overhead_under_five_percent(report_lines, tmp_path, write_bench_result):
     platform = build_setting(SETTING, BANDWIDTH_GBPS)
     group = build_task_workload(
         TaskType.MIX,
@@ -105,8 +104,7 @@ def test_tracing_overhead_under_five_percent(report_lines, tmp_path):
         "traced_ratio": traced_ratio,
         "min_required_ratio": MIN_TRACED_RATIO,
     }
-    with open("BENCH_obs_overhead.json", "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
+    write_bench_result("BENCH_obs_overhead.json", record)
     report_lines.append(
         f"obs overhead: traced at {traced_ratio:.3f}x untraced speed "
         f"(untraced {untraced_seconds*1e3:.1f} ms vs traced {traced_seconds*1e3:.1f} ms, "

@@ -20,7 +20,6 @@ equivalence tests in ``tests/core/test_parallel_eval.py``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -42,29 +41,35 @@ BANDWIDTH_GBPS = 256.0
 RESULT_FILE = "BENCH_parallel_eval.json"
 
 
-def _record(payload: dict) -> None:
-    with open(RESULT_FILE, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+def _best_of(callable_, repeats: int = 3, min_seconds: float = 0.5) -> float:
+    """Best wall time of at least *repeats* calls spanning at least *min_seconds*.
 
-
-def _best_of(callable_, repeats: int = 3) -> float:
-    """Best-of-N wall time, the usual cheap noise guard for smoke perf tests."""
+    The time floor outlasts short-lived competitors for the host's cores.
+    The one this bench always meets is multiprocessing's resource tracker:
+    the pool starts it on first use, and its interpreter boot (~0.1 s) slows
+    concurrent calls up to 2x.  A fixed count of ~10 ms calls can fall
+    wholly inside that window, so the reading would depend on whether an
+    earlier test in the session had already started the tracker.
+    """
     best = float("inf")
-    for _ in range(repeats):
+    calls = 0
+    deadline = time.perf_counter() + min_seconds
+    while calls < repeats or time.perf_counter() < deadline:
         start = time.perf_counter()
         callable_()
         best = min(best, time.perf_counter() - start)
+        calls += 1
     return best
 
 
-def test_parallel_backend_at_least_2x_faster(report_lines):
+def test_parallel_backend_at_least_2x_faster(report_lines, write_bench_result):
     cpu_count = os.cpu_count() or 1
     if cpu_count < 2:
         reason = (
             f"parallel speedup needs >=2 CPU cores, runner has {cpu_count}; "
             "sharded workers would timeshare one core"
         )
-        _record({
+        write_bench_result(RESULT_FILE, {
             "setting": SETTING,
             "bandwidth_gbps": BANDWIDTH_GBPS,
             "group_size": GROUP_SIZE,
@@ -121,7 +126,7 @@ def test_parallel_backend_at_least_2x_faster(report_lines):
         lambda: batch._rig.fitnesses_for_rows(shard)
     )
 
-    _record({
+    write_bench_result(RESULT_FILE, {
         "setting": SETTING,
         "bandwidth_gbps": BANDWIDTH_GBPS,
         "group_size": GROUP_SIZE,

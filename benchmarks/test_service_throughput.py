@@ -79,7 +79,7 @@ def _http_hit_round_trip_ms(service: MappingService, request: MappingRequest) ->
     return round_trips[len(round_trips) // 2] * 1e3
 
 
-def test_cache_hits_are_fast_and_bit_identical(scale, tmp_path, report_lines):
+def test_cache_hits_are_fast_and_bit_identical(scale, tmp_path, report_lines, write_bench_result):
     service = MappingService(
         store=str(tmp_path / "solutions.jsonl"),
         warm_store=str(tmp_path / "warm.jsonl"),
@@ -160,8 +160,7 @@ def test_cache_hits_are_fast_and_bit_identical(scale, tmp_path, report_lines):
         "hit_reply_speedup": hit_reply_speedup,
         "http_hit_round_trip_ms_median": http_hit_ms,
     }
-    with open("BENCH_service.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    write_bench_result("BENCH_service.json", payload)
 
     report_lines.append(
         f"[service] search {search_seconds:.2f}s -> cache hit {median_ms:.3f}ms median "

@@ -23,7 +23,6 @@ one that did.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -81,7 +80,7 @@ def _eager_index_seconds(store_url: str) -> float:
 
 
 def test_two_replicas_share_a_hundred_thousand_solution_store(
-    scale, tmp_path, report_lines
+    scale, tmp_path, report_lines, write_bench_result
 ):
     store_url = f"sqlite:{tmp_path / 'shared.sqlite3'}"
 
@@ -177,8 +176,7 @@ def test_two_replicas_share_a_hundred_thousand_solution_store(
         "eager_index_seconds": eager_s,
         "startup_index_speedup": eager_s / startup_s,
     }
-    with open("BENCH_store_backend.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    write_bench_result("BENCH_store_backend.json", payload)
 
     report_lines.append(
         f"[store-backend] seeded {SEED_RECORDS} records in {seed_seconds:.2f}s "

@@ -32,19 +32,6 @@ plus N-1 worker processes, default one lane per usable CPU, capped at 8)::
     repro-magma search --setting S2 --task mix --eval-backend scalar
     repro-magma experiment fig9 --eval-backend parallel --eval-workers 4
 
-To scale past one machine, start evaluation workers on other hosts and point
-any search-running command at them with ``--eval-backend rpc`` (results stay
-bit-identical; dead workers are re-dispatched and, in the worst case, the
-coordinator evaluates locally)::
-
-    export REPRO_RPC_TOKEN=shared-secret                   # both sides
-    repro-magma eval-worker --listen 0.0.0.0:9123          # on each worker host
-    repro-magma search --task mix --eval-backend rpc \
-        --eval-hosts hostA:9123,hostB:9123
-
-(Workers refuse to listen on a non-loopback address without a token: the
-post-auth protocol is pickle, so the token is the only gate.)
-
 Run the mapping service — repeated requests are answered from the persistent
 solution store in milliseconds, and new same-task requests warm-start from
 remembered solutions (Table V) — then submit queries to it::
@@ -92,7 +79,7 @@ from repro.analysis.reporting import ComparisonReport
 from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS, EvalConfig
 from repro.core.framework import M3E
 from repro.core.objectives import list_objectives
-from repro.exceptions import ConfigurationError, ExperimentError, ServiceError
+from repro.exceptions import ExperimentError, ServiceError
 from repro.experiments import (
     CampaignRunner,
     get_scale,
@@ -279,31 +266,6 @@ def _warm_library(args: argparse.Namespace):
     from repro.service.warmlib import WarmStartLibrary
 
     return WarmStartLibrary(path)
-
-
-def _cmd_eval_worker(args: argparse.Namespace) -> int:
-    """Run one RPC evaluation worker until interrupted.
-
-    The worker is problem-agnostic: every coordinator connection bootstraps
-    its own evaluation state, so one long-lived worker serves any number of
-    searches, campaigns, or mapping services pointing ``--eval-hosts`` at it.
-    """
-    import signal
-
-    from repro.core.rpc import serve_worker
-
-    def _announce(server: Any) -> None:
-        print(f"eval worker listening on {server.address}", flush=True)
-
-    def _graceful(signum: int, frame: Any) -> None:
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _graceful)
-    try:
-        serve_worker(args.listen, token=args.token, ready=_announce)
-    except KeyboardInterrupt:
-        print("\neval worker shutting down")
-    return 0
 
 
 def _cmd_store_serve(args: argparse.Namespace) -> int:
@@ -532,7 +494,7 @@ def _add_eval_backend_options(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_EVAL_BACKEND,
         choices=list(EVAL_BACKENDS),
         help="fitness evaluation path: vectorized 'batch' (default), multi-process "
-        "'parallel', multi-host 'rpc', or the 'scalar' oracle",
+        "'parallel', or the 'scalar' oracle",
     )
     parser.add_argument(
         "--eval-workers",
@@ -542,40 +504,11 @@ def _add_eval_backend_options(parser: argparse.ArgumentParser) -> None:
         help="compute lanes for --eval-backend parallel: the coordinator plus "
         "N-1 worker processes (default: one lane per usable CPU, capped at 8)",
     )
-    parser.add_argument(
-        "--eval-hosts",
-        default=None,
-        metavar="HOST:PORT,HOST:PORT",
-        help="remote eval-worker addresses for --eval-backend rpc",
-    )
-    parser.add_argument(
-        "--eval-rpc-token",
-        default=None,
-        metavar="TOKEN",
-        help="shared auth token for --eval-backend rpc "
-        "(default: the REPRO_RPC_TOKEN environment variable)",
-    )
 
 
 def _eval_config(args: argparse.Namespace) -> EvalConfig:
-    """The :class:`EvalConfig` the CLI flags describe (M3E/campaign/service).
-
-    The API tolerates ``rpc`` with no hosts (local-fallback mode), but a CLI
-    user typing ``--eval-backend rpc`` without ``--eval-hosts`` almost
-    certainly forgot the fleet — fail loudly instead of silently running
-    every evaluation locally.
-    """
-    if args.eval_backend == "rpc" and not args.eval_hosts:
-        raise ConfigurationError(
-            "--eval-backend rpc requires --eval-hosts HOST:PORT[,HOST:PORT...] "
-            "(start workers with: repro-magma eval-worker --listen HOST:PORT)"
-        )
-    return EvalConfig(
-        backend=args.eval_backend,
-        workers=args.eval_workers,
-        hosts=args.eval_hosts,
-        rpc_token=args.eval_rpc_token,
-    )
+    """The :class:`EvalConfig` the CLI flags describe (M3E/campaign/service)."""
+    return EvalConfig(backend=args.eval_backend, workers=args.eval_workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -670,21 +603,6 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     _add_warm_store_option(campaign)
     _add_trace_option(campaign)
     campaign.set_defaults(func=_cmd_campaign)
-
-    eval_worker = subparsers.add_parser(
-        "eval-worker",
-        help="run one RPC evaluation worker (the remote half of --eval-backend rpc)",
-    )
-    eval_worker.add_argument(
-        "--listen", default="127.0.0.1:9123", metavar="HOST:PORT",
-        help="address to listen on (default: 127.0.0.1:9123; port 0 picks a free port)",
-    )
-    eval_worker.add_argument(
-        "--token", default=None, metavar="TOKEN",
-        help="shared auth token coordinators must present "
-        "(default: the REPRO_RPC_TOKEN environment variable)",
-    )
-    eval_worker.set_defaults(func=_cmd_eval_worker)
 
     serve = subparsers.add_parser(
         "serve", help="run the mapping service behind a localhost HTTP JSON API"

@@ -7,9 +7,9 @@ function extracts the objective.  The evaluator also keeps a sample counter
 and the best-so-far trace, which every experiment uses to enforce the shared
 sampling budget and to draw convergence curves (Fig. 11, Fig. 16).
 
-Four evaluation backends are available, chosen by the ``eval_config``
+Three evaluation backends are available, chosen by the ``eval_config``
 constructor argument (:class:`~repro.core.evalconfig.EvalConfig`, also exposed
-as ``--eval-backend {scalar,batch,parallel,rpc}`` on the CLI):
+as ``--eval-backend {scalar,batch,parallel}`` on the CLI):
 
 * ``"batch"`` (default) — :meth:`MappingEvaluator.evaluate_population` decodes
   and simulates the whole population in one vectorized sweep through
@@ -24,13 +24,6 @@ as ``--eval-backend {scalar,batch,parallel,rpc}`` on the CLI):
   uses in process, and the memo cache stays in the main process (only cache
   misses are dispatched, computed fitnesses are merged back), so the results
   are bit-identical to ``batch``.
-* ``"rpc"`` — the same sharded sweep dispatched to remote evaluation workers
-  (:mod:`repro.core.rpc`; ``EvalConfig.hosts`` lists their ``host:port``
-  addresses, started with ``repro-magma eval-worker``).  Sharding, gather
-  order, and the coordinator-side memo cache are identical to ``parallel``;
-  dead workers are detected by heartbeat and their shards re-dispatched,
-  falling back to local evaluation when no worker is reachable — so results
-  stay bit-identical to ``batch`` whatever the fleet does.
 * ``"scalar"`` — the original one-encoding-at-a-time reference oracle.
 
 All backends produce bit-identical fitnesses, history, and best-encoding for
@@ -56,14 +49,10 @@ from repro.core.evalconfig import (
 )
 from repro.core.objectives import Objective, get_objective
 from repro.core.parallel import EvaluatorSpec, ParallelEvaluationPool, SimulationRig
-from repro.core.rpc import RpcEvaluationPool
 from repro.core.schedule import Schedule
 from repro.exceptions import ConfigurationError, OptimizationError
 from repro.obs import get_metrics, get_tracer
 from repro.workloads.groups import JobGroup
-
-#: Backends that dispatch population shards to a pool of workers.
-_POOLED_BACKENDS: Tuple[str, ...] = ("parallel", "rpc")
 
 #: Soft cap on the number of memoized encoding->fitness entries.
 _FITNESS_CACHE_LIMIT = 200_000
@@ -107,7 +96,7 @@ class MappingEvaluator:
         self.objective = get_objective(objective)
         self.backend = eval_config.backend
         #: The search's resolved seed (recorded here so worker bootstraps in
-        #: the parallel/rpc backends carry it instead of re-deriving one).
+        #: the parallel backend carry it instead of re-deriving one).
         self.resolved_seed = resolved_seed
         self.codec = MappingCodec(
             num_jobs=group.size,
@@ -130,9 +119,9 @@ class MappingEvaluator:
             objective=self.objective,
             resolved_seed=resolved_seed,
         )
-        # Backend/worker/host combinations were validated once, by
+        # Backend/worker combinations were validated once, by
         # ``EvalConfig.__post_init__``.
-        self._pool: "Optional[ParallelEvaluationPool | RpcEvaluationPool]" = None
+        self._pool: Optional[ParallelEvaluationPool] = None
         if self.backend == "parallel":
             self._pool = ParallelEvaluationPool(
                 spec=EvaluatorSpec.capture(
@@ -140,18 +129,6 @@ class MappingEvaluator:
                     resolved_seed=resolved_seed,
                 ),
                 num_workers=eval_config.workers,
-            )
-        elif self.backend == "rpc":
-            # No hosts (or none alive) degrades to local evaluation — the
-            # pool's contract is "use the fleet when it is there", so results
-            # never depend on fleet health.
-            self._pool = RpcEvaluationPool(
-                spec=EvaluatorSpec.capture(
-                    self.codec, self.batch_allocator, self.table, self.objective,
-                    resolved_seed=resolved_seed,
-                ),
-                hosts=eval_config.hosts,
-                token=eval_config.rpc_token,
             )
         self.sampling_budget = sampling_budget
         # Telemetry (docs/OBSERVABILITY.md): per-generation spans when the
@@ -265,7 +242,7 @@ class MappingEvaluator:
                 f"sampling budget of {self.sampling_budget} evaluations exhausted"
             )
         repaired = self.codec.repair(np.asarray(encoding, dtype=float))
-        if self.backend in ("batch",) + _POOLED_BACKENDS:
+        if self.backend != "scalar":
             # One-at-a-time callers (RL environments, heuristics, DE trials in
             # scalar-era code paths) share the population memo cache: repeated
             # encodings skip re-simulation but still charge budget below.
@@ -323,7 +300,7 @@ class MappingEvaluator:
             rows=int(num_evaluated),
             gen=self.generations,
         ):
-            if self.backend in _POOLED_BACKENDS:
+            if self._pool is not None:
                 values, repaired = self._memoized_fitnesses(
                     population[:num_evaluated], self._pool.evaluate
                 )
@@ -458,12 +435,10 @@ class MappingEvaluator:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (the parallel/rpc backends' worker pools).
+        """Release backend resources (the parallel backend's worker pool).
 
-        Safe to call on any backend and more than once; a closed pooled
-        evaluator lazily restarts its pool (or re-dials its workers) if it is
-        used again.  RPC workers themselves keep serving — only this
-        coordinator's connections are dropped.
+        Safe to call on any backend and more than once; a closed parallel
+        evaluator lazily restarts its pool if it is used again.
         """
         if self._pool is not None:
             self._pool.close()

@@ -171,8 +171,8 @@ class M3E:
         """Construct the fitness evaluator for a group (pre-processing step).
 
         ``resolved_seed`` is the search's concrete seed (when known): the
-        parallel/rpc backends carry it into their worker bootstraps so
-        workers never re-derive their own.
+        parallel backend carries it into its worker bootstraps so workers
+        never re-derive their own.
         """
         return MappingEvaluator(
             group=group,
@@ -208,8 +208,8 @@ class M3E:
         from repro.optimizers.base import BaseOptimizer
 
         # The algorithm is built first so its governing seed policy is known
-        # before the evaluator exists: the parallel/rpc backends thread the
-        # resolved seed into their worker bootstraps.
+        # before the evaluator exists: the parallel backend threads the
+        # resolved seed into its worker bootstraps.
         if isinstance(optimizer, BaseOptimizer):
             algorithm = optimizer
             if seed is not None:

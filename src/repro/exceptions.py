@@ -45,13 +45,13 @@ class ServiceError(ReproError):
 
 
 class RpcError(ReproError):
-    """Raised when the RPC evaluation protocol fails (auth, framing, worker errors)."""
+    """Raised when the ``tcp://`` store transport fails (auth, framing, server errors)."""
 
 
 class WorkerDiedError(RpcError):
-    """Raised when an RPC evaluation worker's connection dies mid-conversation.
+    """Raised when a store-transport connection dies mid-frame.
 
-    The coordinator treats this as a transport failure — the worker is marked
-    dead and its shard is re-dispatched — unlike a :class:`RpcError` reply,
-    which means the worker is alive and deliberately reported a failure.
+    The ``tcp://`` client treats this as a transport failure and retries the
+    request once over a fresh connection — unlike a :class:`RpcError` reply,
+    which means the server is alive and deliberately reported a failure.
     """

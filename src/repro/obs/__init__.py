@@ -15,7 +15,7 @@ Zero-dependency (stdlib-only) observability for the whole engine:
 The determinism contract (docs/OBSERVABILITY.md): telemetry observes, never
 steers.  All clocks are monotonic, no telemetry value ever reaches a seed or
 a payload fingerprint, and every search is bit-identical with tracing on or
-off — a property the tier-1 suite asserts for all four eval backends.
+off — a property the tier-1 suite asserts for all three eval backends.
 """
 
 from repro.obs.flight import (

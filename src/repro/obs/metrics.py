@@ -2,8 +2,8 @@
 
 A process-local :class:`MetricsRegistry` (reached via :func:`get_metrics`)
 holds every metric the engine emits — evaluations per backend, kernel
-row-events, memo/store hit counts, chunk dispatch/requeue/steal counts,
-heartbeat failures, service queue depth, RPC bytes on the wire.  The full
+row-events, memo/store hit counts, shard dispatch and worker deaths,
+service queue depth, store-transport bytes on the wire.  The full
 catalogue (names, types, label sets) lives in docs/OBSERVABILITY.md.
 
 Metrics are always on: one lock-guarded float update per *generation*,

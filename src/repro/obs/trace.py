@@ -20,7 +20,7 @@ Tracing is **off by default** and provably inert: a disabled tracer's
 telemetry value ever feeds a seed or a payload fingerprint, and the tier-1
 suite asserts bit-identical search results with tracing on vs off for every
 eval backend.  The one exception is :meth:`Tracer.warning`: operational
-degradation (a dead RPC host, a lost worker process) is recorded in the ring
+degradation (a lost worker process, a store reconnect) is recorded in the ring
 even when tracing is disabled, so silent-recovery paths stay visible.
 
 Span ids are a plain process-local counter — deterministic, ordered, and

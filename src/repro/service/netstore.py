@@ -7,17 +7,13 @@ Any number of ``repro-magma serve`` replicas — on any host — then open the
 same store as ``tcp://host:port`` via :class:`NetworkStoreBackend`, so every
 replica answers every fingerprint.
 
-The wire protocol deliberately reuses the eval-fleet transport
-(:mod:`repro.core.rpc`): the same 8-byte length-prefixed frames, the same
-token handshake on raw bytes before anything is decoded
-(:func:`~repro.core.rpc.authenticate_inbound`), the same
-``$REPRO_RPC_TOKEN`` fallback — one secret and one framing layer secure the
-whole deployment.  Post-auth payloads differ from the eval protocol in one
-important way: store records are plain JSON documents, so frames here carry
-**JSON, never pickle** — a hostile or confused peer can corrupt a store's
-contents but cannot execute code, and the RPC layer's auth-before-unpickle
-argument (docs/STATIC_ANALYSIS.md) is not stretched across a second
-protocol.
+The transport is stdlib sockets carrying 8-byte length-prefixed frames
+(:func:`send_frame` / :func:`recv_frame`).  Every connection opens with a
+token handshake checked on raw bytes before anything is decoded
+(:func:`authenticate_inbound`); the token is ``--token`` or
+``$REPRO_RPC_TOKEN``.  Post-auth frames carry **JSON, never pickle**: store
+records are plain JSON documents, so a hostile or confused peer can corrupt
+a store's contents but cannot execute code.
 
 Requests are ``{"op": ..., ...params}``; replies are ``{"ok": true,
 "value": ...}`` or ``{"ok": false, "error": msg}``.  The client retries a
@@ -29,33 +25,150 @@ append changes no lookup result.
 
 from __future__ import annotations
 
+import hmac
+import ipaddress
 import json
+import os
 import socket
+import struct
 import threading
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.rpc import (
-    RPC_TOKEN_ENV,
-    authenticate_inbound,
-    authenticate_outbound,
-    is_loopback_host,
-    parse_hosts,
-    recv_frame,
-    resolve_token,
-    send_frame,
-)
 from repro.exceptions import ConfigurationError, RpcError, WorkerDiedError
 from repro.obs import get_tracer
 from repro.utils.storage import (
     CompactionPolicy,
     StoreBackend,
     open_store_backend,
+    transport_byte_counters,
 )
 
-#: Upper bound on one store frame (a full record set in one reply).
+#: Environment variable both sides read when no token is given explicitly.
+RPC_TOKEN_ENV = "REPRO_RPC_TOKEN"
+
+#: Upper bound on one store frame (a full record set in one reply); anything
+#: larger indicates a corrupt or hostile length prefix.
 MAX_STORE_FRAME_BYTES = 1 << 30
 
+#: Cap on the (raw-bytes) auth frame: tokens are short; an unauthenticated
+#: peer must not be able to make the server buffer gigabytes.
+MAX_AUTH_FRAME_BYTES = 4096
+
+#: How long the server waits for a fresh connection to authenticate before
+#: dropping it (unauthenticated peers must not pin handler threads).
+AUTH_TIMEOUT_SECONDS = 10.0
+
+#: Frame length prefix: 8-byte big-endian unsigned.
+_LENGTH_PREFIX = struct.Struct(">Q")
+
+#: Auth replies (sent as raw frames, before any JSON is exchanged).
+_AUTH_OK = b"OK"
+_AUTH_DENIED = b"DENIED"
+
 _TRANSPORT_ERRORS = (WorkerDiedError, RpcError, OSError)
+
+
+def is_loopback_host(host: str) -> bool:
+    """True for addresses that never leave this machine.
+
+    A host name other than ``localhost`` is never loopback, even one that
+    starts with ``127.``: DNS decides where it points.
+    """
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
+def resolve_token(token: Optional[str]) -> str:
+    """The shared secret: an explicit token, else ``$REPRO_RPC_TOKEN``, else ''."""
+    if token is not None:
+        return str(token)
+    return os.environ.get(RPC_TOKEN_ENV, "")
+
+
+def parse_listen_address(listen: str) -> Tuple[str, int]:
+    """Split a ``host:port`` listen address; port 0 binds an ephemeral port."""
+    host, sep, port = listen.strip().rpartition(":")
+    if not sep or not host:
+        raise ConfigurationError(f"listen address {listen!r} is not of the form host:port")
+    try:
+        number = int(port)
+    except ValueError as error:
+        raise ConfigurationError(f"invalid port in listen address {listen!r}") from error
+    if not 0 <= number < 65536:
+        raise ConfigurationError(f"port out of range in listen address {listen!r}")
+    return host, number
+
+
+# ----------------------------------------------------------------------
+# Framing
+# ----------------------------------------------------------------------
+#: Wire-volume counters, shared by every store socket in the process (client
+#: and in-process server alike).  Incremented once per frame — see
+#: docs/OBSERVABILITY.md.
+_M_BYTES_SENT, _M_BYTES_RECEIVED = transport_byte_counters()
+
+
+def send_frame(sock: socket.socket, payload: bytes) -> None:
+    """Write one length-prefixed frame."""
+    sock.sendall(_LENGTH_PREFIX.pack(len(payload)) + payload)
+    _M_BYTES_SENT.inc(_LENGTH_PREFIX.size + len(payload))
+
+
+def recv_frame(sock: socket.socket, limit: int = MAX_STORE_FRAME_BYTES) -> bytes:
+    """Read one length-prefixed frame; a closed peer raises :class:`WorkerDiedError`."""
+    header = _recv_exact(sock, _LENGTH_PREFIX.size)
+    (length,) = _LENGTH_PREFIX.unpack(header)
+    if length > limit:
+        raise RpcError(f"frame of {length} bytes exceeds the {limit}-byte limit")
+    return _recv_exact(sock, length)
+
+
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    """Read exactly *count* bytes; a closed peer raises :class:`WorkerDiedError`."""
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    offset = 0
+    while offset < count:
+        try:
+            received = sock.recv_into(view[offset:])
+        except OSError as error:
+            raise WorkerDiedError(f"connection lost: {error}") from error
+        if not received:
+            raise WorkerDiedError("connection closed by peer mid-frame")
+        offset += received
+    _M_BYTES_RECEIVED.inc(count)
+    return bytes(buffer)
+
+
+def authenticate_inbound(conn: socket.socket, token: str) -> bool:
+    """Server side of the token handshake; nothing is decoded before it passes.
+
+    The check runs on raw frame bytes with a constant-time compare, the auth
+    frame is size-capped (tokens are short), and the frame must arrive within
+    a timeout — so an unauthenticated peer can neither pin a handler thread
+    nor make the server buffer memory.
+    """
+    conn.settimeout(AUTH_TIMEOUT_SECONDS)
+    try:
+        presented = recv_frame(conn, limit=MAX_AUTH_FRAME_BYTES)
+        if not hmac.compare_digest(presented, token.encode("utf-8")):
+            send_frame(conn, _AUTH_DENIED)
+            return False
+        send_frame(conn, _AUTH_OK)
+    finally:
+        conn.settimeout(None)
+    return True
+
+
+def authenticate_outbound(sock: socket.socket, token: str, peer: str) -> None:
+    """Client side of the token handshake; raises :class:`RpcError` on denial."""
+    send_frame(sock, token.encode("utf-8"))
+    if recv_frame(sock) != _AUTH_OK:
+        raise RpcError(f"{peer} rejected the authentication token")
 
 
 def _encode(message: Dict[str, Any]) -> bytes:
@@ -75,10 +188,10 @@ def _decode(payload: bytes) -> Dict[str, Any]:
 class NetworkStoreServer:
     """Serve one local store backend to ``tcp://`` clients.
 
-    Thread-per-connection, like the eval workers; concurrency control is the
-    backing backend's own locking, so N replicas hammering one server see
-    the same append atomicity a single process would.  ``port=0`` binds an
-    ephemeral port (the chosen one is in :attr:`address`).
+    Thread-per-connection; concurrency control is the backing backend's own
+    locking, so N replicas hammering one server see the same append
+    atomicity a single process would.  ``port=0`` binds an ephemeral port
+    (the chosen one is in :attr:`address`).
     """
 
     def __init__(
@@ -185,7 +298,7 @@ class NetworkStoreServer:
             if not authenticate_inbound(conn, self.token):
                 return
             while True:
-                request = _decode(recv_frame(conn, limit=MAX_STORE_FRAME_BYTES))
+                request = _decode(recv_frame(conn))
                 with self._lock:
                     self.requests_served += 1
                 try:
@@ -267,10 +380,7 @@ def serve_store(
     given, is called with the started server — the CLI uses it to print the
     resolved address before blocking.
     """
-    parsed = parse_hosts(listen, allow_ephemeral=True)
-    if len(parsed) != 1:
-        raise ConfigurationError(f"--listen takes exactly one host:port, got {listen!r}")
-    host, port = parsed[0]
+    host, port = parse_listen_address(listen)
     server = NetworkStoreServer(backing, host=host, port=port, token=token)
     if ready is not None:
         ready(server)
@@ -351,7 +461,7 @@ class NetworkStoreBackend(StoreBackend):
                         continue
                 try:
                     send_frame(self._sock, payload)
-                    reply = _decode(recv_frame(self._sock, limit=MAX_STORE_FRAME_BYTES))
+                    reply = _decode(recv_frame(self._sock))
                     break
                 except _TRANSPORT_ERRORS as error:
                     last_error = error
@@ -450,7 +560,6 @@ class NetworkStoreBackend(StoreBackend):
 
 
 __all__ = [
-    "MAX_STORE_FRAME_BYTES",
     "NetworkStoreBackend",
     "NetworkStoreServer",
     "serve_store",

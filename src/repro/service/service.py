@@ -230,8 +230,7 @@ class MappingService:
     eval_config:
         Evaluation-engine configuration
         (:class:`~repro.core.evalconfig.EvalConfig`) for every search the
-        service runs.  With ``backend="rpc"`` service jobs fan their
-        fitness evaluations out to the remote worker fleet.
+        service runs.
     replica_id:
         Stable identity this replica reports on ``/healthz`` (default:
         ``<hostname>:<pid>``) — how operators tell the members of a

@@ -14,7 +14,7 @@ Error-code layout (the full table lives in ``docs/STATIC_ANALYSIS.md``):
   never suppressible, because they police the suppression mechanism itself.
 * ``RPL1xx`` — determinism (entropy outside the seed policy).
 * ``RPL2xx`` — lock discipline (``guarded-by`` annotations).
-* ``RPL3xx`` — RPC frame safety (auth-before-unpickle, frame allowlists).
+* ``RPL3xx`` — pickle safety (no pickle deserialization in library code).
 * ``RPL4xx`` — resource lifecycle (sockets, pools, files, subprocesses).
 * ``RPL5xx`` — exception policy (bare/silent broad handlers).
 
@@ -49,7 +49,7 @@ ENGINE_CODES: Dict[str, str] = {
 _CHECKER_MODULES: Tuple[str, ...] = (
     "determinism",
     "locks",
-    "rpc_frames",
+    "pickling",
     "resources",
     "excepts",
     "diagnostics",

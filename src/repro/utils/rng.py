@@ -182,7 +182,7 @@ class SeedPolicy:
     def stream_seed(self, name: str) -> int:
         """A non-negative 63-bit integer seed for the named substream.
 
-        For handing a derived seed across a process boundary (parallel / RPC
+        For handing a derived seed across a process boundary (parallel
         worker bootstrap) without pickling generator state.
         """
         state = self.stream_sequence(name).generate_state(1, np.uint64)[0]

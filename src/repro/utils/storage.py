@@ -24,7 +24,7 @@ URL               backend                               sharing model
                                                         replicas)
 ``tcp://H:P``     network store client speaking the     N processes on N hosts
                   token-authenticated frame protocol    (``repro-magma store
-                  of :mod:`repro.core.rpc`              serve`` is the server)
+                  of :mod:`repro.service.netstore`      serve`` is the server)
 ================  ====================================  =========================
 
 The protocol is deliberately small — append one record, iterate records in
@@ -44,7 +44,6 @@ ever lands in one.
 from __future__ import annotations
 
 import json
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
@@ -241,6 +240,25 @@ def render_record(record: Dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+def transport_byte_counters() -> Tuple[Counter, Counter]:
+    """``(sent, received)``: bytes on ``tcp://`` store-transport sockets.
+
+    Every store backend registers both, so ``/metrics`` lists them (at 0)
+    whichever store a service opens; the ``tcp://`` transport counts into them.
+    """
+    registry = get_metrics()
+    return (
+        registry.counter(
+            "repro_rpc_bytes_sent_total",
+            "Bytes written to store-transport sockets (length-prefixed frames).",
+        ),
+        registry.counter(
+            "repro_rpc_bytes_received_total",
+            "Bytes read from store-transport sockets (length-prefixed frames).",
+        ),
+    )
+
+
 # ----------------------------------------------------------------------
 # The protocol
 # ----------------------------------------------------------------------
@@ -269,6 +287,7 @@ class StoreBackend(ABC):
             )
             for op in _STORE_OPS
         }
+        transport_byte_counters()
 
     def _count_op(self, op: str, amount: int = 1) -> None:
         counter = self._op_counters.get(op)
@@ -407,9 +426,8 @@ def open_store_backend(spec: "str | StoreUrl | StoreBackend") -> StoreBackend:
 
         return SqliteStoreBackend(url.path)
     if url.kind == "tcp":
-        # The network client lives in the service layer (it rides the RPC
-        # framing); imported lazily so plain file-backed stores never pay
-        # for the socket machinery.
+        # The network client lives in the service layer; imported lazily so
+        # plain file-backed stores never pay for the socket machinery.
         from repro.service.netstore import NetworkStoreBackend
 
         return NetworkStoreBackend(url.host, url.port, token=url.token)
@@ -505,4 +523,5 @@ __all__ = [
     "parse_store_url",
     "record_fitness",
     "render_record",
+    "transport_byte_counters",
 ]

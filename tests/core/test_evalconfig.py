@@ -1,17 +1,19 @@
 """Tests for the unified :class:`EvalConfig`.
 
-The contract under test: the config validates every backend/worker/host
+The contract under test: the config validates every backend/worker
 combination once, at construction; every entry point takes it as
 ``eval_config=`` (defaulting to ``EvalConfig()``); and an entry point handed
 anything else fails loudly when it is built.
 """
 
+import importlib
 import inspect
 import warnings
 
 import pytest
 
 from repro.core import EvalConfig, M3E, MappingEvaluator
+from repro.cli import build_parser
 from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS
 from repro.exceptions import ConfigurationError
 from repro.experiments.campaign import CampaignRunner
@@ -40,8 +42,7 @@ class TestEvalConfigValidation:
     def test_defaults(self):
         config = EvalConfig()
         assert config.backend == DEFAULT_EVAL_BACKEND
-        assert config.workers is None and config.hosts is None
-        assert config.rpc_token is None
+        assert config.workers is None
 
     def test_every_registered_backend_constructs(self):
         for backend in EVAL_BACKENDS:
@@ -58,31 +59,12 @@ class TestEvalConfigValidation:
         with pytest.raises(ConfigurationError, match=">= 1"):
             EvalConfig(backend="parallel", workers=0)
 
-    def test_hosts_only_for_rpc_and_normalised_to_tuple(self):
-        config = EvalConfig(backend="rpc", hosts="a:1, b:2")
-        assert config.hosts == ("a:1", "b:2")
-        assert EvalConfig(backend="rpc", hosts=["c:3"]).hosts == ("c:3",)
-        with pytest.raises(ConfigurationError, match="rpc"):
-            EvalConfig(backend="batch", hosts="a:1")
-        with pytest.raises(ConfigurationError, match="rpc"):
-            EvalConfig(backend="batch", rpc_token="secret")
-
-    def test_malformed_rpc_hosts_fail_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            EvalConfig(backend="rpc", hosts="no-port-here")
-
     def test_frozen_and_hashable(self):
         config = EvalConfig(backend="parallel", workers=2)
         with pytest.raises(AttributeError):
             config.backend = "batch"
         assert config == EvalConfig(backend="parallel", workers=2)
         assert hash(config) == hash(EvalConfig(backend="parallel", workers=2))
-
-    def test_token_stays_out_of_repr(self):
-        assert "hunter2" not in repr(EvalConfig(backend="rpc", rpc_token="hunter2"))
-
-    def test_no_serialiser_that_would_carry_the_token(self):
-        assert not hasattr(EvalConfig(backend="rpc", rpc_token="hunter2"), "to_dict")
 
 
 class TestEntryPointsAcceptEvalConfig:
@@ -144,3 +126,29 @@ class TestOneConfigPath:
     @pytest.mark.parametrize("alias", sorted(LEGACY_KWARGS))
     def test_m3e_has_no_legacy_alias_property(self, small_platform, alias):
         assert not hasattr(M3E(small_platform), alias)
+
+    def test_rpc_backend_is_gone(self):
+        assert EVAL_BACKENDS == ("scalar", "batch", "parallel")
+        with pytest.raises(ConfigurationError) as raised:
+            EvalConfig(backend="rpc")
+        for backend in EVAL_BACKENDS:
+            assert repr(backend) in str(raised.value)
+
+    @pytest.mark.parametrize("field", ["hosts", "rpc_token"])
+    def test_removed_fields_are_type_errors(self, field):
+        with pytest.raises(TypeError, match=field):
+            EvalConfig(**{field: "a:1"})
+
+    @pytest.mark.parametrize("argv,complaint", [
+        (["eval-worker", "--listen", "127.0.0.1:0"], "invalid choice: 'eval-worker'"),
+        (["search", "--eval-hosts", "a:1"], "unrecognized arguments: --eval-hosts"),
+        (["search", "--eval-rpc-token", "t"], "unrecognized arguments: --eval-rpc-token"),
+    ], ids=["command", "flag", "token-flag"])
+    def test_parser_rejects_removed_commands_and_flags(self, argv, complaint, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert complaint in capsys.readouterr().err
+
+    def test_rpc_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.rpc")

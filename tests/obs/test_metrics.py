@@ -1,8 +1,12 @@
 """Metrics registry: types, labels, and the Prometheus text exposition."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.obs import MetricsRegistry, render_prometheus
+from repro.obs import MetricsRegistry, get_metrics, render_prometheus
 from repro.obs.metrics import Counter, Gauge, Histogram
 
 
@@ -108,6 +112,25 @@ class TestPrometheusRendering:
         assert 'path="a\\"b\\\\c\\nd"' in rendered
 
     def test_render_prometheus_defaults_to_the_process_registry(self):
-        import repro.core.rpc  # noqa: F401 — registers the wire-volume counters
+        get_metrics().counter("repro_test_default_registry_total").inc()
+        assert "repro_test_default_registry_total 1" in render_prometheus()
 
-        assert "repro_rpc_bytes_sent_total" in render_prometheus()
+    def test_a_file_backed_service_exports_the_transport_byte_counters(self, tmp_path):
+        """``/metrics`` lists the ``tcp://`` wire-volume counters at 0 even
+        when no ``tcp://`` store is open.  Checked in a fresh interpreter, so
+        no earlier test can have loaded the transport first."""
+        script = (
+            "import sys\n"
+            "from repro.obs import render_prometheus\n"
+            "from repro.service import MappingService\n"
+            f"MappingService(store={str(tmp_path / 'solutions.jsonl')!r}, workers=1).close()\n"
+            "assert 'repro.service.netstore' not in sys.modules\n"
+            "print(render_prometheus())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "repro_rpc_bytes_sent_total 0" in completed.stdout
+        assert "repro_rpc_bytes_received_total 0" in completed.stdout

@@ -19,7 +19,7 @@ from repro.service import MappingService
 from repro.utils.serialization import SearchResultSummary, jsonable
 from repro.workloads import TaskType, build_task_workload
 
-BACKENDS = ("scalar", "batch", "parallel", "rpc")
+BACKENDS = ("scalar", "batch", "parallel")
 
 SEED = 1234
 

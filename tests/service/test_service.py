@@ -165,8 +165,7 @@ class TestEndToEnd:
 class TestEvalBackendParity:
     """The service must be backend-invariant (PR 4 only exercised ``batch``).
 
-    ``repro-magma serve --eval-backend parallel`` (and ``rpc``, covered with
-    live workers in ``tests/core/test_rpc_eval.py``) drives the same search
+    ``repro-magma serve --eval-backend parallel`` drives the same search
     engine through a worker pool; job results, stored solutions, and repeat
     store hits must be bit-identical to the threaded default.
     """

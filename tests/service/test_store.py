@@ -1,10 +1,26 @@
-"""Tests for the solution store and the shared append-only JSONL base."""
+"""Tests for the solution store, the shared append-only JSONL base, and the
+``tcp://`` store transport's framing and token handshake."""
 
 import json
+import socket
 import threading
 
 import pytest
 
+from repro.exceptions import ConfigurationError, RpcError, WorkerDiedError
+from repro.obs import get_metrics
+from repro.service import netstore
+from repro.service.netstore import (
+    NetworkStoreBackend,
+    NetworkStoreServer,
+    authenticate_outbound,
+    is_loopback_host,
+    parse_listen_address,
+    recv_frame,
+    resolve_token,
+    send_frame,
+    serve_store,
+)
 from repro.service.store import SolutionStore
 from repro.utils.jsonl_store import AppendOnlyJsonlStore
 from repro.utils.serialization import SearchResultSummary
@@ -253,3 +269,321 @@ class TestConcurrentWrites:
         fingerprints = [record["fingerprint"] for record in records]
         assert len(set(fingerprints)) == per_worker * workers
         assert store.fingerprints() == set(fingerprints)
+
+
+TOKEN = "transport-secret"
+
+
+@pytest.fixture()
+def server(tmp_path, monkeypatch):
+    """A live token-protected store server on a localhost ephemeral port."""
+    monkeypatch.delenv("REPRO_RPC_TOKEN", raising=False)
+    server = NetworkStoreServer(f"sqlite:{tmp_path / 'backing.sqlite3'}", token=TOKEN).start()
+    yield server
+    server.shutdown()
+
+
+def _assert_serves_good_clients(server) -> None:
+    client = NetworkStoreBackend(server.host, server.port, token=TOKEN)
+    try:
+        client.append_record({"fingerprint": "fp", "result": {"best_fitness": 1.0}})
+        assert client.fingerprints() == {"fp"}
+    finally:
+        client.close()
+
+
+class TestStoreTransport:
+    def test_frame_round_trip(self):
+        left, right = socket.socketpair()
+        try:
+            payload = b"x" * 100_000
+            send_frame(left, payload)
+            assert recv_frame(right) == payload
+        finally:
+            left.close()
+            right.close()
+
+    def test_closed_peer_raises_worker_died(self):
+        left, right = socket.socketpair()
+        left.close()
+        try:
+            with pytest.raises(WorkerDiedError):
+                recv_frame(right)
+        finally:
+            right.close()
+
+    def test_frame_over_the_limit_raises(self):
+        left, right = socket.socketpair()
+        try:
+            send_frame(left, b"x" * 100)
+            with pytest.raises(RpcError, match="exceeds the 10-byte limit"):
+                recv_frame(right, limit=10)
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize(
+        "listen, expected",
+        [
+            ("127.0.0.1:9123", ("127.0.0.1", 9123)),
+            (" localhost:1 ", ("localhost", 1)),
+            ("127.0.0.1:0", ("127.0.0.1", 0)),  # ephemeral
+            ("::1:65535", ("::1", 65535)),
+        ],
+    )
+    def test_listen_address_forms(self, listen, expected):
+        assert parse_listen_address(listen) == expected
+
+    @pytest.mark.parametrize("bad", ["nocolon", ":9", "h:", "h:notaport", "h:-1", "h:70000"])
+    def test_listen_address_rejects_malformed(self, bad):
+        with pytest.raises(ConfigurationError):
+            parse_listen_address(bad)
+
+    def test_wrong_token_rejected_without_killing_the_server(self, server):
+        bad = NetworkStoreBackend(server.host, server.port, token="wrong")
+        try:
+            with pytest.raises(RpcError, match="rejected the authentication token"):
+                len(bad)
+        finally:
+            bad.close()
+        _assert_serves_good_clients(server)
+
+    def test_oversized_auth_frame_dropped_without_buffering(self, server):
+        """An unauthenticated peer cannot make the server buffer a huge
+        'token': the connection dies at the length prefix."""
+        conn = socket.create_connection((server.host, server.port), timeout=5.0)
+        try:
+            send_frame(conn, b"x" * 100_000)  # far above MAX_AUTH_FRAME_BYTES
+            # Closed without an auth reply: clean EOF or a reset (the server
+            # drops the connection with our unread bytes still in flight).
+            try:
+                assert conn.recv(1) == b""
+            except ConnectionResetError:
+                pass
+        finally:
+            conn.close()
+        _assert_serves_good_clients(server)
+
+    def test_empty_token_refused_on_non_loopback_listen(self, tmp_path, monkeypatch):
+        """An open 0.0.0.0 listener with no token would let anyone who can
+        reach the port read and poison the store every replica trusts."""
+        monkeypatch.delenv("REPRO_RPC_TOKEN", raising=False)
+        backing = f"sqlite:{tmp_path / 'backing.sqlite3'}"
+        with pytest.raises(ConfigurationError, match="non-loopback"):
+            NetworkStoreServer(backing, host="0.0.0.0", token="")
+        # Loopback with an empty token stays fine (local development).
+        NetworkStoreServer(backing, host="127.0.0.1", token="").shutdown()
+
+
+class TestTransportHelpers:
+    @pytest.mark.parametrize("host", ["127.0.0.1", "127.8.9.10", "localhost", "::1"])
+    def test_loopback_addresses(self, host):
+        assert is_loopback_host(host)
+
+    @pytest.mark.parametrize(
+        "host", ["0.0.0.0", "::", "", "10.0.0.1", "::ffff:10.0.0.1", "store.example.org", "127.example.org"]
+    )
+    def test_addresses_that_leave_the_machine(self, host):
+        # A name that merely starts with "127." resolves wherever DNS says.
+        assert not is_loopback_host(host)
+
+    def test_explicit_token_beats_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RPC_TOKEN", "from-env")
+        assert resolve_token("explicit") == "explicit"
+        assert resolve_token("") == ""
+
+    def test_token_falls_back_to_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RPC_TOKEN", "from-env")
+        assert resolve_token(None) == "from-env"
+        monkeypatch.delenv("REPRO_RPC_TOKEN")
+        assert resolve_token(None) == ""
+
+
+def _send_in_thread(sock, payload):
+    """Send *payload* from a thread: a frame larger than the socket buffer
+    blocks ``sendall`` until the other end reads."""
+    sender = threading.Thread(target=send_frame, args=(sock, payload))
+    sender.start()
+    return sender
+
+
+class TestFraming:
+    @pytest.mark.parametrize("size", [0, 1, 4096, (1 << 20) + 7])
+    def test_frames_of_every_size_round_trip(self, size):
+        # (1 << 20) + 7 bytes outgrows a socket buffer: it arrives in many reads.
+        payload = bytes(index % 251 for index in range(size))
+        left, right = socket.socketpair()
+        try:
+            sender = _send_in_thread(left, payload)
+            assert recv_frame(right) == payload
+            sender.join(timeout=10.0)
+        finally:
+            left.close()
+            right.close()
+
+    def test_frame_exactly_at_the_limit_is_accepted(self):
+        left, right = socket.socketpair()
+        try:
+            send_frame(left, b"x" * 10)
+            assert recv_frame(right, limit=10) == b"x" * 10
+        finally:
+            left.close()
+            right.close()
+
+    def test_peer_closing_mid_body_raises_worker_died(self):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(netstore._LENGTH_PREFIX.pack(100) + b"only ten b")
+            left.close()
+            with pytest.raises(WorkerDiedError, match="mid-frame"):
+                recv_frame(right)
+        finally:
+            right.close()
+
+    def test_byte_counters_count_prefix_and_payload(self):
+        # The counter names are part of the /metrics surface.
+        sent = get_metrics().counter("repro_rpc_bytes_sent_total")
+        received = get_metrics().counter("repro_rpc_bytes_received_total")
+        sent_before, received_before = sent.value, received.value
+        left, right = socket.socketpair()
+        try:
+            send_frame(left, b"y" * 50)
+            recv_frame(right)
+        finally:
+            left.close()
+            right.close()
+        assert sent.value - sent_before == 8 + 50
+        assert received.value - received_before == 8 + 50
+
+
+def _raw_authenticated_connection(server) -> socket.socket:
+    conn = socket.create_connection((server.host, server.port), timeout=5.0)
+    authenticate_outbound(conn, TOKEN, "test server")
+    return conn
+
+
+def _raw_request(conn, message: dict) -> dict:
+    send_frame(conn, json.dumps(message).encode("utf-8"))
+    return json.loads(recv_frame(conn).decode("utf-8"))
+
+
+def _assert_dropped(conn) -> None:
+    """The server closed *conn* without replying (EOF or reset)."""
+    try:
+        assert conn.recv(1) == b""
+    except ConnectionResetError:
+        pass
+
+
+class TestStoreServerProtocol:
+    def test_unknown_op_is_an_error_reply_and_the_connection_lives(self, server):
+        conn = _raw_authenticated_connection(server)
+        try:
+            reply = _raw_request(conn, {"op": "explode"})
+            assert reply["ok"] is False and "unknown store op" in reply["error"]
+            assert _raw_request(conn, {"op": "ping"}) == {"ok": True, "value": "pong"}
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"op": "lookup"},
+            {"op": "append"},
+            {"op": "append", "record": 5},
+            {"op": "append_many", "records": None},
+            {"op": "compact", "policy": {"no_such_field": 1}},
+        ],
+        ids=[
+            "lookup-without-fingerprint",
+            "append-without-record",
+            "append-non-record",
+            "append-many-without-records",
+            "compact-unknown-policy-field",
+        ],
+    )
+    def test_malformed_request_is_an_error_reply(self, server, message):
+        conn = _raw_authenticated_connection(server)
+        try:
+            assert _raw_request(conn, message)["ok"] is False
+            assert _raw_request(conn, {"op": "len"}) == {"ok": True, "value": 0}
+        finally:
+            conn.close()
+        _assert_serves_good_clients(server)
+
+    @pytest.mark.parametrize(
+        "payload", [b"[1, 2]", b"\xff\xfe", b"{not json"], ids=["json-array", "not-utf8", "not-json"]
+    )
+    def test_undecodable_frame_drops_the_connection_not_the_server(self, server, payload):
+        conn = _raw_authenticated_connection(server)
+        try:
+            send_frame(conn, payload)
+            _assert_dropped(conn)
+        finally:
+            conn.close()
+        _assert_serves_good_clients(server)
+
+    def test_silent_peer_is_dropped_after_the_auth_timeout(self, server, monkeypatch):
+        monkeypatch.setattr(netstore, "AUTH_TIMEOUT_SECONDS", 0.2)
+        conn = socket.create_connection((server.host, server.port), timeout=5.0)
+        try:
+            _assert_dropped(conn)  # never sent a token
+        finally:
+            conn.close()
+        _assert_serves_good_clients(server)
+
+    def test_both_sides_read_the_token_from_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RPC_TOKEN", TOKEN)
+        server = NetworkStoreServer(f"sqlite:{tmp_path / 'backing.sqlite3'}").start()
+        try:
+            _assert_serves_good_clients(server)
+            env_client = NetworkStoreBackend(server.host, server.port)
+            try:
+                assert len(env_client) == 1
+            finally:
+                env_client.close()
+        finally:
+            server.shutdown()
+
+    def test_requests_and_connections_are_counted(self, server):
+        client = NetworkStoreBackend(server.host, server.port, token=TOKEN)
+        try:
+            client.append_record({"fingerprint": "fp", "result": {"best_fitness": 1.0}})
+            assert len(client) == 1
+            assert client.lookup("fp") is not None
+        finally:
+            client.close()
+        assert server.connections_served == 1
+        assert server.requests_served == 3
+
+    def test_a_network_store_cannot_back_another(self, server):
+        with pytest.raises(ConfigurationError, match="cannot be backed by another network store"):
+            NetworkStoreServer(server.url, token=TOKEN)
+
+    def test_serve_store_rejects_a_malformed_listen_address(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="not of the form host:port"):
+            serve_store("127.0.0.1", f"sqlite:{tmp_path / 'backing.sqlite3'}")
+
+
+class TestStoreClientRecovery:
+    def test_client_reconnects_once_after_losing_its_connection(self, server):
+        client = NetworkStoreBackend(server.host, server.port, token=TOKEN)
+        try:
+            client.append_record({"fingerprint": "fp", "result": {"best_fitness": 1.0}})
+            client._sock.shutdown(socket.SHUT_RDWR)  # the link dies under the client
+            assert client.fingerprints() == {"fp"}
+        finally:
+            client.close()
+        assert server.connections_served == 2
+
+    def test_stopped_server_surfaces_as_unreachable(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_RPC_TOKEN", raising=False)
+        server = NetworkStoreServer(f"sqlite:{tmp_path / 'backing.sqlite3'}", token=TOKEN).start()
+        client = NetworkStoreBackend(server.host, server.port, token=TOKEN, connect_timeout=1.0)
+        try:
+            assert len(client) == 0
+            server.shutdown()  # also drops the client's live connection
+            with pytest.raises(RpcError, match="unreachable"):
+                len(client)
+        finally:
+            client.close()

@@ -34,7 +34,7 @@ def _run(workdir: Path, *bench_files: str) -> None:
 
 
 def _summary(workdir: Path) -> str:
-    return (workdir / "reproduction_summary.txt").read_text(encoding="utf-8")
+    return (workdir / ".bench-out" / "reproduction_summary.txt").read_text(encoding="utf-8")
 
 
 def test_benches_run_in_turn_keep_each_others_lines(tmp_path):
@@ -55,3 +55,18 @@ def test_benches_run_in_turn_keep_each_others_lines(tmp_path):
     assert "first result 1.0x" not in lines
     assert "second result A" in lines and "second result B" in lines
     assert sum("test_first.py::test_bench" in line for line in lines) == 1
+
+
+def test_bench_results_land_in_bench_out_not_the_working_directory(tmp_path):
+    (tmp_path / "test_writer.py").write_text(
+        "def test_bench(report_lines, write_bench_result):\n"
+        "    write_bench_result('BENCH_writer.json', {'speedup': 2.5, 'status': 'measured'})\n"
+        "    report_lines.append('writer result 2.5x')\n"
+    )
+    _run(tmp_path, "test_writer.py")
+    result = tmp_path / ".bench-out" / "BENCH_writer.json"
+    assert result.read_text(encoding="utf-8") == '{\n  "speedup": 2.5,\n  "status": "measured"\n}'
+    assert "writer result 2.5x" in _summary(tmp_path).splitlines()
+    # Nothing lands beside the committed results.
+    assert not (tmp_path / "BENCH_writer.json").exists()
+    assert not (tmp_path / "reproduction_summary.txt").exists()

@@ -13,7 +13,6 @@ The unset case is part of the contract too: under pytest, drawing unseeded
 randomness is a hard error, never silent OS entropy.
 """
 
-import numpy as np
 import pytest
 
 from repro.accelerator import build_setting
@@ -26,9 +25,8 @@ from repro.utils.rng import clear_global_seed, set_global_seed
 from repro.utils.serialization import SearchResultSummary
 from repro.workloads import TaskType, build_task_workload
 
-#: Every evaluation backend; ``rpc`` with no hosts runs its local-fallback
-#: rig, which the backend contract requires to be bit-identical anyway.
-BACKENDS = ("scalar", "batch", "parallel", "rpc")
+#: Every evaluation backend.
+BACKENDS = ("scalar", "batch", "parallel")
 
 SEED = 1234
 
@@ -64,7 +62,7 @@ class TestBackendSeedConsistency:
         second = SearchResultSummary.from_result(_search(backend, SEED))
         assert first.to_dict() == second.to_dict()
 
-    @pytest.mark.parametrize("backend", ("batch", "parallel", "rpc"))
+    @pytest.mark.parametrize("backend", ("batch", "parallel"))
     def test_every_backend_matches_the_scalar_oracle(self, backend):
         """Standing invariant: backends are interchangeable at fixed seed."""
         oracle = SearchResultSummary.from_result(_search("scalar", SEED))

@@ -333,182 +333,96 @@ class TestLockDisciplineChecker:
 
 
 # ----------------------------------------------------------------------
-# RPC frame safety checker (RPL3xx)
+# Pickle safety checker (RPL3xx)
 # ----------------------------------------------------------------------
-RPC_PREAMBLE = textwrap.dedent(
-    """
-    import pickle
+class TestPickleChecker:
+    @pytest.mark.parametrize("call", ["pickle.loads(payload)", "pickle.load(handle)", "pickle.Unpickler(handle)"])
+    def test_detects_every_deserializing_entry_point(self, call):
+        assert codes_in(
+            f"""
+            import pickle
 
-    def recv_frame(sock):
-        return sock.recv(4096)
-
-    def send_frame(sock, payload):
-        sock.sendall(payload)
-
-    def decode(sock):
-        # rpc-frame: decoder
-        return pickle.loads(recv_frame(sock))
-
-    def encode(sock, message):
-        # rpc-frame: encoder allow=ok,result
-        send_frame(sock, pickle.dumps(message))
-
-    def authenticate(conn):
-        # rpc-frame: auth-gate
-        return recv_frame(conn) == b"token"
-    """
-)
-
-
-def rpc_codes(body):
-    """Lint the RPC fixture preamble plus a dedented handler *body*."""
-    return codes_in(RPC_PREAMBLE + textwrap.dedent(body))
-
-
-class TestRpcFrameChecker:
-    def test_detects_unpickle_outside_decoder(self):
-        assert "RPL301" in rpc_codes(
+            def decode(payload, handle):
+                return {call}
             """
-            def sneak(sock):
-                return pickle.loads(recv_frame(sock))
-            """
-        )
+        ) == ["RPL301"]
 
-    def test_detects_pickle_dumps_outside_encoder(self):
-        assert "RPL305" in rpc_codes(
+    def test_sees_through_import_aliases(self):
+        assert codes_in(
             """
-            def sneak_out(sock, message):
-                send_frame(sock, pickle.dumps(message))
-            """
-        )
+            import pickle as codec
+            from pickle import loads as decode_frame
 
-    def test_detects_unpickle_before_auth(self):
-        assert "RPL302" in rpc_codes(
+            def decode(payload):
+                return codec.loads(payload), decode_frame(payload)
             """
-            def handle(conn):
-                message = decode(conn)
-                if not authenticate(conn):
-                    return
-                return message
-            """
-        )
+        ) == ["RPL301", "RPL301"]
 
-    def test_detects_discarded_auth_result(self):
-        assert "RPL302" in rpc_codes(
+    def test_no_annotation_exempts_a_decoder(self):
+        # The retired '# rpc-frame: decoder' grammar is no escape hatch.
+        assert "RPL301" in codes_in(
             """
-            def handle(conn):
-                authenticate(conn)
-                return decode(conn)
-            """
-        )
+            import pickle
 
-    def test_detects_handler_without_auth(self):
-        assert "RPL303" in rpc_codes(
-            """
-            def handle(conn):
-                return decode(conn)
-            """
-        )
-
-    def test_detects_off_allowlist_frame_op(self):
-        assert "RPL304" in rpc_codes(
-            """
-            def reply(sock):
-                encode(sock, {"op": "exec", "cmd": "rm -rf /"})
-            """
-        )
-
-    def test_detects_frame_without_op(self):
-        assert "RPL304" in rpc_codes(
-            """
-            def reply(sock):
-                encode(sock, {"payload": 123})
-            """
-        )
-
-    def test_detects_frombuffer_outside_decoder(self):
-        assert "RPL306" in rpc_codes(
-            """
-            import numpy as np
-
-            def sneak_array(sock):
-                return np.frombuffer(recv_frame(sock), dtype=np.float64)
-            """
-        )
-
-    def test_detects_ndarray_buffer_alias_outside_decoder(self):
-        assert "RPL306" in rpc_codes(
-            """
-            import numpy as np
-
-            def sneak_alias(sock):
-                raw = recv_frame(sock)
-                return np.ndarray((len(raw) // 8,), dtype=np.float64, buffer=raw)
-            """
-        )
-
-    def test_detects_recv_into_array_outside_decoder(self):
-        assert "RPL306" in rpc_codes(
-            """
-            import numpy as np
-
-            def sneak_fill(sock, shape):
-                array = np.empty(shape, dtype=np.float64)
-                sock.recv_into(memoryview(array).cast("B"))
-                return array
-            """
-        )
-
-    def test_ndarray_decode_inside_decoder_is_clean(self):
-        assert (
-            rpc_codes(
-                """
-            import numpy as np
-
-            def decode_array(sock, shape):
+            def decode(sock):
                 # rpc-frame: decoder
-                array = np.empty(shape, dtype=np.float64)
-                sock.recv_into(memoryview(array).cast("B"))
-                return array
+                return pickle.loads(sock.recv(4096))
             """
-            )
-            == []
         )
 
-    def test_ndarray_without_buffer_keyword_is_clean(self):
-        assert (
-            rpc_codes(
-                """
-            import numpy as np
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import _pickle\n\ndef decode(payload):\n    return _pickle.loads(payload)\n",
+            "from _pickle import Unpickler\n\ndef decode(handle):\n    return Unpickler(handle).load()\n",
+        ],
+        ids=["c-module-call", "c-module-import"],
+    )
+    def test_detects_the_c_accelerator_module(self, source):
+        assert codes_in(source) == ["RPL301"]
 
-            def build(shape):
-                return np.ndarray(shape, dtype=np.float64)
-            """
-            )
-            == []
-        )
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import pickle\n\ndecode = pickle.loads\n",
+            "import pickle\n\ndef decode_all(frames):\n    return list(map(pickle.loads, frames))\n",
+            "import functools\nimport pickle\n\nread_one = functools.partial(pickle.load)\n",
+            "import pickle\n\nclass FrameReader(pickle.Unpickler):\n    pass\n",
+            "import pickle\n\nclass Codec:\n    def decode(self, payload):\n        return pickle.loads(payload)\n",
+            "import pickle\n\nCACHED = pickle.loads(b'')\n",
+        ],
+        ids=["aliased-as-value", "passed-to-map", "partial", "subclassed", "method", "module-level"],
+    )
+    def test_detects_every_reference_not_only_direct_calls(self, source):
+        # A decoder handed around as a value deserializes just the same.
+        assert codes_in(source) == ["RPL301"]
 
-    def test_clean_auth_then_decode_handler(self):
-        assert (
-            rpc_codes(
-                """
-            def handle(conn):
-                if not authenticate(conn):
-                    return None
-                message = decode(conn)
-                encode(conn, {"op": "ok"})
-                return message
-            """
-            )
-            == []
-        )
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import pickle\n\ndef save(obj, handle):\n    pickle.dump(obj, handle, protocol=pickle.HIGHEST_PROTOCOL)\n",
+            "import pickle\n\ndef writer(handle):\n    return pickle.Pickler(handle)\n",
+            "class Store:\n    def read(self, payload):\n        return self.loads(payload)\n",
+            "def load(path):\n    return path\n\nload('x')\n",
+            "import json\n\ndef read(handle):\n    return json.load(handle)\n",
+        ],
+        ids=["dump", "pickler", "attribute-named-loads", "own-function-named-load", "json-load"],
+    )
+    def test_near_misses_are_clean(self, source):
+        assert codes_in(source) == []
 
-    def test_module_without_pickle_is_ignored(self):
+    def test_serializing_and_json_decoding_are_clean(self):
         assert (
             codes_in(
                 """
-            def handle(conn):
-                return conn.recv(4096)
+            import json
+            import pickle
+
+            def encode(message):
+                return pickle.dumps(message)
+
+            def decode(payload):
+                return json.loads(payload)
             """
             )
             == []
