@@ -51,6 +51,7 @@ could put any interval's demand more than ``1e-6`` off, relative; see
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import List, Tuple
 
@@ -61,6 +62,37 @@ from repro.core.encoding import Mapping, MappingBatch, stable_argsort_rows
 from repro.core.schedule import BandwidthSegment, Schedule, ScheduledJob
 from repro.exceptions import SchedulingError
 from repro.utils.units import DEFAULT_FREQUENCY_HZ
+
+#: glibc's ``mallopt`` parameter number for ``M_TOP_PAD``.
+_M_TOP_PAD = -2
+
+#: Bytes of free heap that glibc keeps above the top of the heap when it
+#: trims.  Each generation's kernel temporaries are freed at its end; with
+#: the default pad glibc hands that memory back to the OS and the next
+#: generation faults it in again, page by page (tens of thousands of minor
+#: faults per S6/G=200 search).  8 MiB is the smallest of 4, 8 and 16 MiB
+#: that keeps both a search and a 200-row call near zero faults
+#: (docs/PERFORMANCE.md).
+_HEAP_TOP_PAD_BYTES = 8 << 20
+
+
+def _pad_heap_top(pad_bytes: int) -> bool:
+    """Set glibc's ``M_TOP_PAD``; False where the C library has no ``mallopt``.
+
+    The setting is process-wide: it holds for every allocation of the
+    process that imports this module, not only for the allocator's.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # pragma: no cover - not glibc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TOP_PAD, pad_bytes) == 1
+
+
+#: Whether this process's heap keeps the pad.
+_HEAP_TOP_PADDED = _pad_heap_top(_HEAP_TOP_PAD_BYTES)
 
 
 def _check_positive(system_bandwidth_gbps: float, frequency_hz: float) -> None:

@@ -282,12 +282,12 @@ class MappingCodec:
         """Decode a ``(pop, 2G)`` population of repaired rows into a :class:`MappingBatch`.
 
         The rows must already be in the encoding domain — the output of
-        :meth:`repair_batch`, which every evaluation path applies once before
-        memoizing and dispatching rows.  Per row this performs the same
-        priority sort (ties break on job index) and per-core bucketing as
-        :meth:`decode`, but fully vectorized: sorting the priority-sorted
-        jobs by core, rank as tie-break, groups them by core without
-        disturbing their priority order.
+        :meth:`repair_batch`, which every batched evaluation path applies
+        once before simulating or dispatching rows.  Per row this performs
+        the same priority sort (ties break on job index) and per-core
+        bucketing as :meth:`decode`, but fully vectorized: sorting the
+        priority-sorted jobs by core, rank as tie-break, groups them by core
+        without disturbing their priority order.
         """
         pop = repaired.shape[0]
         num_jobs = self.num_jobs

@@ -11,20 +11,22 @@ Three evaluation backends are available, chosen by the ``eval_config``
 constructor argument (:class:`~repro.core.evalconfig.EvalConfig`, also exposed
 as ``--eval-backend {scalar,batch,parallel}`` on the CLI):
 
-* ``"batch"`` (default) — :meth:`MappingEvaluator.evaluate_population` decodes
-  and simulates the whole population in one vectorized sweep through
-  :class:`~repro.core.bw_allocator.BatchBandwidthAllocator`, with an
-  encoding -> fitness memoization cache so elites and duplicate children cost
-  no re-simulation.  Budget accounting still charges every requested sample,
-  exactly as Section VI-B prescribes.
+* ``"batch"`` (default) — :meth:`MappingEvaluator.evaluate_population` repairs,
+  decodes and simulates the whole population in one vectorized sweep through
+  :class:`~repro.core.bw_allocator.BatchBandwidthAllocator`.
 * ``"parallel"`` — the batch sweep sharded across a persistent pool of worker
   processes (:mod:`repro.core.parallel`); ``EvalConfig.workers`` picks the
   pool size (default: one per usable CPU, capped at 8).  Workers run the same
   :class:`~repro.core.parallel.SimulationRig` code path the batch backend
-  uses in process, and the memo cache stays in the main process (only cache
-  misses are dispatched, computed fitnesses are merged back), so the results
-  are bit-identical to ``batch``.
+  uses in process, so the results are bit-identical to ``batch``.
 * ``"scalar"`` — the original one-encoding-at-a-time reference oracle.
+
+Every backend simulates exactly the rows it is given: fitness is a pure
+function of the repaired row, so a duplicate row costs one more simulation
+and scores the same.  Every evaluated sample is charged against the budget,
+exactly as Section VI-B prescribes.  Single encodings
+(:meth:`MappingEvaluator.evaluate`, used by RL and the heuristics) always
+run the scalar path; the IPC cost of a worker would dwarf one simulation.
 
 All backends produce bit-identical fitnesses, history, and best-encoding for
 the same inputs; the scalar path is kept as the correctness oracle for the
@@ -34,7 +36,7 @@ equivalence property tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -53,9 +55,6 @@ from repro.core.schedule import Schedule
 from repro.exceptions import ConfigurationError, OptimizationError
 from repro.obs import get_metrics, get_tracer
 from repro.workloads.groups import JobGroup
-
-#: Soft cap on the number of memoized encoding->fitness entries.
-_FITNESS_CACHE_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -142,34 +141,22 @@ class MappingEvaluator:
             "Fitness evaluations performed, by evaluation backend",
             labels={"backend": self.backend},
         )
-        self._m_memo_hits = _metrics.counter(
-            "repro_memo_hits_total", "Encoding->fitness memo-cache hits (no re-simulation)"
-        )
-        self._m_memo_misses = _metrics.counter(
-            "repro_memo_misses_total", "Memo-cache misses (rows freshly simulated)"
-        )
         self._m_row_events = _metrics.counter(
             "repro_kernel_row_events_total",
-            "Simulated kernel row-events (freshly simulated rows x group size)",
+            "Simulated kernel row-events (evaluated rows x group size)",
         )
-        #: Cumulative memo-cache statistics (the flight recorder reads these
-        #: at the end of a search).
-        self.memo_hits = 0
-        self.memo_misses = 0
         #: Number of :meth:`evaluate_population` calls (≈ optimizer generations).
         self.generations = 0
-        #: Memoized repaired-encoding -> fitness map used by the batch
-        #: backend.  Hits skip re-simulation but still consume budget.
-        self._fitness_cache: Dict[bytes, float] = {}
         #: When true, every evaluated encoding and its fitness are recorded
         #: (used by the exploration-visualisation experiment, Fig. 10).
         self.record_samples = False
         self._samples_used = 0
         self._best_fitness = -np.inf
         self._best_encoding: Optional[np.ndarray] = None
-        self._history: List[float] = []
+        # Per-call float64 arrays, joined only when read.
+        self._history: List[np.ndarray] = []
         self._sampled_encodings: List[np.ndarray] = []
-        self._sampled_fitnesses: List[float] = []
+        self._sampled_fitnesses: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # Budget / history bookkeeping
@@ -204,19 +191,21 @@ class MappingEvaluator:
     @property
     def history(self) -> List[float]:
         """Best-so-far fitness after each evaluation (convergence curve)."""
-        return list(self._history)
+        return np.concatenate(self._history).tolist() if self._history else []
 
     @property
     def sampled_encodings(self) -> np.ndarray:
         """All recorded encodings (empty unless ``record_samples`` is set)."""
         if not self._sampled_encodings:
             return np.empty((0, self.codec.encoding_length))
-        return np.asarray(self._sampled_encodings)
+        return np.concatenate(self._sampled_encodings)
 
     @property
     def sampled_fitnesses(self) -> np.ndarray:
         """Fitness of each recorded encoding (empty unless ``record_samples``)."""
-        return np.asarray(self._sampled_fitnesses)
+        if not self._sampled_fitnesses:
+            return np.empty(0)
+        return np.concatenate(self._sampled_fitnesses)
 
     def reset(self) -> None:
         """Clear the sample counter, history, and best-so-far record."""
@@ -242,45 +231,23 @@ class MappingEvaluator:
                 f"sampling budget of {self.sampling_budget} evaluations exhausted"
             )
         repaired = self.codec.repair(np.asarray(encoding, dtype=float))
-        if self.backend != "scalar":
-            # One-at-a-time callers (RL environments, heuristics, DE trials in
-            # scalar-era code paths) share the population memo cache: repeated
-            # encodings skip re-simulation but still charge budget below.
-            # Single encodings are never dispatched to workers — the IPC cost
-            # would dwarf the simulation.
-            key = repaired.tobytes()
-            fitness = self._fitness_cache.get(key)
-            if fitness is None:
-                self.memo_misses += 1
-                self._m_memo_misses.inc()
-                self._m_row_events.inc(self.group.size)
-                fitness = float(self._scalar_fitness(repaired))
-                if len(self._fitness_cache) < _FITNESS_CACHE_LIMIT:
-                    self._fitness_cache[key] = fitness
-            else:
-                self.memo_hits += 1
-                self._m_memo_hits.inc()
-        else:
-            # The scalar oracle must score the *repaired* encoding, exactly
-            # like the batch path: simulating the raw vector would let the two
-            # backends (and the recorded best_encoding's fitness) disagree on
-            # out-of-domain encodings.
-            fitness = self._scalar_fitness(repaired)
+        fitness = float(self._scalar_fitness(repaired))
         self._m_evals.inc()
+        self._m_row_events.inc(self.group.size)
         if count_sample:
-            self._record_sample(fitness, repaired)
+            self._record_population(np.array([fitness]), repaired[None, :])
         return fitness
 
     def evaluate_population(self, population: np.ndarray, count_samples: bool = True) -> np.ndarray:
         """Evaluate a ``(pop, 2G)`` array of encodings, respecting the budget.
 
         On the ``batch`` backend the whole population is decoded and simulated
-        in one vectorized sweep (memoized per repaired encoding); ``parallel``
-        shards the same sweep across worker processes; the ``scalar`` backend
-        evaluates row by row.  All yield bit-identical fitnesses, history, and
-        best-encoding.  If the budget runs out part-way through, the remaining
-        individuals receive ``-inf`` fitness so population-based optimizers
-        can finish their generation without over-spending samples.
+        in one vectorized sweep; ``parallel`` shards the same sweep across
+        worker processes; the ``scalar`` backend evaluates row by row.  All
+        yield bit-identical fitnesses, history, and best-encoding.  If the
+        budget runs out part-way through, the remaining individuals receive
+        ``-inf`` fitness so population-based optimizers can finish their
+        generation without over-spending samples.
         """
         population = np.atleast_2d(np.asarray(population, dtype=float))
         num = population.shape[0]
@@ -300,25 +267,19 @@ class MappingEvaluator:
             rows=int(num_evaluated),
             gen=self.generations,
         ):
-            if self._pool is not None:
-                values, repaired = self._memoized_fitnesses(
-                    population[:num_evaluated], self._pool.evaluate
-                )
-            elif self.backend == "batch":
-                values, repaired = self._memoized_fitnesses(
-                    population[:num_evaluated], self._rig.fitnesses_for_rows
-                )
+            rows = population[:num_evaluated]
+            if self.backend == "scalar":
+                # The oracle repairs and simulates row by row; like the batch
+                # path it scores the repaired rows, so out-of-domain
+                # encodings score identically on every backend.
+                repaired = np.stack([self.codec.repair(row) for row in rows])
+                values = np.array([self._scalar_fitness(row) for row in repaired])
             else:
-                # The scalar oracle simulates the repaired rows (the batch path
-                # always has), so out-of-domain encodings score identically.
-                repaired = np.stack(
-                    [self.codec.repair(population[i]) for i in range(num_evaluated)]
-                )
-                values = np.array(
-                    [self._scalar_fitness(repaired[i]) for i in range(num_evaluated)]
-                )
-                self._m_row_events.inc(int(num_evaluated) * self.group.size)
+                repaired = self.codec.repair_batch(rows)
+                simulate = self._rig.fitnesses_for_rows if self._pool is None else self._pool.evaluate
+                values = simulate(repaired)
         self._m_evals.inc(int(num_evaluated))
+        self._m_row_events.inc(int(num_evaluated) * self.group.size)
 
         fitnesses[:num_evaluated] = values
         if count_samples:
@@ -328,19 +289,8 @@ class MappingEvaluator:
     # ------------------------------------------------------------------
     # Backend internals
     # ------------------------------------------------------------------
-    def _record_sample(self, fitness: float, repaired: np.ndarray) -> None:
-        """Charge one budget sample and update the best/history bookkeeping."""
-        self._samples_used += 1
-        if fitness > self._best_fitness:
-            self._best_fitness = fitness
-            self._best_encoding = repaired
-        self._history.append(self._best_fitness)
-        if self.record_samples:
-            self._sampled_encodings.append(repaired)
-            self._sampled_fitnesses.append(fitness)
-
     def _record_population(self, fitnesses: np.ndarray, repaired: np.ndarray) -> None:
-        """Vectorized :meth:`_record_sample` over a whole evaluated population.
+        """Charge one budget sample per row and update the best/history bookkeeping.
 
         Produces exactly the bookkeeping a per-row loop would — the running
         best is a cumulative maximum seeded with the previous best, and the
@@ -348,17 +298,16 @@ class MappingEvaluator:
         handful of array ops, so ``record_samples=True`` reporting runs
         (Fig. 10/15-style full-timeline recording) stay on the fast path.
         """
-        num = len(fitnesses)
-        self._samples_used += num
+        self._samples_used += len(fitnesses)
         running_best = np.maximum.accumulate(np.maximum(fitnesses, self._best_fitness))
-        self._history.extend(float(v) for v in running_best)
+        self._history.append(running_best)
         new_best = float(running_best[-1])
         if new_best > self._best_fitness:
             self._best_fitness = new_best
             self._best_encoding = repaired[int(np.argmax(fitnesses))].copy()
         if self.record_samples:
-            self._sampled_encodings.extend(repaired[i].copy() for i in range(num))
-            self._sampled_fitnesses.extend(float(v) for v in fitnesses)
+            self._sampled_encodings.append(repaired.copy())
+            self._sampled_fitnesses.append(np.array(fitnesses, dtype=float))
 
     def _scalar_fitness(self, encoding: np.ndarray) -> float:
         """Reference fitness of one encoding via the scalar allocator."""
@@ -366,42 +315,6 @@ class MappingEvaluator:
         makespan = self.allocator.makespan_cycles(mapping, self.table)
         schedule = self._lightweight_schedule(makespan)
         return self.objective.fitness(schedule, mapping, self.table)
-
-    def _memoized_fitnesses(
-        self, population: np.ndarray, simulate: Callable[[np.ndarray], np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fitness of every row, memoized; *simulate* scores the cache misses.
-
-        Returns ``(fitnesses, repaired)``.  Rows whose repaired encoding was
-        seen before (earlier generations or duplicates within this batch) are
-        served from the cache without re-simulation; only the unique misses
-        reach *simulate* — the in-process batch sweep or the worker pool.
-        Freshly computed fitnesses merge back into the main-process cache, so
-        parallel workers never need shared state.
-        """
-        repaired = self.codec.repair_batch(population)
-        keys = [row.tobytes() for row in repaired]
-        fresh: Dict[bytes, int] = {}
-        for i, key in enumerate(keys):
-            if key not in self._fitness_cache and key not in fresh:
-                fresh[key] = i
-        hits = len(keys) - len(fresh)
-        self.memo_hits += hits
-        self.memo_misses += len(fresh)
-        if hits:
-            self._m_memo_hits.inc(hits)
-        computed: Dict[bytes, float] = {}
-        if fresh:
-            self._m_memo_misses.inc(len(fresh))
-            self._m_row_events.inc(len(fresh) * self.group.size)
-            values = simulate(repaired[list(fresh.values())])
-            computed = {key: float(values[slot]) for slot, key in enumerate(fresh)}
-            if len(self._fitness_cache) < _FITNESS_CACHE_LIMIT:
-                self._fitness_cache.update(computed)
-        fitnesses = np.array(
-            [computed.get(key, self._fitness_cache.get(key)) for key in keys], dtype=float
-        )
-        return fitnesses, repaired
 
     def detailed_evaluation(self, encoding: np.ndarray) -> EvaluationResult:
         """Evaluate one encoding and return the decoded mapping plus metrics.

@@ -286,8 +286,6 @@ class M3E:
         if recorder is not None:
             recorder.count(f"evals_{self.eval_config.backend}", float(evaluator.samples_used))
             recorder.count("generations", float(evaluator.generations))
-            recorder.count("memo_hits", float(evaluator.memo_hits))
-            recorder.count("memo_misses", float(evaluator.memo_misses))
             telemetry = recorder.to_dict()
             telemetry["backend"] = self.eval_config.backend
         metadata = dict(algorithm.metadata)

@@ -43,10 +43,8 @@ on its pipe; one that stays silent past ``task_timeout_s`` is terminated.
 Either way its shard is recomputed inline (bit-identically) and the worker
 is respawned on the next call.
 
-Memoization stays in the main process: the evaluator dispatches only rows
-that miss its encoding -> fitness cache and merges the freshly computed
-fitnesses back, so workers never need a shared cache (and duplicate rows are
-simulated exactly once per search, same as the ``batch`` backend).
+Each call simulates exactly the rows it is given, as the ``batch`` backend
+does: no fitness is cached between calls, in the pool or in the evaluator.
 """
 
 from __future__ import annotations

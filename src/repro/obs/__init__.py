@@ -10,7 +10,7 @@ Zero-dependency (stdlib-only) observability for the whole engine:
   by the HTTP frontend's ``GET /metrics``.
 * :mod:`repro.obs.flight` — the per-search
   :class:`~repro.obs.flight.FlightRecorder` (wall/cpu per phase, eval and
-  memo-cache counts) and the ``repro-magma trace summarize`` analyzer.
+  generation counts) and the ``repro-magma trace summarize`` analyzer.
 
 The determinism contract (docs/OBSERVABILITY.md): telemetry observes, never
 steers.  All clocks are monotonic, no telemetry value ever reaches a seed or

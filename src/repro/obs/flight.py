@@ -4,7 +4,7 @@
 produces the ``telemetry`` block a
 :class:`~repro.utils.serialization.SearchResultSummary` can carry: wall and
 CPU seconds per phase (analyze / warm_start / optimize / finalize),
-evaluation counts per backend, generations, and the memo-cache hit rate.
+evaluation counts per backend, and generations.
 
 The block is diagnostic, never durable: ``SearchResultSummary.to_dict()``
 excludes it by default, so stores, payload fingerprints, campaign resume
@@ -87,7 +87,7 @@ class FlightRecorder:
         entry["count"] += 1.0
 
     def count(self, key: str, amount: float = 1.0) -> None:
-        """Accumulate a named counter (eval rows, generations, cache hits)."""
+        """Accumulate a named counter (eval rows, generations)."""
         self._counters[key] = self._counters.get(key, 0.0) + amount
 
     def to_dict(self) -> Dict[str, Any]:
@@ -100,13 +100,7 @@ class FlightRecorder:
             }
             for name, entry in self._phases.items()
         }
-        counters = dict(self._counters)
-        hits = counters.get("memo_hits", 0.0)
-        misses = counters.get("memo_misses", 0.0)
-        block: Dict[str, Any] = {"phases": phases, "counters": counters}
-        if hits or misses:
-            block["cache_hit_rate"] = hits / (hits + misses)
-        return block
+        return {"phases": phases, "counters": dict(self._counters)}
 
 
 def null_phase() -> _NullPhase:

@@ -2,7 +2,7 @@
 
 A process-local :class:`MetricsRegistry` (reached via :func:`get_metrics`)
 holds every metric the engine emits — evaluations per backend, kernel
-row-events, memo/store hit counts, shard dispatch and worker deaths,
+row-events, store hit counts, shard dispatch and worker deaths,
 service queue depth, store-transport bytes on the wire.  The full
 catalogue (names, types, label sets) lives in docs/OBSERVABILITY.md.
 

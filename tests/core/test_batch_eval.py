@@ -319,16 +319,22 @@ class TestBackendEquivalence:
         assert scalar.samples_used == batch.samples_used == 7
         assert scalar.history == batch.history
 
-    def test_duplicates_served_from_cache_still_charge_budget(self):
-        """Memoization skips re-simulation but budget accounting is unchanged."""
+    @pytest.mark.parametrize("backend", EVAL_BACKENDS)
+    def test_duplicates_each_charge_budget_and_score_identically(self, backend):
+        """Every copy of a row is charged, and every copy scores the same."""
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, sampling_budget=100, eval_config=EvalConfig(backend="batch"))
-        encoding = evaluator.codec.random_encoding(rng=0)
-        population = np.tile(encoding, (6, 1))
-        fitnesses = evaluator.evaluate_population(population)
-        assert evaluator.samples_used == 6  # every duplicate charged
-        assert len(set(fitnesses.tolist())) == 1
-        assert len(evaluator._fitness_cache) == 1  # simulated once
+        workers = 2 if backend == "parallel" else None
+        with MappingEvaluator(
+            group, platform, sampling_budget=100,
+            eval_config=EvalConfig(backend=backend, workers=workers),
+        ) as evaluator:
+            encoding = evaluator.codec.random_encoding(rng=0)
+            fitnesses = evaluator.evaluate_population(np.tile(encoding, (6, 1)))
+            assert evaluator.samples_used == 6
+            assert len(set(fitnesses.tolist())) == 1
+            assert evaluator.evaluate(encoding) == fitnesses[0]
+            assert evaluator.samples_used == 7
+            assert evaluator.history == [fitnesses[0]] * 7
 
     def test_search_results_identical_across_backends(self):
         """End to end: a full MAGMA search is backend-invariant."""

@@ -234,20 +234,22 @@ class TestParallelBackendEquivalence:
         finally:
             parallel.close()
 
-    def test_cache_merges_into_main_process(self):
-        """Worker results must land in the main-process memo cache: a repeat
-        generation is served without any live workers at all."""
+    def test_generation_after_close_restarts_the_pool(self):
+        """A closed evaluator restarts its pool lazily on the next generation
+        and scores the same rows the same."""
         platform, group = _problem("S2", 16.0, 10)
         evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="parallel", workers=2))
         population = evaluator.codec.random_population(24, rng=4)
-        first = evaluator.evaluate_population(population, count_samples=False)
-        assert evaluator._pool.is_running  # 24 rows -> two shards, real dispatch
-        assert len(evaluator._fitness_cache) == 24
-        evaluator.close()
-        # Every row is now memoized: re-evaluating must not restart the pool.
-        second = evaluator.evaluate_population(population, count_samples=False)
-        assert np.array_equal(first, second)
-        assert not evaluator._pool.is_running
+        try:
+            first = evaluator.evaluate_population(population, count_samples=False)
+            assert evaluator._pool.is_running  # 24 rows -> two shards, real dispatch
+            evaluator.close()
+            assert not evaluator._pool.is_running
+            second = evaluator.evaluate_population(population, count_samples=False)
+            assert np.array_equal(first, second)
+            assert evaluator._pool.is_running
+        finally:
+            evaluator.close()
 
     def test_small_populations_run_inline_without_starting_workers(self):
         """A single shard gains nothing from IPC: tiny generations must not
