@@ -102,11 +102,19 @@ class JobProfile:
     dram_traffic_bytes: float
 
 
+def _read_only_copy(array: np.ndarray) -> np.ndarray:
+    copy = np.array(array, order="C")
+    copy.setflags(write=False)
+    return copy
+
+
 class JobAnalysisTable:
     """Dense lookup table: (job, sub-accelerator) -> latency / bandwidth / energy.
 
     Backed by NumPy arrays of shape ``(num_jobs, num_sub_accelerators)`` so the
-    BW allocator and heuristics can vectorise their lookups.
+    BW allocator and heuristics can vectorise their lookups.  The table keeps
+    read-only copies of the arrays it is given, so a fact proven about it
+    once (the batched allocator's precondition checks) stays true.
     """
 
     def __init__(
@@ -130,11 +138,11 @@ class JobAnalysisTable:
             raise SchedulingError(
                 f"job_flops must have shape ({first[0]},), got {job_flops.shape}"
             )
-        self.latency_cycles = latency_cycles
-        self.required_bw_gbps = required_bw_gbps
-        self.energy_joules = energy_joules
-        self.dram_traffic_bytes = dram_traffic_bytes
-        self.job_flops = job_flops
+        self.latency_cycles = _read_only_copy(latency_cycles)
+        self.required_bw_gbps = _read_only_copy(required_bw_gbps)
+        self.energy_joules = _read_only_copy(energy_joules)
+        self.dram_traffic_bytes = _read_only_copy(dram_traffic_bytes)
+        self.job_flops = _read_only_copy(job_flops)
 
     # ------------------------------------------------------------------
     @property
@@ -208,13 +216,25 @@ def hardware_key(config: SubAcceleratorConfig) -> Tuple:
     )
 
 
+#: ``(layer, hardware key) -> (latency, bw, energy, traffic)`` of every pair
+#: any analyzer of this process has profiled.  The cost model is a pure
+#: function of the layer and the hardware (:func:`hardware_key`), so one memo
+#: serves every analyzer; it is bounded by the model zoo's layers times the
+#: hardware configurations in use.  Two threads that miss on one key at once
+#: only compute the same value twice.
+_LAYER_PROFILES: Dict[Tuple[LayerShape, Tuple], Tuple[float, float, float, float]] = {}
+
+
 class JobAnalyzer:
     """Profiles jobs on sub-accelerators and builds :class:`JobAnalysisTable` objects.
 
-    Cost-model evaluations are memoised on ``(layer, hardware)``, where the
-    hardware is a core's configuration without its name (:func:`hardware_key`),
-    so repeated layer shapes (the common case in batched-job benchmarks) and
-    identical cores are each analysed once.
+    Cost-model evaluations are memoised process-wide on ``(layer,
+    hardware)``, where the hardware is a core's configuration without its
+    name (:func:`hardware_key`), so repeated layer shapes (the common case in
+    batched-job benchmarks), identical cores and later analyzers of the same
+    hardware each profile a layer once.  :meth:`analyze` looks up each
+    distinct (layer, hardware) pair of a group once and fills the table by
+    fancy indexing.
     """
 
     def __init__(self, platform: AcceleratorPlatform):
@@ -224,7 +244,6 @@ class JobAnalyzer:
         for key, sub in zip(self._hardware, platform.sub_accelerators):
             if key not in self._cost_models:
                 self._cost_models[key] = sub.build_cost_model()
-        self._cache: Dict[Tuple[LayerShape, Tuple], Tuple[float, float, float, float]] = {}
 
     # ------------------------------------------------------------------
     def profile_layer(self, layer: LayerShape, sub_index: int) -> Tuple[float, float, float, float]:
@@ -233,42 +252,40 @@ class JobAnalyzer:
             raise SchedulingError(
                 f"sub-accelerator index {sub_index} out of range [0, {len(self._hardware)})"
             )
-        hardware = self._hardware[sub_index]
+        return self._profile(layer, self._hardware[sub_index])
+
+    def _profile(self, layer: LayerShape, hardware: Tuple) -> Tuple[float, float, float, float]:
         key = (layer, hardware)
-        if key not in self._cache:
+        profile = _LAYER_PROFILES.get(key)
+        if profile is None:
             estimate = self._cost_models[hardware].evaluate(layer)
-            self._cache[key] = (
+            profile = _LAYER_PROFILES[key] = (
                 estimate.no_stall_latency_cycles,
                 estimate.required_bw_gbps,
                 estimate.energy_joules,
                 estimate.dram_traffic_bytes,
             )
-        return self._cache[key]
+        return profile
 
     def analyze(self, group: JobGroup | Sequence[Job]) -> JobAnalysisTable:
         """Build the Job Analysis Table for a group of jobs on this platform."""
         jobs: Sequence[Job] = group.jobs if isinstance(group, JobGroup) else tuple(group)
         if not jobs:
             raise SchedulingError("cannot analyze an empty job group")
-        num_jobs = len(jobs)
-        num_subs = self.platform.num_sub_accelerators
-        latency = np.zeros((num_jobs, num_subs))
-        bandwidth = np.zeros((num_jobs, num_subs))
-        energy = np.zeros((num_jobs, num_subs))
-        traffic = np.zeros((num_jobs, num_subs))
-        flops = np.zeros(num_jobs)
-        for j, job in enumerate(jobs):
-            flops[j] = job.flops
-            for a in range(num_subs):
-                lat, bw, en, tr = self.profile_layer(job.layer, a)
-                latency[j, a] = lat
-                bandwidth[j, a] = bw
-                energy[j, a] = en
-                traffic[j, a] = tr
+        layer_slots: Dict[LayerShape, int] = {}
+        job_layers = [layer_slots.setdefault(job.layer, len(layer_slots)) for job in jobs]
+        hardware_slots: Dict[Tuple, int] = {}
+        core_hardware = [hardware_slots.setdefault(key, len(hardware_slots)) for key in self._hardware]
+        # (layer, hardware, field) profiles, spread to (job, core, field).
+        profiles = np.array(
+            [[self._profile(layer, hardware) for hardware in hardware_slots] for layer in layer_slots],
+            dtype=float,
+        )
+        pairs = profiles[np.array(job_layers)[:, None], np.array(core_hardware)]
         return JobAnalysisTable(
-            latency_cycles=latency,
-            required_bw_gbps=bandwidth,
-            energy_joules=energy,
-            dram_traffic_bytes=traffic,
-            job_flops=flops,
+            latency_cycles=pairs[:, :, 0],
+            required_bw_gbps=pairs[:, :, 1],
+            energy_joules=pairs[:, :, 2],
+            dram_traffic_bytes=pairs[:, :, 3],
+            job_flops=np.array([job.flops for job in jobs], dtype=float),
         )

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -63,8 +63,10 @@ from repro.core.schedule import BandwidthSegment, Schedule, ScheduledJob
 from repro.exceptions import SchedulingError
 from repro.utils.units import DEFAULT_FREQUENCY_HZ
 
-#: glibc's ``mallopt`` parameter number for ``M_TOP_PAD``.
+#: glibc's ``mallopt`` parameter numbers for ``M_TOP_PAD`` and
+#: ``M_MMAP_THRESHOLD``.
 _M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
 
 #: Bytes of free heap that glibc keeps above the top of the heap when it
 #: trims.  Each generation's kernel temporaries are freed at its end; with
@@ -75,11 +77,19 @@ _M_TOP_PAD = -2
 #: (docs/PERFORMANCE.md).
 _HEAP_TOP_PAD_BYTES = 8 << 20
 
+#: Allocations at least this large are mmapped rather than taken from the
+#: heap.  Setting any ``mallopt`` parameter freezes glibc's sliding mmap
+#: threshold at its 128 KiB default, so without this the largest arrays of
+#: a call of a few hundred S6/G=200 rows would be mmapped and faulted in
+#: afresh on every call.  32 MiB is glibc's largest threshold on 64-bit.
+_MMAP_THRESHOLD_BYTES = 32 << 20
 
-def _pad_heap_top(pad_bytes: int) -> bool:
-    """Set glibc's ``M_TOP_PAD``; False where the C library has no ``mallopt``.
 
-    The setting is process-wide: it holds for every allocation of the
+def _pad_heap_top(pad_bytes: int, mmap_threshold_bytes: int) -> bool:
+    """Set glibc's ``M_TOP_PAD`` and ``M_MMAP_THRESHOLD``.
+
+    False where the C library has no ``mallopt`` or refuses a value.  The
+    settings are process-wide: they hold for every allocation of the
     process that imports this module, not only for the allocator's.
     """
     try:
@@ -88,11 +98,14 @@ def _pad_heap_top(pad_bytes: int) -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return mallopt(_M_TOP_PAD, pad_bytes) == 1
+    return (
+        mallopt(_M_TOP_PAD, pad_bytes) == 1
+        and mallopt(_M_MMAP_THRESHOLD, mmap_threshold_bytes) == 1
+    )
 
 
-#: Whether this process's heap keeps the pad.
-_HEAP_TOP_PADDED = _pad_heap_top(_HEAP_TOP_PAD_BYTES)
+#: Whether this process's heap keeps the pad and the raised mmap threshold.
+_HEAP_TOP_PADDED = _pad_heap_top(_HEAP_TOP_PAD_BYTES, _MMAP_THRESHOLD_BYTES)
 
 
 def _check_positive(system_bandwidth_gbps: float, frequency_hz: float) -> None:
@@ -141,6 +154,27 @@ def _check_bw_spread(spread: float, num_jobs: int, num_cores: int) -> None:
             f"required bandwidths span a factor of {spread:.3g}, too wide for the "
             f"running demand sum of {num_jobs} jobs on {num_cores} cores"
         )
+
+
+def _table_fails_no_mapping(table: JobAnalysisTable) -> bool:
+    """Whether every entry of *table* is valid and its whole spread passes.
+
+    Valid means a positive latency and a positive finite ``latency * bw``
+    (which imply a positive bandwidth; NaN fails every comparison).  A
+    mapping uses a subset of the entries on at most the table's cores, so
+    no mapping on such a table can fail either check.
+    """
+    latency, bw = table.latency_cycles, table.required_bw_gbps
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = latency * bw
+        if not (latency.min() > 0 and work.min() > 0 and work.max() < np.inf):
+            return False
+        spread = float(bw.max() / bw.min())
+    try:
+        _check_bw_spread(spread, table.num_jobs, table.num_sub_accelerators)
+    except SchedulingError:
+        return False
+    return True
 
 
 def _bad_job(job_index: int, core: int) -> SchedulingError:
@@ -286,14 +320,19 @@ class BatchBandwidthAllocator:
     Every floating-point operation mirrors the scalar
     :class:`BandwidthAllocator` element-wise and in order, so the returned
     makespans are bit-identical to running the scalar walk per individual.
-    It has the scalar's preconditions, checked per row: the batch raises
+    It has the scalar's preconditions: the batch raises
     :class:`~repro.exceptions.SchedulingError` when any row would alone.
+    They are checked once per table when the whole table passes them (no
+    mapping on it can then fail), and per row, on every call, when it
+    does not.
     """
 
     def __init__(self, system_bandwidth_gbps: float, frequency_hz: float = DEFAULT_FREQUENCY_HZ):
         _check_positive(system_bandwidth_gbps, frequency_hz)
         self.system_bandwidth_gbps = system_bandwidth_gbps
         self.frequency_hz = frequency_hz
+        #: The last table shown to fail no mapping (see makespan_cycles).
+        self._proven_table: Optional[JobAnalysisTable] = None
 
     # ------------------------------------------------------------------
     def makespan_cycles(self, batch: MappingBatch, table: JobAnalysisTable) -> np.ndarray:
@@ -305,21 +344,22 @@ class BatchBandwidthAllocator:
         table_index = batch.lane_order * table.num_sub_accelerators + lane_cores
         latency = table.latency_cycles.take(table_index)
         bw = table.required_bw_gbps.take(table_index)
-        # Validate the whole table at once (positive latencies and positive
-        # finite products imply positive bandwidths; NaN fails every
-        # comparison).  Only a table holding an invalid entry needs the
-        # batch's own entries checked: a mapping that never uses the entry
-        # still simulates, as on the scalar path.
-        table_latency = table.latency_cycles
-        with np.errstate(over="ignore", invalid="ignore"):
-            table_work = table_latency * table.required_bw_gbps
-            if not (table_latency.min() > 0 and table_work.min() > 0 and table_work.max() < np.inf):
-                bad = np.argwhere(~((latency > 0) & (bw > 0) & np.isfinite(latency * bw)))
+        # A table whose every entry is valid and whose whole bandwidth spread
+        # passes the bound fails no mapping; its arrays are read-only, so
+        # that is proven once per table.  Any other table checks the
+        # entries and the spread each row uses: a mapping that never uses a
+        # bad entry still simulates, as on the scalar path.
+        if table is not self._proven_table:
+            if _table_fails_no_mapping(table):
+                self._proven_table = table
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bad = np.argwhere(~((latency > 0) & (bw > 0) & np.isfinite(latency * bw)))
                 if bad.size:
                     row, slot = bad[0]
                     raise _bad_job(batch.lane_order[row, slot], lane_cores[row, slot])
-        spread = bw.max(axis=1, initial=0.0) / bw.min(axis=1, initial=np.inf)
-        _check_bw_spread(float(spread.max(initial=0.0)), num_jobs, num_cores)
+                spread = bw.max(axis=1, initial=0.0) / bw.min(axis=1, initial=np.inf)
+                _check_bw_spread(float(spread.max(initial=0.0)), num_jobs, num_cores)
 
         # Zero-padded (depth, lane) layout, lane = row * cores + core: the
         # lane-major entry i of a row sits at depth i - (its lane's start).
@@ -338,7 +378,8 @@ class BatchBandwidthAllocator:
         padded_bw[slots] = bw
         # Virtual end times: a per-lane running sum, one vector add per depth
         # level across every lane, so each lane adds sequentially exactly as
-        # the scalar's running sum does.
+        # the scalar's running sum does.  (A cumsum along axis 0 gives the
+        # same bits but ran 3-4x slower than these contiguous row adds.)
         for level in range(1, depth - 1):
             np.add(padded_latency[level - 1], padded_latency[level], out=padded_latency[level])
         virtual_end = padded_latency.take(slots)

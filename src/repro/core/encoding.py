@@ -19,10 +19,16 @@ and :meth:`MappingCodec.decode_batch` decodes the repaired rows into a
 :class:`MappingBatch`, the lane-major array form consumed by the batched
 bandwidth allocator (:class:`~repro.core.bw_allocator.BatchBandwidthAllocator`):
 each row's jobs sorted by (core, priority, job index), so every core's
-execution queue is one contiguous run.  A priority argsort, one sort of
-``(core, rank)`` keys and one ``bincount`` build it, with no ``(pop, G, A)``
-intermediate.  The batch decode is bit-identical to decoding each row with
+execution queue is one contiguous run.  Two sorts and one ``bincount``
+build it, with no ``(pop, G, A)`` intermediate: an argsort of the
+priorities yields each job's dense priority rank (equal priorities share
+one), and one sort of the unique integer keys ``(core, rank, job)`` orders
+the row, ties broken on job index as the scalar decode's ``lexsort`` does.
+The batch decode is bit-identical to decoding each row with
 :meth:`MappingCodec.decode`.
+
+:func:`stable_argsort_rows`, a fast row-wise stable argsort, lives here too;
+the batched bandwidth allocator sorts its events with it.
 """
 
 from __future__ import annotations
@@ -48,13 +54,14 @@ def stable_argsort_rows(values: np.ndarray) -> np.ndarray:
     than :data:`_STABLE_ARGSORT_MAX_COLUMNS` use it and then put each run of
     equal values back in column order with one plain sort of the unique
     integer keys ``(run, column)``.  The result is the same either way; on
-    short rows the stable sort is the faster of the two.
+    short rows the stable sort is the faster of the two.  The batched
+    bandwidth allocator sorts its events with it.
     """
-    num_columns = values.shape[1]
+    num_rows, num_columns = values.shape
     if num_columns <= _STABLE_ARGSORT_MAX_COLUMNS:
         return np.argsort(values, axis=1, kind="stable")
     order = np.argsort(values, axis=1)
-    ranked = np.take_along_axis(values, order, axis=1)
+    ranked = values.take(order + np.arange(0, num_rows * num_columns, num_columns)[:, None])
     column_bits = (num_columns - 1).bit_length()
     key_type = np.int32 if num_columns << column_bits < 2**31 else np.int64
     keys = np.zeros(order.shape, dtype=key_type)
@@ -283,30 +290,36 @@ class MappingCodec:
 
         The rows must already be in the encoding domain — the output of
         :meth:`repair_batch`, which every batched evaluation path applies
-        once before simulating or dispatching rows.  Per row this performs
-        the same priority sort (ties break on job index) and per-core
-        bucketing as :meth:`decode`, but fully vectorized: sorting the
-        priority-sorted jobs by core, rank as tie-break, groups them by core
-        without disturbing their priority order.
+        once before simulating or dispatching rows.  Per row this produces
+        the same order as :meth:`decode` — by core, then priority, then job
+        index — with two sorts: one argsort of the priorities gives each job
+        its dense priority rank (equal priorities share a rank), and one
+        sort of the unique integer keys ``(core, rank, job)`` groups the
+        jobs by core in (priority, job index) order.
         """
         pop = repaired.shape[0]
         num_jobs = self.num_jobs
         num_cores = self.num_sub_accelerators
-        row_base = np.arange(pop)[:, None] * num_jobs
-        # Stable argsort by priority == lexsort((arange, priority)) per row.
-        order = stable_argsort_rows(repaired[:, num_jobs:])
-        flat_order = order + row_base
-        # Group by core, keeping priority order: the keys (core, rank) are
-        # unique, so a plain (SIMD) sort of them is the stable sort by core.
-        rank_bits = (num_jobs - 1).bit_length()
-        key_type = np.int32 if num_cores << rank_bits <= 2**31 else np.int64
+        job_bits = (num_jobs - 1).bit_length()
+        key_type = np.int32 if num_cores << 2 * job_bits <= 2**31 else np.int64
+        priority = repaired[:, num_jobs:]
+        order = np.argsort(priority, axis=1)
+        flat_order = order + np.arange(0, pop * num_jobs, num_jobs)[:, None]
+        # Dense ranks of the sorted priorities: a run of equal values shares
+        # one rank, so ties fall to the job field of the key below.
+        ranked = priority.take(flat_order)
+        keys = np.zeros((pop, num_jobs), dtype=key_type)
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=keys[:, 1:])
+        np.cumsum(keys, axis=1, out=keys)
+        # keys = (core, rank, job), unique per row, so a plain (SIMD) sort
+        # orders each row's jobs by core, then priority, then job index.
         cores = repaired[:, :num_jobs].astype(key_type)
-        keys = cores.take(flat_order) << rank_bits
-        keys |= np.arange(num_jobs, dtype=key_type)
+        keys |= cores.take(flat_order) << job_bits
+        keys <<= job_bits
+        keys |= order
         keys.sort(axis=1)
-        lane_cores = keys >> rank_bits
-        keys &= (1 << rank_bits) - 1
-        lane_order = order.take(keys + row_base)
+        lane_cores = keys >> 2 * job_bits
+        lane_order = keys & (1 << job_bits) - 1
         queue_lengths = np.bincount(
             (cores + np.arange(pop)[:, None] * num_cores).reshape(-1), minlength=pop * num_cores
         ).reshape(pop, num_cores)

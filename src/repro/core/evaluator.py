@@ -65,6 +65,7 @@ class EvaluationResult:
     objective_value: float
     makespan_cycles: float
     mapping: Mapping
+    schedule: Schedule
 
 
 class MappingEvaluator:
@@ -317,12 +318,13 @@ class MappingEvaluator:
         return self.objective.fitness(schedule, mapping, self.table)
 
     def detailed_evaluation(self, encoding: np.ndarray) -> EvaluationResult:
-        """Evaluate one encoding and return the decoded mapping plus metrics.
+        """Evaluate one encoding and return the decoded mapping, metrics and schedule.
 
         The encoding is repaired first, so the metrics always describe the
         same point the search fitness was measured at — a continuous
         optimizer's raw, out-of-domain vector must not yield a different
-        result than its recorded (repaired) counterpart.
+        result than its recorded (repaired) counterpart.  The scalar
+        allocator replays the mapping once, recording the full timeline.
         """
         repaired = self.codec.repair(np.asarray(encoding, dtype=float))
         mapping = self.codec.decode(repaired)
@@ -334,17 +336,16 @@ class MappingEvaluator:
             objective_value=value,
             makespan_cycles=schedule.makespan_cycles,
             mapping=mapping,
+            schedule=schedule,
         )
 
     def schedule_for(self, encoding: np.ndarray) -> Schedule:
         """Return the full schedule (timeline + bandwidth segments) of an encoding.
 
-        Repairs before decoding, for the same reason as
-        :meth:`detailed_evaluation`.
+        The schedule of :meth:`detailed_evaluation`, so it too describes the
+        repaired encoding.
         """
-        repaired = self.codec.repair(np.asarray(encoding, dtype=float))
-        mapping = self.codec.decode(repaired)
-        return self.allocator.allocate(mapping, self.table)
+        return self.detailed_evaluation(encoding).schedule
 
     # ------------------------------------------------------------------
     def close(self) -> None:

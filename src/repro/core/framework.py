@@ -266,7 +266,6 @@ class M3E:
 
                 with phase("finalize"):
                     detail = evaluator.detailed_evaluation(best_encoding)
-                    schedule = evaluator.schedule_for(best_encoding)
             finally:
                 # The parallel backend's worker pool persists across
                 # generations; release it once the search is over (no-op for
@@ -301,7 +300,7 @@ class M3E:
             objective_value=detail.objective_value,
             samples_used=evaluator.samples_used,
             history=evaluator.history,
-            schedule=schedule,
+            schedule=detail.schedule,
             optimizer_name=algorithm.name,
             metadata=metadata,
             telemetry=telemetry,

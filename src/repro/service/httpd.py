@@ -7,7 +7,10 @@ Routes (all JSON):
   request was answered from the solution store).
 * ``GET /status/<job-id>`` — job state (``queued/running/done/failed``).
 * ``GET /result/<job-id>`` — ``200`` with the search summary once done,
-  ``202`` while queued/running, ``500`` with the error when failed.
+  ``202`` while queued/running, ``500`` with the error when failed.  A
+  poll of an unfinished job waits up to :data:`RESULT_WAIT_S` for it to
+  finish, so a polling client gets the answer when the search ends rather
+  than at its next poll.
 * ``GET /healthz`` — service liveness, queue depth, in-flight count, store
   and warm-library sizes, cache statistics.
 * ``GET /metrics`` — the process metrics registry in the Prometheus text
@@ -32,6 +35,12 @@ from repro.service.service import MappingJob, MappingService
 
 #: Content type of the Prometheus text exposition format we emit.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Seconds a ``GET /result/<job-id>`` of a queued or running job waits for
+#: it to finish before answering ``202``.  Long enough to cover a small
+#: search in one poll, short enough that a poll of a long search still
+#: returns promptly.  The wait holds a handler thread, not the GIL.
+RESULT_WAIT_S = 1.0
 
 
 def render_status_with_result(status: Dict[str, Any], result_text: str) -> str:
@@ -86,6 +95,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, service.status(path[len("/status/"):]))
             elif path.startswith("/result/"):
                 job = service.job(path[len("/result/"):])
+                job.done_event.wait(RESULT_WAIT_S)
                 if job.state == "failed":
                     self._reply(500, {"id": job.job_id, "state": job.state, "error": job.error})
                 elif job.state != "done":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.exceptions import WorkloadError
 from repro.workloads.layers import LayerShape
@@ -33,10 +33,24 @@ class ModelSpec:
     description: str = ""
 
     def build(self, batch_size: int = 1) -> List[LayerShape]:
-        """Return the layer shapes for the given mini-batch size."""
+        """Return the layer shapes for the given mini-batch size.
+
+        Each (spec, batch size) is built once per process: layer shapes are
+        frozen, so every call returns a new list of the same shared layers.
+        """
         if batch_size <= 0:
             raise WorkloadError(f"batch_size must be positive, got {batch_size}")
-        return self.builder(batch_size)
+        key = (self, batch_size)
+        layers = _BUILT_MODELS.get(key)
+        if layers is None:
+            layers = _BUILT_MODELS[key] = tuple(self.builder(batch_size))
+        return list(layers)
+
+
+#: ``(spec, batch size) -> layers`` of every model built in this process;
+#: bounded by the model zoo times the batch sizes in use.  Two threads that
+#: miss on one key at once only build the same layers twice.
+_BUILT_MODELS: Dict[Tuple[ModelSpec, int], Tuple[LayerShape, ...]] = {}
 
 
 def _spec(name: str, family: ModelFamily, builder: ModelBuilder, description: str) -> ModelSpec:

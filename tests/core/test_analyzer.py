@@ -5,10 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.accelerator import AcceleratorPlatform
-from repro.core.analyzer import JobAnalyzer, JobAnalysisTable
+from repro.accelerator import AcceleratorPlatform, build_setting
+from repro.core import analyzer as analyzer_module
+from repro.core.analyzer import JobAnalyzer, JobAnalysisTable, hardware_key
 from repro.exceptions import SchedulingError
+from repro.workloads import TaskType, build_task_workload
 from repro.workloads.layers import fully_connected
+
+TABLE_ARRAYS = ("latency_cycles", "required_bw_gbps", "energy_joules", "dram_traffic_bytes", "job_flops")
+
+
+def _assert_tables_identical(first: JobAnalysisTable, second: JobAnalysisTable) -> None:
+    for name in TABLE_ARRAYS:
+        assert getattr(first, name).shape == getattr(second, name).shape
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
 class TestJobAnalyzer:
@@ -31,15 +41,22 @@ class TestJobAnalyzer:
         with pytest.raises(SchedulingError):
             JobAnalyzer(small_platform).analyze([])
 
-    def test_profile_layer_caches_identical_layers(self, small_platform):
+    def test_profile_layer_caches_identical_layers(self, small_platform, monkeypatch):
+        monkeypatch.setattr(analyzer_module, "_LAYER_PROFILES", {})
         analyzer = JobAnalyzer(small_platform)
         layer = fully_connected(4, 256, 256)
         first = analyzer.profile_layer(layer, 0)
         second = analyzer.profile_layer(layer, 0)
         assert first == second
-        assert len(analyzer._cache) == 1
+        assert len(analyzer_module._LAYER_PROFILES) == 1
+        # A later analyzer of the same hardware reads the same entry.
+        assert JobAnalyzer(small_platform).profile_layer(layer, 0) is first
+        assert len(analyzer_module._LAYER_PROFILES) == 1
 
-    def test_cores_differing_only_by_name_share_memo_and_cost_model(self, small_platform, mix_group):
+    def test_cores_differing_only_by_name_share_memo_and_cost_model(
+        self, small_platform, mix_group, monkeypatch
+    ):
+        monkeypatch.setattr(analyzer_module, "_LAYER_PROFILES", {})
         hb, lb = small_platform.sub_accelerators
         twins = AcceleratorPlatform(
             name="twins",
@@ -50,7 +67,7 @@ class TestJobAnalyzer:
         assert len(analyzer._cost_models) == 2
         layer = fully_connected(4, 256, 256)
         assert analyzer.profile_layer(layer, 0) == analyzer.profile_layer(layer, 1)
-        assert len(analyzer._cache) == 1
+        assert len(analyzer_module._LAYER_PROFILES) == 1
 
         # The table equals one built core by core, each core on its own.
         table = analyzer.analyze(mix_group)
@@ -70,6 +87,67 @@ class TestJobAnalyzer:
         table = JobAnalyzer(small_platform).analyze(mix_group)
         assert table.average_bandwidth_per_core()[1] < table.average_bandwidth_per_core()[0]
         assert table.average_latency_per_core()[1] > table.average_latency_per_core()[0]
+
+
+def _direct_latency_and_bw(platform, jobs) -> tuple:
+    """Latency and bandwidth arrays from one cost-model call per (job, core)."""
+    models = [sub.build_cost_model() for sub in platform.sub_accelerators]
+    estimates = [[model.evaluate(job.layer) for model in models] for job in jobs]
+    latency = np.array([[e.no_stall_latency_cycles for e in row] for row in estimates], dtype=float)
+    bandwidth = np.array([[e.required_bw_gbps for e in row] for row in estimates], dtype=float)
+    return latency, bandwidth
+
+
+class TestProcessWideProfileMemo:
+    """Tables built from profiles other analyzers left in the process memo
+    equal tables built from an empty memo, bit for bit, and both equal one
+    cost-model call per (job, core)."""
+
+    @staticmethod
+    def _group(seed: int):
+        return build_task_workload(TaskType.MIX, group_size=200, seed=seed, num_sub_accelerators=16)[0]
+
+    @staticmethod
+    def _assert_matches_cost_models(table, platform, jobs) -> None:
+        latency, bandwidth = _direct_latency_and_bw(platform, jobs)
+        assert table.latency_cycles.tobytes() == latency.tobytes()
+        assert table.required_bw_gbps.tobytes() == bandwidth.tobytes()
+
+    def test_warm_s6_table_equals_cold_build(self, monkeypatch):
+        platform = build_setting("S6")
+        assert len({hardware_key(sub) for sub in platform.sub_accelerators}) == 4
+        group = self._group(0)
+        monkeypatch.setattr(analyzer_module, "_LAYER_PROFILES", {})
+        cold = JobAnalyzer(platform).analyze(group)
+        profiled = len(analyzer_module._LAYER_PROFILES)
+        warm = JobAnalyzer(platform).analyze(group)
+        assert len(analyzer_module._LAYER_PROFILES) == profiled  # nothing re-profiled
+        _assert_tables_identical(cold, warm)
+        self._assert_matches_cost_models(warm, platform, group.jobs)
+        # A permutation of the group reads the same profiles in its own order.
+        permuted = list(reversed(group.jobs))
+        _assert_tables_identical(
+            JobAnalyzer(platform).analyze(permuted),
+            JobAnalyzer(build_setting("S6")).analyze(permuted),
+        )
+        assert JobAnalyzer(platform).analyze(permuted).latency_cycles.tobytes() == (
+            cold.latency_cycles[::-1].tobytes()
+        )
+
+    def test_setting_sharing_hardware_with_a_warm_one_equals_cold_build(self, monkeypatch):
+        s4, s6 = build_setting("S4"), build_setting("S6")
+        shared = {hardware_key(sub) for sub in s4.sub_accelerators} & {
+            hardware_key(sub) for sub in s6.sub_accelerators
+        }
+        assert shared
+        group = self._group(1)
+        monkeypatch.setattr(analyzer_module, "_LAYER_PROFILES", {})
+        cold = JobAnalyzer(s4).analyze(group)
+        monkeypatch.setattr(analyzer_module, "_LAYER_PROFILES", {})
+        JobAnalyzer(s6).analyze(group)
+        warm = JobAnalyzer(s4).analyze(group)
+        _assert_tables_identical(cold, warm)
+        self._assert_matches_cost_models(warm, s4, group.jobs)
 
 
 class TestJobAnalysisTable:

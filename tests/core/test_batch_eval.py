@@ -105,6 +105,56 @@ class TestBatchDecode:
         assert batch.queue_lengths[0].tolist() == [2, 0, 4]
 
 
+class TestBatchDecodeTiesAtScale:
+    """The batch decode ranks equal priorities densely and breaks the tie on
+    job index; at G=200 on 16 cores it must still equal the scalar decode
+    on rows that are nearly all ties."""
+
+    NUM_JOBS, NUM_CORES = 200, 16
+
+    @pytest.fixture()
+    def codec(self):
+        return MappingCodec(num_jobs=self.NUM_JOBS, num_sub_accelerators=self.NUM_CORES)
+
+    @staticmethod
+    def _assert_matches_scalar(codec, rows):
+        """*rows* are in the encoding domain, so both decodes read them as given."""
+        batch = codec.decode_batch(rows)
+        for i in range(len(rows)):
+            assert batch.mapping(i) == codec.decode(rows[i])
+
+    def test_encoded_rows_where_each_cores_kth_job_shares_a_priority(self, codec):
+        """``encode`` gives the k-th job of every core the same priority."""
+        rng = np.random.default_rng(5)
+        rows = []
+        for _ in range(12):
+            mapping = codec.decode(codec.random_encoding(rng))
+            encoding = codec.encode(mapping)
+            assert len(np.unique(encoding[self.NUM_JOBS:])) < self.NUM_JOBS
+            rows.append(encoding)
+        self._assert_matches_scalar(codec, np.array(rows))
+
+    def test_clipped_rows_full_of_the_priority_bounds(self, codec):
+        rng = np.random.default_rng(6)
+        population = codec.random_population(16, rng=rng)
+        population[:, self.NUM_JOBS:] = rng.choice([-3.0, 0.0, 1.0, 7.5], size=(16, self.NUM_JOBS))
+        population[8:, self.NUM_JOBS:] = rng.choice([0.0, 1 - 1e-12], size=(8, self.NUM_JOBS))
+        repaired = codec.repair_batch(population)
+        assert set(np.unique(repaired[:, self.NUM_JOBS:])) == {0.0, 1 - 1e-12}
+        self._assert_matches_scalar(codec, repaired)
+
+    def test_negative_zero_ties_with_zero(self, codec):
+        rng = np.random.default_rng(7)
+        population = codec.random_population(8, rng=rng)
+        population[:, self.NUM_JOBS:] = np.where(
+            rng.random((8, self.NUM_JOBS)) < 0.5, -0.0, 0.0
+        )
+        population[4:, self.NUM_JOBS::3] = rng.random((4, len(range(0, self.NUM_JOBS, 3))))
+        priorities = population[:, self.NUM_JOBS:]
+        assert np.signbit(priorities).any() and (~np.signbit(priorities) & (priorities == 0)).any()
+        self._assert_matches_scalar(codec, population)
+
+
 class TestBatchAllocator:
     @pytest.mark.parametrize("setting,bandwidth,group_size", [
         ("S1", 16.0, 8),
@@ -267,6 +317,93 @@ class TestBatchAllocator:
                 evaluator.codec.decode(encoding), evaluator.table
             )
             assert np.isfinite(makespan) and makespan > 0
+
+
+class TestKernelChecksPerTable:
+    """The batched kernel proves once per table that no mapping can fail its
+    checks, and skips them on later calls; a table it cannot prove keeps
+    checking the entries and spread each batch uses, on every call."""
+
+    @staticmethod
+    def _table(latency, bandwidth):
+        latency = np.asarray(latency, dtype=float)
+        return JobAnalysisTable(
+            latency_cycles=latency,
+            required_bw_gbps=np.asarray(bandwidth, dtype=float),
+            energy_joules=np.ones_like(latency),
+            dram_traffic_bytes=np.ones_like(latency),
+            job_flops=np.full(latency.shape[0], 1000.0),
+        )
+
+    def test_invalid_entry_raises_for_the_rows_that_use_it_on_every_call(self):
+        latency = np.full((4, 2), 100.0)
+        latency[1, 0] = 0.0  # job 1 cannot run on core 0
+        table = self._table(latency, np.full((4, 2), 2.0))
+        codec = MappingCodec(num_jobs=4, num_sub_accelerators=2)
+        uses = np.array([[0, 0, 1, 1, 0.1, 0.2, 0.3, 0.4]])
+        avoids = np.array([[0, 1, 1, 0, 0.1, 0.2, 0.3, 0.4]])
+        allocator = BatchBandwidthAllocator(16.0)
+        for _ in range(3):
+            assert allocator.makespan_cycles(codec.decode_batch(avoids), table)[0] == (
+                BandwidthAllocator(16.0).makespan_cycles(codec.decode(avoids[0]), table)
+            )
+            with pytest.raises(SchedulingError, match="job 1 has non-positive"):
+                allocator.makespan_cycles(codec.decode_batch(uses), table)
+            with pytest.raises(SchedulingError, match="job 1 has non-positive"):
+                allocator.makespan_cycles(codec.decode_batch(np.vstack((avoids, uses))), table)
+
+    def test_a_proof_for_one_table_does_not_cover_another(self):
+        codec = MappingCodec(num_jobs=4, num_sub_accelerators=2)
+        good = self._table(np.full((4, 2), 100.0), np.full((4, 2), 2.0))
+        latency = np.full((4, 2), 100.0)
+        latency[1, 0] = np.nan
+        bad = self._table(latency, np.full((4, 2), 2.0))
+        uses = codec.decode_batch(np.array([[0, 0, 1, 1, 0.1, 0.2, 0.3, 0.4]]))
+        allocator = BatchBandwidthAllocator(16.0)
+        allocator.makespan_cycles(uses, good)
+        with pytest.raises(SchedulingError, match="job 1 has non-positive"):
+            allocator.makespan_cycles(uses, bad)
+        allocator.makespan_cycles(uses, good)
+        with pytest.raises(SchedulingError, match="job 1 has non-positive"):
+            allocator.makespan_cycles(uses, bad)
+
+    def test_spread_failing_table_checks_each_row_on_every_call(self):
+        table = self._table(
+            [[1.0, 1.0], [100.0, 100.0], [50.0, 50.0]],
+            [[1e17, 10.0], [10.0, 10.0], [10.0, 10.0]],
+        )
+        codec = MappingCodec(num_jobs=3, num_sub_accelerators=2)
+        wide = np.array([[0, 1, 1, 0.5, 0.5, 0.5]])  # job 0 at 1e17 GB/s
+        narrow = np.array([[1, 0, 1, 0.5, 0.5, 0.5]])
+        allocator = BatchBandwidthAllocator(12.0)
+        for _ in range(3):
+            assert allocator.makespan_cycles(codec.decode_batch(narrow), table)[0] == (
+                BandwidthAllocator(12.0).makespan_cycles(codec.decode(narrow[0]), table)
+            )
+            with pytest.raises(SchedulingError, match="span a factor"):
+                allocator.makespan_cycles(codec.decode_batch(wide), table)
+
+    def test_a_proven_table_gives_a_fresh_allocators_makespans(self):
+        platform, group = _problem("S6", 256.0, 40)
+        evaluator = MappingEvaluator(group, platform)
+        codec, table = evaluator.codec, evaluator.table
+        allocator = BatchBandwidthAllocator(256.0)
+        for seed in range(3):
+            batch = codec.decode_batch(codec.repair_batch(codec.random_population(12, rng=seed)))
+            expected = BatchBandwidthAllocator(256.0).makespan_cycles(batch, table)
+            assert allocator.makespan_cycles(batch, table).tobytes() == expected.tobytes()
+
+    def test_table_keeps_read_only_copies_of_its_arrays(self):
+        latency = np.full((3, 2), 100.0)
+        bandwidth = np.full((3, 2), 2.0)
+        table = self._table(latency, bandwidth)
+        latency[0, 0] = -1.0
+        bandwidth[0, 0] = np.inf
+        assert table.latency_cycles[0, 0] == 100.0 and table.required_bw_gbps[0, 0] == 2.0
+        for name in ("latency_cycles", "required_bw_gbps", "energy_joules",
+                     "dram_traffic_bytes", "job_flops"):
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 0.0
 
 
 class TestBackendEquivalence:

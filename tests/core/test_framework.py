@@ -32,6 +32,26 @@ class TestM3E:
         assert result.optimizer_name == "MAGMA"
         result.schedule.validate()
 
+    def test_search_replays_its_best_mapping_once(self, small_platform, mix_group, monkeypatch):
+        """The reported fitness and schedule come from one recorded replay."""
+        from repro.core.bw_allocator import BandwidthAllocator
+
+        replays = []
+        allocate = BandwidthAllocator.allocate
+
+        def counting_allocate(self, mapping, table):
+            replays.append(mapping)
+            return allocate(self, mapping, table)
+
+        monkeypatch.setattr(BandwidthAllocator, "allocate", counting_allocate)
+        explorer = M3E(small_platform, sampling_budget=60)
+        result = explorer.search(mix_group, optimizer="magma", seed=2,
+                                 optimizer_options={"population_size": 12})
+        assert replays == [result.best_mapping]
+        evaluator = explorer.build_evaluator(mix_group)
+        assert result.schedule.makespan_cycles == evaluator.schedule_for(result.best_encoding).makespan_cycles
+        assert result.best_fitness == evaluator.evaluate(result.best_encoding, count_sample=False)
+
     def test_search_with_optimizer_instance(self, small_platform, mix_group):
         explorer = M3E(small_platform, sampling_budget=80)
         optimizer = MagmaOptimizer(seed=3, population_size=10)

@@ -200,6 +200,45 @@ class TestRoutes:
             release.set()
             service.wait(submitted["id"], timeout=10)
 
+    def test_result_poll_answers_when_the_job_finishes(self, frontend, monkeypatch):
+        """A poll of a running job waits for it instead of answering 202."""
+        import threading
+        import time
+
+        from repro.service.httpd import RESULT_WAIT_S
+        from repro.service.service import MappingService as ServiceClass
+        from repro.utils.serialization import SearchResultSummary
+
+        release = threading.Event()
+        started = threading.Event()
+
+        def slow_execute(self, job):
+            started.set()
+            release.wait(timeout=30)
+            return SearchResultSummary(
+                optimizer_name="stub", best_fitness=1.0, objective_value=1.0,
+                throughput_gflops=1.0, makespan_cycles=1.0, samples_used=1,
+                best_encoding=[0.0], history=[1.0],
+            )
+
+        monkeypatch.setattr(ServiceClass, "_execute", slow_execute)
+        service, base = frontend
+        _, submitted = _call(base, "/submit", {"task": "vision", "seed": 98})
+        assert started.wait(timeout=10)
+        timer = threading.Timer(RESULT_WAIT_S / 5, release.set)
+        timer.start()
+        try:
+            sent = time.monotonic()
+            code, payload = _call(base, f"/result/{submitted['id']}")
+            elapsed = time.monotonic() - sent
+        finally:
+            timer.cancel()
+            release.set()
+            service.wait(submitted["id"], timeout=10)
+        assert code == 200
+        assert payload["state"] == "done" and payload["result"]["optimizer_name"] == "stub"
+        assert elapsed < RESULT_WAIT_S
+
     def test_bad_request_is_400(self, frontend):
         _, base = frontend
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -31,6 +31,16 @@ class TestRegistry:
         assert len(layers) > 0
         assert all(layer.macs > 0 for layer in layers)
 
+    @pytest.mark.parametrize("name", ["resnet50", "gpt2", "dlrm"])
+    def test_repeat_builds_share_layers_in_new_lists(self, name):
+        spec = MODEL_REGISTRY[name]
+        first, second = spec.build(3), spec.build(3)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second)) and len(first) == len(second)
+        assert first == spec.builder(3)
+        first.clear()
+        assert spec.build(3) == second
+
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_batch_size_scales_compute(self, name):
         single = sum(layer.macs for layer in get_model(name, batch_size=1))
