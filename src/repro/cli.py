@@ -74,36 +74,23 @@ import sys
 from typing import Any, Optional, Sequence
 
 from repro.accelerator import build_setting, list_settings
-from repro.analysis.gantt import render_ascii_gantt
-from repro.analysis.reporting import ComparisonReport
 from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS, EvalConfig
 from repro.core.framework import M3E
 from repro.core.objectives import list_objectives
 from repro.exceptions import ExperimentError, ServiceError
-from repro.experiments import (
-    CampaignRunner,
-    get_scale,
-    get_scenario,
-    list_scenarios,
-    run_scenario,
-    spec_from_grid,
-)
-from repro.experiments.scenarios import ScenarioRun, ScenarioSpec
-from repro.experiments.settings import list_scales
-from repro.experiments.stats import (
-    aggregate_cells,
-    cross_seed_agreement,
-    replicate_table,
-    rows_from_store,
-)
-from repro.optimizers import list_optimizers
+from repro.experiments.settings import get_scale, list_scales
 from repro.utils.rng import resolve_seed, set_global_seed
-from repro.utils.serialization import jsonable
 from repro.workloads import TaskType, build_task_workload, list_models
+
+# Each command imports the analysis, experiment and service modules it runs
+# inside its handler, so a process loads only what its command uses.
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
     """Print every registered building block a search or service can be configured from."""
+    from repro.experiments import get_scenario, list_scenarios
+    from repro.optimizers import list_optimizers
+
     print("Accelerator settings:", ", ".join(list_settings()))
     print("Optimizers:", ", ".join(list_optimizers()))
     print("Objectives:", ", ".join(list_objectives()))
@@ -168,6 +155,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"makespan={result.schedule.makespan_cycles:.3e} cycles samples={result.samples_used}"
     )
     if args.show_schedule:
+        from repro.analysis.gantt import render_ascii_gantt
+
         print(render_ascii_gantt(result.schedule, group))
     return 0
 
@@ -178,6 +167,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     The problem is a one-panel scenario, run through the same cell executor
     as ``experiment`` and ``campaign``.
     """
+    from repro.analysis.reporting import ComparisonReport
+    from repro.experiments import run_scenario
+    from repro.experiments.scenarios import ScenarioRun, ScenarioSpec
+
     _configure_trace(args)
     scale = get_scale(args.scale)
     spec = ScenarioSpec(
@@ -208,6 +201,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     registry, so ``--scale``, ``--seed``, ``--eval-backend``, and
     ``--eval-workers`` apply uniformly.
     """
+    from repro.experiments import run_scenario
+    from repro.utils.serialization import jsonable
+
     _configure_trace(args)
     output = run_scenario(
         args.name,
@@ -222,6 +218,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     """Expand scenarios into search cells and stream results to a JSONL store."""
+    from repro.experiments import CampaignRunner, spec_from_grid
+    from repro.experiments.stats import (
+        aggregate_cells,
+        cross_seed_agreement,
+        replicate_table,
+        rows_from_store,
+    )
+
     _configure_trace(args)
     scenarios: list = list(args.scenarios)
     if args.grid:
@@ -317,6 +321,7 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
 
 def _cmd_store_info(args: argparse.Namespace) -> int:
     """Print a JSON summary of a store (any backend URL)."""
+    from repro.utils.serialization import jsonable
     from repro.utils.storage import open_store_backend
 
     with open_store_backend(args.store) as backend:
@@ -531,6 +536,22 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
+def _scenario_name(name: str) -> str:
+    """A registered scenario name (the argparse ``type`` of ``experiment NAME``).
+
+    Checked only when the command is parsed, so building the parser never
+    imports the scenario runners.
+    """
+    from repro.experiments import list_scenarios
+
+    available = list_scenarios()
+    if name not in available:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(available)})"
+        )
+    return name
+
+
 def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -563,7 +584,9 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     compare.set_defaults(func=_cmd_compare)
 
     experiment = subparsers.add_parser("experiment", help="run one registered scenario")
-    experiment.add_argument("name", choices=list_scenarios())
+    experiment.add_argument(
+        "name", type=_scenario_name, help="a registered scenario (see 'repro-magma list')"
+    )
     experiment.add_argument("--scale", default=None, choices=list_scales())
     _add_seed_option(experiment)
     _add_eval_backend_options(experiment)
@@ -576,7 +599,7 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     )
     campaign.add_argument(
         "scenarios", nargs="*", metavar="SCENARIO",
-        help=f"registered scenario names to include (available: {', '.join(list_scenarios())})",
+        help="registered scenario names to include (see 'repro-magma list')",
     )
     campaign.add_argument(
         "--grid", default=None, metavar="FILE",

@@ -19,9 +19,16 @@ from repro.core.objectives import (
     get_objective,
 )
 from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS, EvalConfig
-from repro.core.evaluator import MappingEvaluator, EvaluationResult
+from repro.core.evaluator import MappingEvaluator, EvaluationResult, SimulationRig
 from repro.core.framework import M3E, SearchResult
-from repro.core.parallel import EvaluatorSpec, ParallelEvaluationPool, SimulationRig
+from repro._lazy import lazy_exports
+
+# The process pool (and with it multiprocessing) loads on first use: only
+# the ``parallel`` backend runs it.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "EvaluatorSpec": "repro.core.parallel",
+    "ParallelEvaluationPool": "repro.core.parallel",
+})
 
 __all__ = [
     "Mapping",

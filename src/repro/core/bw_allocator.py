@@ -386,8 +386,8 @@ class BatchBandwidthAllocator:
 
         # Events in virtual-time order.  The scalar walk breaks ties by core
         # then queue position, i.e. by lane-major index, which a stable
-        # argsort keeps.
-        order = stable_argsort_rows(virtual_end)
+        # argsort keeps.  Each row is one ascending run per core.
+        order = stable_argsort_rows(virtual_end, runs=num_cores)
         order += entry[:, :1]
         times = np.zeros((pop, num_jobs + 1))
         times[:, 1:] = virtual_end.take(order)

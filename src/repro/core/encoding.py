@@ -41,24 +41,30 @@ import numpy as np
 from repro.exceptions import EncodingError
 from repro.utils.rng import SeedLike, ensure_rng
 
-#: Rows up to this long sort with NumPy's stable argsort; longer rows with
-#: the default argsort plus a tie repair (see :func:`stable_argsort_rows`).
+#: NumPy's stable argsort (a timsort for floats) merges the ascending runs a
+#: row is made of, so its cost grows with the number of runs; the default
+#: (SIMD) argsort plus a tie repair costs about the same whatever the order,
+#: but more per call.  Rows of at most this many runs, or of at most this
+#: many columns, take the stable sort (probe table: docs/PERFORMANCE.md,
+#: "Event sort: runs, not only row length").
+_STABLE_ARGSORT_MAX_RUNS = 4
 _STABLE_ARGSORT_MAX_COLUMNS = 32
 
 
-def stable_argsort_rows(values: np.ndarray) -> np.ndarray:
+def stable_argsort_rows(values: np.ndarray, runs: int) -> np.ndarray:
     """``np.argsort(values, axis=1, kind="stable")`` of a finite 2-D array.
 
-    Equal values keep their column order.  On long rows NumPy's default
-    (SIMD) argsort is about 2.3x faster than its stable one, so rows longer
-    than :data:`_STABLE_ARGSORT_MAX_COLUMNS` use it and then put each run of
-    equal values back in column order with one plain sort of the unique
-    integer keys ``(run, column)``.  The result is the same either way; on
-    short rows the stable sort is the faster of the two.  The batched
-    bandwidth allocator sorts its events with it.
+    Equal values keep their column order.  *runs* bounds the number of
+    ascending runs each row is made of (the batched bandwidth allocator's
+    rows are one run per core; unordered rows have one per column).  Rows
+    of few runs or few columns use NumPy's stable argsort, which merges
+    runs.  Longer rows of many runs use the default argsort, about 2.3x
+    faster than the stable one on unordered data, and then put each group
+    of equal values back in column order with one plain sort of the unique
+    integer keys ``(group, column)``.  The result is the same either way.
     """
     num_rows, num_columns = values.shape
-    if num_columns <= _STABLE_ARGSORT_MAX_COLUMNS:
+    if runs <= _STABLE_ARGSORT_MAX_RUNS or num_columns <= _STABLE_ARGSORT_MAX_COLUMNS:
         return np.argsort(values, axis=1, kind="stable")
     order = np.argsort(values, axis=1)
     ranked = values.take(order + np.arange(0, num_rows * num_columns, num_columns)[:, None])

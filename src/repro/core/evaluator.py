@@ -17,8 +17,9 @@ as ``--eval-backend {scalar,batch,parallel}`` on the CLI):
 * ``"parallel"`` — the batch sweep sharded across a persistent pool of worker
   processes (:mod:`repro.core.parallel`); ``EvalConfig.workers`` picks the
   pool size (default: one per usable CPU, capped at 8).  Workers run the same
-  :class:`~repro.core.parallel.SimulationRig` code path the batch backend
-  uses in process, so the results are bit-identical to ``batch``.
+  :class:`SimulationRig` code path the batch backend uses in process, so the
+  results are bit-identical to ``batch``.  Only this backend imports the
+  pool module (and with it :mod:`multiprocessing`).
 * ``"scalar"`` — the original one-encoding-at-a-time reference oracle.
 
 Every backend simulates exactly the rows it is given: fitness is a pure
@@ -36,7 +37,7 @@ equivalence property tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -50,11 +51,13 @@ from repro.core.evalconfig import (
     EvalConfig,
 )
 from repro.core.objectives import Objective, get_objective
-from repro.core.parallel import EvaluatorSpec, ParallelEvaluationPool, SimulationRig
 from repro.core.schedule import Schedule
 from repro.exceptions import ConfigurationError, OptimizationError
 from repro.obs import get_metrics, get_tracer
 from repro.workloads.groups import JobGroup
+
+if TYPE_CHECKING:
+    from repro.core.parallel import ParallelEvaluationPool
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,63 @@ class EvaluationResult:
     makespan_cycles: float
     mapping: Mapping
     schedule: Schedule
+
+
+class SimulationRig:
+    """Codec + batched allocator + table + objective: the row-fitness engine.
+
+    ``fitnesses_for_rows`` is the one implementation of "simulate these
+    repaired encodings and score them" — the ``batch`` backend calls it in
+    process and every ``parallel`` worker calls it on its shard, so the two
+    backends cannot drift apart numerically.
+    """
+
+    def __init__(
+        self,
+        codec: MappingCodec,
+        allocator: BatchBandwidthAllocator,
+        table: JobAnalysisTable,
+        objective: Objective,
+        resolved_seed: Optional[int] = None,
+    ):
+        self.codec = codec
+        self.allocator = allocator
+        self.table = table
+        self.objective = objective
+        #: The coordinating search's resolved seed (see
+        #: :class:`~repro.core.parallel.EvaluatorSpec`).
+        self.resolved_seed = resolved_seed
+
+    def fitnesses_for_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Fitness of each (already repaired) encoding row, in row order."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        batch = self.codec.decode_batch(rows)
+        makespans = self.allocator.makespan_cycles(batch, self.table)
+        # Makespan-only objectives (the default throughput, latency) score the
+        # whole population in a few ufuncs, elementwise bit-identical to the
+        # per-row path below; mapping-reading objectives fall through to it.
+        vectorized = self.objective.fitness_batch(
+            makespans, self.table, self.allocator.frequency_hz
+        )
+        if vectorized is not None:
+            return np.asarray(vectorized, dtype=float)
+        fitnesses = np.empty(len(rows), dtype=float)
+        for slot in range(len(rows)):
+            schedule = self.summary_schedule(float(makespans[slot]))
+            mapping = batch.mapping(slot) if self.objective.needs_mapping else None
+            fitnesses[slot] = float(self.objective.fitness(schedule, mapping, self.table))
+        return fitnesses
+
+    def summary_schedule(self, makespan_cycles: float) -> Schedule:
+        """Minimal Schedule carrying only the makespan (the fast fitness path)."""
+        return Schedule(
+            jobs=(),
+            segments=(),
+            num_sub_accelerators=self.codec.num_sub_accelerators,
+            total_flops=self.table.total_flops,
+            frequency_hz=self.allocator.frequency_hz,
+            makespan_cycles_override=makespan_cycles,
+        )
 
 
 class MappingEvaluator:
@@ -123,6 +183,8 @@ class MappingEvaluator:
         # ``EvalConfig.__post_init__``.
         self._pool: Optional[ParallelEvaluationPool] = None
         if self.backend == "parallel":
+            from repro.core.parallel import EvaluatorSpec, ParallelEvaluationPool
+
             self._pool = ParallelEvaluationPool(
                 spec=EvaluatorSpec.capture(
                     self.codec, self.batch_allocator, self.table, self.objective,

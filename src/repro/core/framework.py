@@ -142,6 +142,9 @@ class M3E:
         if not isinstance(eval_config, EvalConfig):
             raise ConfigurationError(f"M3E: eval_config must be an EvalConfig, got {eval_config!r}")
         self.eval_config = eval_config
+        if eval_config.backend == "parallel":
+            # Load the pool now, so the first search does not pay the import.
+            import repro.core.parallel  # noqa: F401
         self.platform = platform
         self.objective = objective
         self.sampling_budget = sampling_budget

@@ -11,7 +11,8 @@ lanes: the coordinator itself plus N-1 dedicated worker processes.
   a worker can rebuild the full evaluation state without ever shipping the
   (heavier, model-bearing) :class:`~repro.workloads.groups.JobGroup` or
   platform objects across the process boundary.
-* :class:`SimulationRig` is the reconstructed state: codec + batched
+* :class:`~repro.core.evaluator.SimulationRig` (the batch engine, which
+  lives beside the evaluator) is the reconstructed state: codec + batched
   allocator + table + objective.  The in-process ``batch`` backend, the
   coordinator's own shard and the workers run the *same* rig code path,
   which is what makes the ``parallel`` backend bit-identical to ``batch``
@@ -64,8 +65,8 @@ import numpy as np
 from repro.core.analyzer import JobAnalysisTable
 from repro.core.bw_allocator import BatchBandwidthAllocator
 from repro.core.encoding import MappingCodec
+from repro.core.evaluator import SimulationRig
 from repro.core.objectives import Objective, get_objective
-from repro.core.schedule import Schedule
 from repro.exceptions import ConfigurationError
 from repro.obs import get_metrics, get_tracer
 
@@ -193,7 +194,7 @@ class EvaluatorSpec:
             resolved_seed=resolved_seed,
         )
 
-    def build_rig(self) -> "SimulationRig":
+    def build_rig(self) -> SimulationRig:
         """Reconstruct the full evaluation state described by this spec."""
         table = JobAnalysisTable(
             latency_cycles=self.latency_cycles,
@@ -214,62 +215,6 @@ class EvaluatorSpec:
             table=table,
             objective=self.objective,
             resolved_seed=self.resolved_seed,
-        )
-
-
-class SimulationRig:
-    """Codec + batched allocator + table + objective: the row-fitness engine.
-
-    ``fitnesses_for_rows`` is the one implementation of "simulate these
-    repaired encodings and score them" — the ``batch`` backend calls it in
-    process and every ``parallel`` worker calls it on its shard, so the two
-    backends cannot drift apart numerically.
-    """
-
-    def __init__(
-        self,
-        codec: MappingCodec,
-        allocator: BatchBandwidthAllocator,
-        table: JobAnalysisTable,
-        objective: Objective,
-        resolved_seed: Optional[int] = None,
-    ):
-        self.codec = codec
-        self.allocator = allocator
-        self.table = table
-        self.objective = objective
-        #: The coordinating search's resolved seed (see EvaluatorSpec).
-        self.resolved_seed = resolved_seed
-
-    def fitnesses_for_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Fitness of each (already repaired) encoding row, in row order."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        batch = self.codec.decode_batch(rows)
-        makespans = self.allocator.makespan_cycles(batch, self.table)
-        # Makespan-only objectives (the default throughput, latency) score the
-        # whole population in a few ufuncs, elementwise bit-identical to the
-        # per-row path below; mapping-reading objectives fall through to it.
-        vectorized = self.objective.fitness_batch(
-            makespans, self.table, self.allocator.frequency_hz
-        )
-        if vectorized is not None:
-            return np.asarray(vectorized, dtype=float)
-        fitnesses = np.empty(len(rows), dtype=float)
-        for slot in range(len(rows)):
-            schedule = self.summary_schedule(float(makespans[slot]))
-            mapping = batch.mapping(slot) if self.objective.needs_mapping else None
-            fitnesses[slot] = float(self.objective.fitness(schedule, mapping, self.table))
-        return fitnesses
-
-    def summary_schedule(self, makespan_cycles: float) -> Schedule:
-        """Minimal Schedule carrying only the makespan (the fast fitness path)."""
-        return Schedule(
-            jobs=(),
-            segments=(),
-            num_sub_accelerators=self.codec.num_sub_accelerators,
-            total_flops=self.table.total_flops,
-            frequency_hz=self.allocator.frequency_hz,
-            makespan_cycles_override=makespan_cycles,
         )
 
 

@@ -10,18 +10,31 @@ flat, deduplicated, resumable stream of search cells.
 """
 
 from repro.experiments.settings import ExperimentScale, get_scale, list_scales
-from repro.experiments.scenarios import (
-    BudgetPolicy,
-    Panel,
-    ScenarioSpec,
-    SearchCell,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
-    run_scenario,
-    spec_from_grid,
-)
-from repro.experiments.campaign import CampaignReport, CampaignResultsStore, CampaignRunner
+from repro._lazy import lazy_exports
+
+# The scenario registry and the campaign engine (and through them the
+# optimizers and the search driver) load on first use, so reading a scale
+# imports nothing else.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    **dict.fromkeys(
+        [
+            "BudgetPolicy",
+            "Panel",
+            "ScenarioSpec",
+            "SearchCell",
+            "get_scenario",
+            "list_scenarios",
+            "register_scenario",
+            "run_scenario",
+            "spec_from_grid",
+        ],
+        "repro.experiments.scenarios",
+    ),
+    **dict.fromkeys(
+        ["CampaignReport", "CampaignResultsStore", "CampaignRunner"],
+        "repro.experiments.campaign",
+    ),
+})
 
 __all__ = [
     "ExperimentScale",

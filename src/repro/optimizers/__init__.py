@@ -9,16 +9,6 @@ tuner.
 
 from repro.optimizers.base import BaseOptimizer
 from repro.optimizers.magma import MagmaConfig, MagmaOptimizer, magma_mutation_only, magma_mutation_crossover_gen
-from repro.optimizers.stdga import StandardGAOptimizer
-from repro.optimizers.de import DifferentialEvolutionOptimizer
-from repro.optimizers.cmaes import CMAESOptimizer
-from repro.optimizers.pso import PSOOptimizer
-from repro.optimizers.tbpsa import TBPSAOptimizer
-from repro.optimizers.random_search import RandomSearchOptimizer
-from repro.optimizers.heuristics import HeraldLikeMapper, AIMTLikeMapper
-from repro.optimizers.rl import A2COptimizer, PPOOptimizer
-from repro.optimizers.warmstart import WarmStartEngine
-from repro.optimizers.hyperparams import HyperParameterSpace, MagmaHyperParameterTuner
 from repro.optimizers.registry import (
     OPTIMIZER_REGISTRY,
     PAPER_COMPARISON_METHODS,
@@ -27,6 +17,25 @@ from repro.optimizers.registry import (
     list_optimizers,
 )
 from repro.optimizers import operators
+from repro._lazy import lazy_exports
+
+# MAGMA loads with the package; every other optimizer, the warm-start engine
+# and the tuner load on first use (the registry looks its names up here).
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "StandardGAOptimizer": "repro.optimizers.stdga",
+    "DifferentialEvolutionOptimizer": "repro.optimizers.de",
+    "CMAESOptimizer": "repro.optimizers.cmaes",
+    "PSOOptimizer": "repro.optimizers.pso",
+    "TBPSAOptimizer": "repro.optimizers.tbpsa",
+    "RandomSearchOptimizer": "repro.optimizers.random_search",
+    "HeraldLikeMapper": "repro.optimizers.heuristics.herald",
+    "AIMTLikeMapper": "repro.optimizers.heuristics.aimt",
+    "A2COptimizer": "repro.optimizers.rl.a2c",
+    "PPOOptimizer": "repro.optimizers.rl.ppo",
+    "WarmStartEngine": "repro.optimizers.warmstart",
+    "HyperParameterSpace": "repro.optimizers.hyperparams",
+    "MagmaHyperParameterTuner": "repro.optimizers.hyperparams",
+})
 
 __all__ = [
     "BaseOptimizer",

@@ -2,54 +2,77 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterator, List, Mapping, Union
 
 from repro.exceptions import OptimizationError
 from repro.optimizers.base import BaseOptimizer
-from repro.optimizers.cmaes import CMAESOptimizer
-from repro.optimizers.de import DifferentialEvolutionOptimizer
-from repro.optimizers.heuristics.aimt import AIMTLikeMapper
-from repro.optimizers.heuristics.herald import HeraldLikeMapper
 from repro.optimizers.magma import (
     MagmaOptimizer,
     magma_mutation_crossover_gen,
     magma_mutation_only,
 )
-from repro.optimizers.pso import PSOOptimizer
-from repro.optimizers.random_search import RandomSearchOptimizer
-from repro.optimizers.rl.a2c import A2COptimizer
-from repro.optimizers.rl.ppo import PPOOptimizer
-from repro.optimizers.stdga import StandardGAOptimizer
-from repro.optimizers.tbpsa import TBPSAOptimizer
 from repro.utils.rng import SeedLike
 
 #: Factory signature: ``factory(seed=..., **options) -> BaseOptimizer``.
 OptimizerFactory = Callable[..., BaseOptimizer]
 
-OPTIMIZER_REGISTRY: Dict[str, OptimizerFactory] = {
+
+class OptimizerRegistry(Mapping[str, OptimizerFactory]):
+    """Name -> factory, loading each baseline on its first lookup.
+
+    A factory is either loaded already or given by its public name in
+    :mod:`repro.optimizers`, whose first lookup imports its module; the
+    factory is then kept.  Iterating, ``in`` and ``len`` import nothing, so
+    a process that only runs MAGMA never loads the baselines or the RL
+    agents.
+    """
+
+    def __init__(self, entries: Dict[str, Union[OptimizerFactory, str]]):
+        self._entries = dict(entries)
+
+    def __getitem__(self, name: str) -> OptimizerFactory:
+        entry = self._entries[name]
+        if isinstance(entry, str):
+            import repro.optimizers
+
+            entry = getattr(repro.optimizers, entry)
+            self._entries[name] = entry
+        return entry
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+OPTIMIZER_REGISTRY = OptimizerRegistry({
     # Manual baselines
-    "herald": HeraldLikeMapper,
-    "herald-like": HeraldLikeMapper,
-    "aimt": AIMTLikeMapper,
-    "ai-mt-like": AIMTLikeMapper,
+    "herald": "HeraldLikeMapper",
+    "herald-like": "HeraldLikeMapper",
+    "aimt": "AIMTLikeMapper",
+    "ai-mt-like": "AIMTLikeMapper",
     # Black-box optimization baselines
-    "stdga": StandardGAOptimizer,
-    "de": DifferentialEvolutionOptimizer,
-    "cma": CMAESOptimizer,
-    "cma-es": CMAESOptimizer,
-    "pso": PSOOptimizer,
-    "tbpsa": TBPSAOptimizer,
-    "random": RandomSearchOptimizer,
+    "stdga": "StandardGAOptimizer",
+    "de": "DifferentialEvolutionOptimizer",
+    "cma": "CMAESOptimizer",
+    "cma-es": "CMAESOptimizer",
+    "pso": "PSOOptimizer",
+    "tbpsa": "TBPSAOptimizer",
+    "random": "RandomSearchOptimizer",
     # Reinforcement learning baselines
-    "a2c": A2COptimizer,
-    "rl-a2c": A2COptimizer,
-    "ppo2": PPOOptimizer,
-    "rl-ppo2": PPOOptimizer,
+    "a2c": "A2COptimizer",
+    "rl-a2c": "A2COptimizer",
+    "ppo2": "PPOOptimizer",
+    "rl-ppo2": "PPOOptimizer",
     # This work
     "magma": MagmaOptimizer,
     "magma-mut": magma_mutation_only,
     "magma-mut-gen": magma_mutation_crossover_gen,
-}
+})
 
 
 def build_optimizer(name: str, seed: SeedLike = None, **options: object) -> BaseOptimizer:

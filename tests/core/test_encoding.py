@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import encoding
 from repro.core.encoding import Mapping, MappingCodec, stable_argsort_rows
 from repro.exceptions import EncodingError
 
@@ -114,9 +115,65 @@ class TestStableArgsortRows:
             "integers": rng.integers(0, 5, size=shape).astype(float),
         }[ties]
         expected = np.argsort(values, axis=1, kind="stable")
-        order = stable_argsort_rows(values)
+        order = stable_argsort_rows(values, runs=num_columns)
         assert order.dtype == expected.dtype
         assert np.array_equal(order, expected)
+
+
+def _lane_rows(num_rows: int, num_columns: int, runs: int, seed: int) -> np.ndarray:
+    """Kernel-like rows: *runs* per-lane cumsums of integer latencies, so
+    equal end times recur across lanes."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((num_rows, num_columns))
+    for row in rows:
+        lengths = np.bincount(rng.integers(0, runs, size=num_columns), minlength=runs)
+        latency = rng.integers(1, 4, size=num_columns).astype(float)
+        for start, stop in zip(np.cumsum(lengths) - lengths, np.cumsum(lengths)):
+            row[start:stop] = np.cumsum(latency[start:stop])
+    return rows
+
+
+class TestStableArgsortByRuns:
+    """The sort is picked by (columns, runs); both paths give NumPy's stable order."""
+
+    @pytest.mark.parametrize("num_columns", [32, 33, 50, 200])
+    @pytest.mark.parametrize("runs", [1, 4, 5, 16])
+    def test_both_paths_equal_numpy_stable_argsort(self, num_columns, runs, monkeypatch):
+        values = _lane_rows(30, num_columns, runs, seed=num_columns * 100 + runs)
+        expected = np.argsort(values, axis=1, kind="stable")
+        assert len(np.unique(values)) < values.size // 4  # ties across lanes
+        assert np.array_equal(stable_argsort_rows(values, runs=runs), expected)
+        # Force each path in turn: the switch changes speed, never the order.
+        for columns, max_runs in ((10**9, 10**9), (0, 0)):
+            monkeypatch.setattr(encoding, "_STABLE_ARGSORT_MAX_COLUMNS", columns)
+            monkeypatch.setattr(encoding, "_STABLE_ARGSORT_MAX_RUNS", max_runs)
+            order = stable_argsort_rows(values, runs=runs)
+            assert order.dtype == expected.dtype
+            assert np.array_equal(order, expected)
+
+    def test_switch_reads_runs_and_columns(self, monkeypatch):
+        """Few runs or few columns take NumPy's stable sort; long rows of
+        many runs take the repair path."""
+        stable_calls = []
+        real_argsort = np.argsort
+
+        def spy(values, axis=-1, kind=None):
+            stable_calls.append(kind == "stable")
+            return real_argsort(values, axis=axis, kind=kind)
+
+        monkeypatch.setattr(encoding.np, "argsort", spy)
+        cases = [
+            ((8, 32), 16, True),  # short rows: the length rule
+            ((8, 50), 4, True),  # S1/S2 rows: the run rule, any length
+            ((8, 200), 4, True),
+            ((8, 33), 5, False),
+            ((8, 50), 16, False),  # 80-row calls (a MAGMA generation) lose with stable
+            ((8, 200), 200, False),
+        ]
+        for shape, runs, stable in cases:
+            stable_calls.clear()
+            stable_argsort_rows(np.zeros(shape), runs=runs)
+            assert stable_calls == [stable], (shape, runs)
 
 
 class TestEncodeRoundTrip:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.accelerator import build_setting
 from repro.core.evalconfig import EvalConfig
-from repro.core.evaluator import EVAL_BACKENDS, MappingEvaluator
+from repro.core.evaluator import EVAL_BACKENDS, MappingEvaluator, SimulationRig
 from repro.core.framework import M3E
 from repro.core import parallel as parallel_module
 from repro.core.parallel import (
@@ -59,6 +59,7 @@ class TestEvaluatorSpec:
         spec = _spec_for(evaluator)
         clone = pickle.loads(pickle.dumps(spec))
         rig = clone.build_rig()
+        assert isinstance(rig, SimulationRig)
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(16, rng=3))
         assert np.array_equal(
             rig.fitnesses_for_rows(rows), evaluator._rig.fitnesses_for_rows(rows)
@@ -121,6 +122,32 @@ class TestParallelEvaluationPool:
         finally:
             pool.close()
         assert multiprocessing.active_children() == []  # close() reaped every worker
+
+    def test_spawn_pool_equals_batch_and_closes_cleanly(self):
+        """Where ``fork`` is missing the pool spawns its workers: each starts
+        a fresh interpreter, unpickles the spec and rebuilds the rig from the
+        evaluator module.  Its fitnesses equal the batch backend bit for bit."""
+        from repro.obs import get_metrics
+
+        platform, group = _problem("S2", 16.0, 10)
+        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
+        rows = evaluator.codec.repair_batch(evaluator.codec.random_population(40, rng=5))
+        reference = evaluator.evaluate_population(rows, count_samples=False)
+        fallback = get_metrics().counter(
+            "repro_local_fallback_chunks_total", labels={"backend": "parallel"}
+        )
+        fallback_before = fallback.value
+        pool = ParallelEvaluationPool(_spec_for(evaluator), num_workers=2, start_method="spawn")
+        try:
+            assert np.array_equal(pool.evaluate(rows), reference)
+            (process, _), = pool._workers
+            assert type(process).__name__ == "SpawnProcess"
+            assert np.array_equal(pool.evaluate(rows[::-1]), reference[::-1])
+        finally:
+            pool.close()
+        assert fallback.value == fallback_before  # the spawned worker computed its shards
+        assert not pool.is_running
+        assert multiprocessing.active_children() == []
 
     def test_warm_up_starts_workers_and_next_evaluate_is_bit_identical(self):
         platform, group = _problem("S2", 16.0, 10)

@@ -154,6 +154,8 @@ class TestCommittedBaselines:
                 "test_decode_analysis.py", "MIN_DECODE_SPEEDUP"),
             ("BENCH_decode_analysis.json", "reanalyze_speedup"): (
                 "test_decode_analysis.py", "MIN_REANALYZE_SPEEDUP"),
+            ("BENCH_cold_start.json", "setup_speedup"): (
+                "test_cold_start.py", "MIN_SETUP_SPEEDUP"),
         }
         for (bench_file, metric), (module_file, constant) in expectations.items():
             assert committed[bench_file][metric] == _bench_constant(module_file, constant), (
