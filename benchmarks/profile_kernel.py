@@ -11,6 +11,10 @@ This is the measurement half of the ROADMAP item-3 raw-speed pass: measure
 the kernel first, then apply targeted fixes, then measure again — the
 before/after table lives in docs/PERFORMANCE.md and the rate floors are
 gated by ``benchmarks/test_kernel_sweep.py`` -> ``BENCH_kernel_sweep.json``.
+
+It also splits one MAGMA generation (population 100, 80 children) into
+breed / repair / decode / kernel / score at the two perfbench search
+shapes; the five parts add up to the generation's wall time.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import cProfile
 import io
 import pstats
 import time
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from repro.accelerator import build_setting
 from repro.core.bw_allocator import BatchBandwidthAllocator
 from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
+from repro.optimizers.magma import MagmaOptimizer
 from repro.workloads import TaskType, build_task_workload
 
 #: (setting, bandwidth GB/s, group size) grid of kernel measurement points.
@@ -93,6 +98,88 @@ def run_sweep() -> List[dict]:
     return results
 
 
+#: (setting, bandwidth GB/s, group size) of the per-generation split:
+#: perfbench's search_small and search_large problems.
+GENERATION_POINTS: List[Tuple[str, float, int]] = [
+    ("S2", 16.0, 20),
+    ("S6", 256.0, 200),
+]
+
+#: The parts of one generation, in the order they run.
+GENERATION_PARTS = ("breed", "repair", "decode", "kernel", "score")
+
+
+def generation_split(setting: str, bandwidth: float, group_size: int,
+                     generations: int = 40, blocks: int = 7) -> Dict[str, float]:
+    """Per-generation microseconds of each part of a MAGMA generation.
+
+    Runs *blocks* searches of *generations* timed generations each (after 3
+    warm-up ones) and keeps the block with the least wall time.  ``breed``
+    is ``_next_generation`` minus ``evaluate_population``; ``repair``,
+    ``decode`` and ``kernel`` are the codec's and the batch allocator's
+    calls inside it, and ``score`` is the rest of ``evaluate_population``
+    (objective, budget and history bookkeeping), so the parts add up to
+    ``total``.
+    """
+    _, evaluator = build_problem(setting, bandwidth, group_size)
+    seconds: Dict[str, float] = {}
+
+    def timed(owner: object, attr: str, part: str) -> None:
+        original: Callable = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                seconds[part] = seconds.get(part, 0.0) + time.perf_counter() - start
+
+        setattr(owner, attr, wrapper)
+
+    timed(evaluator.codec, "repair_batch", "repair")
+    timed(evaluator.codec, "decode_batch", "decode")
+    timed(evaluator.batch_allocator, "makespan_cycles", "kernel")
+    timed(evaluator, "evaluate_population", "evaluate")
+    best: Dict[str, float] = {}
+    for block in range(blocks):
+        optimizer = MagmaOptimizer(seed=block)
+        population = optimizer._initial_population(evaluator, optimizer.config.population_size, None)
+        fitnesses = evaluator.evaluate_population(population)
+        for _ in range(3):
+            population, fitnesses = optimizer._next_generation(evaluator, population, fitnesses)
+        seconds.clear()
+        start = time.perf_counter()
+        for _ in range(generations):
+            population, fitnesses = optimizer._next_generation(evaluator, population, fitnesses)
+        total = time.perf_counter() - start
+        if not best or total < best["total"]:
+            simulate = seconds["repair"] + seconds["decode"] + seconds["kernel"]
+            best = {
+                "breed": total - seconds["evaluate"],
+                "repair": seconds["repair"],
+                "decode": seconds["decode"],
+                "kernel": seconds["kernel"],
+                "score": seconds["evaluate"] - simulate,
+                "total": total,
+            }
+    return {part: value / generations * 1e6 for part, value in best.items()}
+
+
+def generation_table() -> str:
+    """The per-generation split at every :data:`GENERATION_POINTS` problem."""
+    header = f"{'setting':>8} {'G':>4} " + " ".join(f"{part:>8}" for part in GENERATION_PARTS)
+    header += f" {'total':>8}  (us per generation)"
+    lines = [header, "-" * len(header)]
+    for setting, bandwidth, group_size in GENERATION_POINTS:
+        split = generation_split(setting, bandwidth, group_size)
+        lines.append(
+            f"{setting:>8} {group_size:>4} "
+            + " ".join(f"{split[part]:>8.1f}" for part in GENERATION_PARTS)
+            + f" {split['total']:>8.1f}"
+        )
+    return "\n".join(lines)
+
+
 def profile_kernel(setting: str = "S2", bandwidth: float = 16.0,
                    group_size: int = 20, pop: int = 512) -> str:
     """cProfile the kernel; returns the cumulative-time stats text."""
@@ -132,7 +219,7 @@ def main(argv: "List[str] | None" = None) -> int:
             f"{point['population']:>6} {point['seconds'] * 1e3:>9.2f} "
             f"{point['rows_per_second']:>12.0f} {point['row_events_per_second']:>14.0f}"
         )
-    table = "\n".join(lines)
+    table = "\n".join(lines) + "\n\nMAGMA generation, population 100:\n" + generation_table()
     print(table)
     profile_text = profile_kernel()
     print("\ncProfile (S2, pop=512, 5 calls, top 25 by cumulative time):")

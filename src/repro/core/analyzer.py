@@ -143,6 +143,9 @@ class JobAnalysisTable:
         self.energy_joules = _read_only_copy(energy_joules)
         self.dram_traffic_bytes = _read_only_copy(dram_traffic_bytes)
         self.job_flops = _read_only_copy(job_flops)
+        #: Total FLOPs across all jobs (numerator of the throughput
+        #: objective), summed once: the arrays are read-only.
+        self.total_flops = float(self.job_flops.sum())
 
     # ------------------------------------------------------------------
     @property
@@ -154,11 +157,6 @@ class JobAnalysisTable:
     def num_sub_accelerators(self) -> int:
         """Number of sub-accelerators covered by the table."""
         return self.latency_cycles.shape[1]
-
-    @property
-    def total_flops(self) -> float:
-        """Total FLOPs across all jobs (numerator of the throughput objective)."""
-        return float(self.job_flops.sum())
 
     def profile(self, job_index: int, sub_index: int) -> JobProfile:
         """Return the full profile of one (job, sub-accelerator) pair."""

@@ -34,8 +34,8 @@ Two allocators implement it:
   time, a per-event loop that can record the full timeline, and
 * :class:`BatchBandwidthAllocator` — the vectorized engine behind the
   ``batch`` evaluation backend: a whole population in a few dozen NumPy
-  calls (per-lane running sums, one row-wise argsort, two cumsums) and no
-  per-event loop.
+  calls (per-lane running sums, one row-wise argsort, one cumsum and one
+  event-order sum) and no per-event loop.
 
 Both perform the same IEEE operations in the same order (sequential sums in
 core and event order, ties broken by core then queue position), so their
@@ -314,8 +314,8 @@ class BatchBandwidthAllocator:
     cores)``; a running sum down each lane (one vector add per queue depth)
     gives every job's virtual end time; one argsort per row, with ties in
     the scalar's order, puts the ``G`` events in order; one cumsum of the
-    per-event bandwidth steps gives each interval's demand and one cumsum of
-    ``dv / ratio`` the real time.  There is no per-event loop.
+    per-event bandwidth steps gives each interval's demand and one sum of
+    ``dv / ratio`` in event order the real time.  There is no per-event loop.
 
     Every floating-point operation mirrors the scalar
     :class:`BandwidthAllocator` element-wise and in order, so the returned
@@ -407,7 +407,14 @@ class BatchBandwidthAllocator:
         np.minimum(ratio, 1.0, out=ratio)
         elapsed = times[:, 1:] - times[:, :-1]
         elapsed /= ratio
-        makespans = np.cumsum(elapsed, axis=1)[:, -1]
+        # Each row's intervals summed in event order, as the scalar walk
+        # adds them: reducing an event-major (G, pop) array adds one event
+        # row at a time across all rows.  A lone row would be reduced as a
+        # pairwise sum, so it takes the running sum.
+        if pop > 1:
+            makespans = np.add.reduce(np.ascontiguousarray(elapsed.T), axis=0)
+        else:
+            makespans = np.cumsum(elapsed, axis=1)[:, -1]
         if not makespans.max(initial=0.0) < np.inf:
             raise SchedulingError("bandwidth allocation produced a non-finite makespan")
         return makespans

@@ -312,11 +312,15 @@ class MappingCodec:
         order = np.argsort(priority, axis=1)
         flat_order = order + np.arange(0, pop * num_jobs, num_jobs)[:, None]
         # Dense ranks of the sorted priorities: a run of equal values shares
-        # one rank, so ties fall to the job field of the key below.
+        # one rank, so ties fall to the job field of the key below.  With no
+        # tie in any row, every rank is its sorted position.
         ranked = priority.take(flat_order)
         keys = np.zeros((pop, num_jobs), dtype=key_type)
         np.not_equal(ranked[:, 1:], ranked[:, :-1], out=keys[:, 1:])
-        np.cumsum(keys, axis=1, out=keys)
+        if np.count_nonzero(keys) == keys.size - pop:
+            keys[:] = np.arange(num_jobs, dtype=key_type)
+        else:
+            np.cumsum(keys, axis=1, out=keys)
         # keys = (core, rank, job), unique per row, so a plain (SIMD) sort
         # orders each row's jobs by core, then priority, then job index.
         cores = repaired[:, :num_jobs].astype(key_type)

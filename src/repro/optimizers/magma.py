@@ -112,10 +112,9 @@ class MagmaOptimizer(BaseOptimizer):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Produce and evaluate the next generation."""
         cfg = self.config
-        codec = evaluator.codec
+        num_cores = evaluator.codec.num_sub_accelerators
+        genome = evaluator.codec.genome_length
         order = np.argsort(fitnesses)[::-1]
-        population = population[order]
-        fitnesses = fitnesses[order]
 
         # Elitism must follow the *actual* population size: warm-starting with
         # more initial encodings than cfg.population_size (Section V-C) grows
@@ -123,41 +122,68 @@ class MagmaOptimizer(BaseOptimizer):
         # desynchronize the elite/child split from the sorted population.
         pop_size = len(population)
         num_elites = min(pop_size - 1, max(1, int(round(cfg.elite_ratio * pop_size))))
-        parent_pool = population[: max(2, num_elites * 2)]
+        pool_size = min(pop_size, max(2, num_elites * 2))
         num_children = pop_size - num_elites
+        num_pairs = (num_children + 1) // 2
 
-        # One array step builds the whole child block: distinct parent pairs
-        # drawn uniformly from the elite-biased pool, one rate mask per
-        # crossover applied to its rows (gen, then rg, then accel, whose
-        # daughter is crossed with the already-updated son), sons and
-        # daughters interleaved, and one mutation call over every child.
+        # One buffer holds the generation: the elites, then each distinct
+        # parent pair drawn uniformly from the elite-biased pool as a (son,
+        # daughter) row pair, gathered with one take.  Each step draws its
+        # own values and the next operator's rate mask in one call (a
+        # disabled operator draws nothing; an operator hitting no pair draws
+        # nothing more).
         rng = self.rng
-        dad, mom = operators.draw_parent_pairs(len(parent_pool), (num_children + 1) // 2, rng)
-        son, daughter = parent_pool[dad], parent_pool[mom]
-        # A crossover drawing no rows draws no randomness, so skipping the
-        # call on an empty hit leaves the random stream untouched.
-        if cfg.enable_crossover_gen:
-            hit = np.flatnonzero(rng.random(len(son)) < cfg.crossover_gen_rate)
-            if hit.size:
-                son[hit], daughter[hit] = operators.crossover_gen(son[hit], daughter[hit], codec, rng)
-        if cfg.enable_crossover_rg:
-            hit = np.flatnonzero(rng.random(len(son)) < cfg.crossover_rg_rate)
-            if hit.size:
-                son[hit], daughter[hit] = operators.crossover_rg(son[hit], daughter[hit], codec, rng)
-        if cfg.enable_crossover_accel:
-            hit = np.flatnonzero(rng.random(len(son)) < cfg.crossover_accel_rate)
-            if hit.size:
-                sons = operators.crossover_accel(son[hit], daughter[hit], codec, rng)
-                son[hit] = sons
-                daughter[hit] = operators.crossover_accel(daughter[hit], sons, codec, rng)
-        children = np.concatenate([son, daughter], axis=1).reshape(-1, codec.encoding_length)
-        children = operators.mutate(children[:num_children], codec, rng, cfg.mutation_rate)
-
-        next_population = np.vstack([population[:num_elites], children])
-        next_fitnesses = np.concatenate(
-            [fitnesses[:num_elites], evaluator.evaluate_population(children)]
+        u_dad, u_mom, u_gen = operators.draw(
+            rng, num_pairs, num_pairs, num_pairs if cfg.enable_crossover_gen else 0
         )
-        return next_population, next_fitnesses
+        dad, mom = operators.parent_pairs(u_dad, u_mom, pool_size)
+        kept = np.empty(num_elites + 2 * num_pairs, dtype=np.intp)
+        kept[:num_elites] = order[:num_elites]
+        kept[num_elites::2] = order.take(dad)
+        kept[num_elites + 1::2] = order.take(mom)
+        rows = population.take(kept, axis=0)
+        pairs = rows[num_elites:].reshape(num_pairs, 2, -1)
+
+        # Crossover-gen then crossover-rg: two swaps in a row are one swap
+        # by the XOR of their masks, so both ranges go into one mask.
+        gen_hit = u_gen < cfg.crossover_gen_rate
+        num_gen = np.count_nonzero(gen_hit)
+        u_genome, u_pivot, u_rg = operators.draw(
+            rng, num_gen, num_gen if genome > 1 else 0, num_pairs if cfg.enable_crossover_rg else 0
+        )
+        rg_hit = u_rg < cfg.crossover_rg_rate
+        num_rg = np.count_nonzero(rg_hit)
+        u_start, u_stop, u_accel = operators.draw(
+            rng, num_rg, num_rg, num_pairs if cfg.enable_crossover_accel else 0
+        )
+        if num_gen or num_rg:
+            # Per pair, gen's one column range and rg's two; a pair an
+            # operator did not hit keeps the empty range [0, 0).
+            bounds = np.zeros((6, num_pairs), dtype=np.intp)
+            if num_gen:
+                bounds[:2, gen_hit] = operators.crossover_gen_bounds(u_genome, u_pivot, genome)
+            if num_rg:
+                bounds[2:, rg_hit] = operators.crossover_rg_bounds(u_start, u_stop, genome)
+            swap = operators.swap_mask(bounds, 2 * genome)
+            np.copyto(pairs, pairs[:, ::-1].copy(), where=swap[:, None])
+
+        # Crossover-accel: the daughter is crossed with the updated son.
+        accel_hit = u_accel < cfg.crossover_accel_rate
+        if accel_hit.any():
+            crossed = pairs[accel_hit]
+            son, daughter = crossed[:, 0], crossed[:, 1]
+            operators.crossover_accel_into(son, daughter, rng, num_cores)
+            operators.crossover_accel_into(daughter, son, rng, num_cores)
+            pairs[accel_hit] = crossed
+
+        # Mutation covers every child; an odd child count drops the last
+        # daughter unmutated.
+        children = rows[num_elites:pop_size]
+        operators.mutate_into(children, rng, num_cores, cfg.mutation_rate)
+        next_fitnesses = np.concatenate(
+            [fitnesses.take(order[:num_elites]), evaluator.evaluate_population(children)]
+        )
+        return rows[:pop_size], next_fitnesses
 
 
 def magma_mutation_only(seed: SeedLike = None, **overrides: object) -> MagmaOptimizer:

@@ -9,17 +9,7 @@ Public API::
     report.unsuppressed                         # findings that fail the build
 """
 
-from .engine import (
-    Checker,
-    Finding,
-    LintReport,
-    SourceFile,
-    all_codes,
-    lint_paths,
-    lint_source,
-    register,
-    registered_checkers,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Checker",
@@ -32,3 +22,7 @@ __all__ = [
     "register",
     "registered_checkers",
 ]
+
+# The engine loads on first use: every ``repro-magma`` process imports this
+# package to build its ``lint`` parser, and only that command runs it.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {name: f"{__name__}.engine" for name in __all__})

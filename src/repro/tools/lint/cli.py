@@ -16,8 +16,6 @@ import argparse
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .engine import LintReport, all_codes, lint_paths
-
 
 def default_paths() -> List[str]:
     """Lint the installed ``repro`` package itself when no path is given."""
@@ -74,6 +72,10 @@ def run_lint(
     list_codes: bool = False,
 ) -> int:
     """Execute one lint run and print the report; returns the exit status."""
+    # Imported here: every ``repro-magma`` process builds the ``lint``
+    # parser, and only this command compiles the engine.
+    from .engine import LintReport, all_codes, lint_paths
+
     if list_codes:
         for code, description in sorted(all_codes().items()):
             print(f"{code}  {description}")

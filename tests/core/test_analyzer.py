@@ -188,3 +188,18 @@ class TestJobAnalysisTable:
                 dram_traffic_bytes=np.ones((3, 2)),
                 job_flops=np.ones(4),
             )
+
+    def test_total_flops_is_the_sum_of_its_read_only_job_flops(self, analysis_table):
+        # Summed once at construction; the table's arrays cannot change after.
+        assert analysis_table.total_flops == float(analysis_table.job_flops.sum())
+        assert not analysis_table.job_flops.flags.writeable
+        flops = np.array([3.0e9, 1.5e-3, 7.0e12])
+        table = JobAnalysisTable(
+            latency_cycles=np.ones((3, 2)),
+            required_bw_gbps=np.ones((3, 2)),
+            energy_joules=np.ones((3, 2)),
+            dram_traffic_bytes=np.ones((3, 2)),
+            job_flops=flops,
+        )
+        flops[0] = 0.0
+        assert table.total_flops == float(np.array([3.0e9, 1.5e-3, 7.0e12]).sum())

@@ -105,6 +105,32 @@ class TestBatchDecode:
         assert batch.queue_lengths[0].tolist() == [2, 0, 4]
 
 
+class TestBatchDecodeTiedRows:
+    """The decode skips its rank cumsum when no row of a batch has a tied
+    priority; a batch with ties in one row or in every row takes the
+    cumsum.  Each must equal the scalar decode row by row."""
+
+    @pytest.mark.parametrize("tied_rows", ["none", "one", "every"])
+    @pytest.mark.parametrize("num_jobs,num_cores", [(20, 4), (200, 16)])
+    def test_batch_equals_scalar_decode(self, tied_rows, num_jobs, num_cores):
+        codec = MappingCodec(num_jobs=num_jobs, num_sub_accelerators=num_cores)
+        rng = np.random.default_rng(num_jobs)
+        rows = codec.repair_batch(codec.random_population(24, rng=rng))
+        if tied_rows == "one":
+            # Two priority values on two cores: every core holds runs of
+            # equal priorities, which the default argsort returns out of
+            # job order, so only the dense ranks keep them in it.
+            rows[7, :num_jobs] = np.arange(num_jobs) % 2
+            rows[7, num_jobs:] = rng.choice([0.25, 0.5], size=num_jobs)
+        elif tied_rows == "every":
+            rows = np.array([codec.encode(codec.decode(row)) for row in rows])
+        has_tie = [len(np.unique(row[num_jobs:])) < num_jobs for row in rows]
+        assert sum(has_tie) == {"none": 0, "one": 1, "every": len(rows)}[tied_rows]
+        batch = codec.decode_batch(rows)
+        for i in range(len(rows)):
+            assert batch.mapping(i) == codec.decode(rows[i])
+
+
 class TestBatchDecodeTiesAtScale:
     """The batch decode ranks equal priorities densely and breaks the tie on
     job index; at G=200 on 16 cores it must still equal the scalar decode
@@ -317,6 +343,36 @@ class TestBatchAllocator:
                 evaluator.codec.decode(encoding), evaluator.table
             )
             assert np.isfinite(makespan) and makespan > 0
+
+
+class TestKernelEventOrderSum:
+    """Each makespan is its row's interval terms summed in event order, as
+    the scalar walk adds them.  Terms spanning twelve decades make a
+    pairwise (blocked) sum round differently from the sequential one, so a
+    kernel that summed them any other way would break bit-identity here."""
+
+    NUM_JOBS, NUM_CORES = 64, 4
+
+    def _table(self):
+        rng = np.random.default_rng(11)
+        shape = (self.NUM_JOBS, self.NUM_CORES)
+        latency = 10.0 ** rng.uniform(0.0, 12.0, size=shape)
+        bandwidth = rng.uniform(1.0, 4.0, size=shape)
+        return JobAnalysisTable(
+            latency_cycles=latency,
+            required_bw_gbps=bandwidth,
+            energy_joules=np.ones(shape),
+            dram_traffic_bytes=latency * bandwidth,
+            job_flops=np.full(self.NUM_JOBS, 1000.0),
+        )
+
+    @pytest.mark.parametrize("contended", [False, True], ids=["uncontended", "contended"])
+    @pytest.mark.parametrize("pop_size", [1, 2, 3, 40])
+    def test_wide_magnitude_intervals_match_scalar(self, contended, pop_size):
+        codec = MappingCodec(num_jobs=self.NUM_JOBS, num_sub_accelerators=self.NUM_CORES)
+        population = codec.random_population(pop_size, rng=pop_size)
+        bandwidth = 5.0 if contended else 1000.0
+        _assert_batch_matches_scalar(bandwidth, codec, self._table(), population)
 
 
 class TestKernelChecksPerTable:

@@ -266,19 +266,20 @@ class TestParentPairs:
 
 
 class TestGenerationCrossoverRates:
-    # Rate 0 hits no pair, so no crossover is called at all (an empty hit
-    # skips the call); rate 1 crosses all 4 pairs.
+    # Rate 0 hits no pair, so no crossover rule runs at all (an empty hit
+    # skips it); rate 1 crosses all 4 pairs.  The generation step calls the
+    # rules' helpers: the first argument holds one entry per crossed pair.
     @pytest.mark.parametrize("rate,expected_calls", [(0.0, []), (1.0, [4])], ids=["0.0-0", "1.0-4"])
     def test_rate_bounds_apply_to_no_pair_or_every_pair(
         self, rate, expected_calls, monkeypatch, small_platform, mix_group
     ):
-        rows_seen = {"crossover_gen": [], "crossover_rg": [], "crossover_accel": []}
+        rows_seen = {"crossover_gen_bounds": [], "crossover_rg_bounds": [], "crossover_accel_into": []}
         for name, calls in rows_seen.items():
             original = getattr(operators, name)
 
-            def recording(dad, mom, *args, _original=original, _calls=calls, **kwargs):
-                _calls.append(len(dad))
-                return _original(dad, mom, *args, **kwargs)
+            def recording(first, *args, _original=original, _calls=calls, **kwargs):
+                _calls.append(len(first))
+                return _original(first, *args, **kwargs)
 
             monkeypatch.setattr(operators, name, recording)
         evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=100)
@@ -293,6 +294,6 @@ class TestGenerationCrossoverRates:
         population = optimizer._initial_population(evaluator, 10, None)
         optimizer._next_generation(evaluator, population, evaluator.evaluate_population(population))
         # 10 individuals, 2 elites: 8 children from 4 parent pairs.
-        assert rows_seen["crossover_gen"] == expected_calls
-        assert rows_seen["crossover_rg"] == expected_calls
-        assert rows_seen["crossover_accel"] == expected_calls * 2
+        assert rows_seen["crossover_gen_bounds"] == expected_calls
+        assert rows_seen["crossover_rg_bounds"] == expected_calls
+        assert rows_seen["crossover_accel_into"] == expected_calls * 2

@@ -150,6 +150,8 @@ class TestCommittedBaselines:
                 "test_kernel_sweep.py", "MIN_S6_POP80_ROW_EVENTS_PER_SECOND"),
             ("BENCH_generation_step.json", "reference_to_build_ratio"): (
                 "test_generation_step.py", "MIN_REFERENCE_TO_BUILD_RATIO"),
+            ("BENCH_generation_step.json", "build_speedup"): (
+                "test_generation_step.py", "MIN_BUILD_SPEEDUP"),
             ("BENCH_decode_analysis.json", "decode_speedup"): (
                 "test_decode_analysis.py", "MIN_DECODE_SPEEDUP"),
             ("BENCH_decode_analysis.json", "reanalyze_speedup"): (

@@ -34,10 +34,13 @@ BATCH_FORBIDDEN = (
     "repro.analysis",
     "repro.experiments",
     "repro.service",
+    "repro.tools.lint.engine",
 )
 
 #: Modules the mapping service must not import to answer a hit or a miss.
-SERVICE_FORBIDDEN = ("multiprocessing", "repro.core.parallel", "repro.optimizers.rl", "repro.analysis")
+SERVICE_FORBIDDEN = (
+    "multiprocessing", "repro.core.parallel", "repro.optimizers.rl", "repro.analysis", "repro.tools.lint.engine",
+)
 
 #: The steps of ``perfbench/setup_probe.py``, then one small batch search.
 #: Listing the registry's names imports none of their modules.
@@ -118,6 +121,22 @@ def test_the_service_answers_a_hit_and_a_miss_without_rl_analysis_or_pool(tmp_pa
     assert [name for name in requested if name.startswith("repro")] == []
 
 
+@pytest.mark.parametrize("argv", [["search", "--help"], ["serve", "--help"]], ids=["search", "serve"])
+def test_the_cli_builds_its_parser_without_the_lint_engine(argv):
+    """Every ``repro-magma`` command builds the full parser, ``lint``
+    included; only running ``lint`` may compile the engine."""
+    out = _run(
+        "import contextlib, io, sys\n"
+        "from repro.cli import build_parser\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        f"    build_parser().parse_args({argv!r})\n"
+        "before = 'repro.tools.lint.engine' in sys.modules\n"
+        "from repro.tools.lint import lint_source\n"
+        "OUT = {'before': before, 'after': 'repro.tools.lint.engine' in sys.modules}\n"
+    )
+    assert out == {"before": False, "after": True}
+
+
 def test_a_parallel_explorer_loads_the_pool_when_built():
     """The pool's import lands in the explorer's construction, not in the
     first (timed) search."""
@@ -163,7 +182,9 @@ OUT = {"problems": problems, "count": len(package.__all__)}
 """
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.core", "repro.optimizers", "repro.experiments"])
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.core", "repro.optimizers", "repro.experiments", "repro.tools.lint"]
+)
 def test_every_public_name_resolves_to_its_home_object(package):
     """``from package import name`` works for every name in ``__all__``,
     loaded with the package or on first use, and gives the very object its
