@@ -39,15 +39,14 @@ remembered solutions (Table V) — then submit queries to it::
     repro-magma serve --store solutions.jsonl --warm-store warm.jsonl
     repro-magma submit --task vision --setting S2 --wait
 
-Scale the service tier out to N replicas by pointing them at one shared
-store — ``sqlite:PATH`` for replicas on one host, or a ``tcp://`` store
-server for a fleet (every ``--store``/``--warm-store``/``--out`` accepts
-these URLs; bare paths mean ``jsonl:``; see docs/SERVICE.md)::
+Scale the service tier out to N replicas on one host by pointing them at
+one shared ``sqlite:PATH`` store (every ``--store``/``--warm-store``/``--out``
+accepts ``jsonl:``/``sqlite:`` URLs; bare paths mean ``jsonl:``; see
+docs/SERVICE.md)::
 
-    repro-magma store serve --listen 127.0.0.1:9917 --backing sqlite:shared.sqlite3
-    repro-magma serve --port 8787 --store tcp://127.0.0.1:9917 --replica-id a
-    repro-magma serve --port 8788 --store tcp://127.0.0.1:9917 --replica-id b
-    repro-magma store info tcp://127.0.0.1:9917
+    repro-magma serve --port 8787 --store sqlite:shared.sqlite3 --replica-id a
+    repro-magma serve --port 8788 --store sqlite:shared.sqlite3 --replica-id b
+    repro-magma store info sqlite:shared.sqlite3
     repro-magma store compact sqlite:shared.sqlite3 --max-records 100000
 
 Any search-running command accepts ``--warm-store PATH`` to read/extend the
@@ -70,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Optional, Sequence
 
@@ -77,7 +77,7 @@ from repro.accelerator import build_setting, list_settings
 from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS, EvalConfig
 from repro.core.framework import M3E
 from repro.core.objectives import list_objectives
-from repro.exceptions import ExperimentError, ServiceError
+from repro.exceptions import ConfigurationError, ExperimentError, ServiceError
 from repro.experiments.settings import get_scale, list_scales
 from repro.utils.rng import resolve_seed, set_global_seed
 from repro.workloads import TaskType, build_task_workload, list_models
@@ -272,44 +272,30 @@ def _warm_library(args: argparse.Namespace):
     return WarmStartLibrary(path)
 
 
-def _cmd_store_serve(args: argparse.Namespace) -> int:
-    """Serve one local store to the network (the ``tcp://`` backend's server).
+def _open_existing_store(spec: str):
+    """Open the store *spec* names, refusing one that does not exist.
 
-    Any number of ``repro-magma serve`` replicas — on any host — can then
-    share the store by pointing ``--store tcp://HOST:PORT`` at it.
+    Opening a ``sqlite:`` path creates the database, so without this check a
+    mistyped path would be reported as an empty store and left on disk.
     """
-    import signal
+    from repro.utils.storage import open_store_backend, parse_store_url
 
-    from repro.service.netstore import NetworkStoreServer, serve_store
-
-    def _announce(server: NetworkStoreServer) -> None:
-        print(
-            f"store server listening on {server.url} "
-            f"(backing: {server.backing.url})",
-            flush=True,
-        )
-
-    def _graceful(signum: int, frame: Any) -> None:
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _graceful)
-    try:
-        serve_store(args.listen, args.backing, token=args.token, ready=_announce)
-    except KeyboardInterrupt:
-        print("\nstore server shutting down")
-    return 0
+    url = parse_store_url(spec)
+    if not os.path.exists(url.path):
+        raise ConfigurationError(f"store {url.render()!r} does not exist (no file at {url.path!r})")
+    return open_store_backend(url)
 
 
 def _cmd_store_compact(args: argparse.Namespace) -> int:
     """Apply a compaction policy to a store and print what it dropped."""
-    from repro.utils.storage import CompactionPolicy, open_store_backend
+    from repro.utils.storage import CompactionPolicy
 
     policy = CompactionPolicy(
         keep_best_per_fingerprint=not args.no_keep_best,
         max_records=args.max_records,
         max_bytes=args.max_bytes,
     )
-    with open_store_backend(args.store) as backend:
+    with _open_existing_store(args.store) as backend:
         backend.repair()
         kept, dropped = backend.compact(policy)
         print(json.dumps(
@@ -322,9 +308,8 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
 def _cmd_store_info(args: argparse.Namespace) -> int:
     """Print a JSON summary of a store (any backend URL)."""
     from repro.utils.serialization import jsonable
-    from repro.utils.storage import open_store_backend
 
-    with open_store_backend(args.store) as backend:
+    with _open_existing_store(args.store) as backend:
         print(json.dumps(jsonable(backend.describe()), indent=2, sort_keys=True))
     return 0
 
@@ -486,7 +471,7 @@ def _add_warm_store_option(parser: argparse.ArgumentParser) -> None:
     """The persistent warm-start flag shared by search-running commands."""
     parser.add_argument(
         "--warm-store", default=None, metavar="URL",
-        help="persistent warm-start library (a path or jsonl:/sqlite:/tcp:// "
+        help="persistent warm-start library (a path or jsonl:/sqlite: "
         "store URL): searches seed from the best prior same-task solution "
         "and record their winners back",
     )
@@ -612,7 +597,7 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     )
     campaign.add_argument(
         "--out", default="campaign_results.jsonl", metavar="URL",
-        help="results store: a path or jsonl:/sqlite:/tcp:// URL "
+        help="results store: a path or jsonl:/sqlite: URL "
         "(default: campaign_results.jsonl)",
     )
     campaign.add_argument("--scale", default=None, choices=list_scales())
@@ -634,7 +619,7 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     serve.add_argument("--port", type=int, default=8787)
     serve.add_argument(
         "--store", default="solutions.jsonl", metavar="URL",
-        help="persistent solution store: a path or jsonl:/sqlite:/tcp:// URL "
+        help="persistent solution store: a path or jsonl:/sqlite: URL "
         "(default: solutions.jsonl; shared backends let several replicas "
         "answer from one store — see docs/SERVICE.md)",
     )
@@ -656,25 +641,6 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         "store", help="manage pluggable store backends (docs/SERVICE.md)"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
-    store_serve = store_sub.add_parser(
-        "serve",
-        help="serve a local store to the network (the tcp:// backend's server)",
-    )
-    store_serve.add_argument(
-        "--listen", default="127.0.0.1:9917", metavar="HOST:PORT",
-        help="address to listen on (default: 127.0.0.1:9917; port 0 picks a free port)",
-    )
-    store_serve.add_argument(
-        "--backing", default="sqlite:store.sqlite3", metavar="URL",
-        help="local store the server persists through: a jsonl:/sqlite: URL "
-        "or a bare path meaning jsonl: (default: sqlite:store.sqlite3)",
-    )
-    store_serve.add_argument(
-        "--token", default=None, metavar="TOKEN",
-        help="shared auth token clients must present "
-        "(default: the REPRO_RPC_TOKEN environment variable)",
-    )
-    store_serve.set_defaults(func=_cmd_store_serve)
     store_compact = store_sub.add_parser(
         "compact", help="bound a store: keep best per fingerprint, newest N, size cap"
     )

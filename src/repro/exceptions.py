@@ -43,15 +43,3 @@ class ExperimentError(ReproError):
 class ServiceError(ReproError):
     """Raised when the mapping service receives an invalid request or job id."""
 
-
-class RpcError(ReproError):
-    """Raised when the ``tcp://`` store transport fails (auth, framing, server errors)."""
-
-
-class WorkerDiedError(RpcError):
-    """Raised when a store-transport connection dies mid-frame.
-
-    The ``tcp://`` client treats this as a transport failure and retries the
-    request once over a fresh connection — unlike a :class:`RpcError` reply,
-    which means the server is alive and deliberately reported a failure.
-    """

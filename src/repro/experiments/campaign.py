@@ -57,8 +57,8 @@ class CampaignResultsStore(BackedStore):
     what makes interrupted campaigns resumable.  Append/repair/fingerprint
     mechanics live with the pluggable :class:`~repro.utils.storage.StoreBackend`
     (shared with the mapping service's solution store) — ``--out`` accepts
-    any store URL, so several campaign processes can feed one ``sqlite:`` or
-    ``tcp://`` store.  On the default JSONL backend ``fingerprints()`` scans
+    any store URL, so several campaign processes on one host can feed one
+    ``sqlite:`` store.  On the default JSONL backend ``fingerprints()`` scans
     the fingerprint key without parsing whole records, so resuming a large
     campaign does not pay for re-reading every stored convergence history.
     """

@@ -216,7 +216,7 @@ class MappingService:
     store:
         :class:`SolutionStore` of solved requests, or anything
         :func:`~repro.utils.storage.parse_store_url` accepts (a bare path,
-        a ``jsonl:``/``sqlite:``/``tcp://`` URL, or an open backend).  On a
+        a ``jsonl:``/``sqlite:`` URL, or an open backend).  On a
         shared backend several service replicas answer from — and feed —
         one store.  A store the service opened itself (from a path/URL) is
         closed by :meth:`close`; an already open store/backend stays the
@@ -265,9 +265,8 @@ class MappingService:
         self._owns_warm = isinstance(warm_store, str)
         self.warm_store: Optional[WarmStartLibrary] = None
         self.replica_id = replica_id or f"{socket.gethostname()}:{os.getpid()}"
-        # Everything below may fail (bad eval config, unreadable store, a
-        # dead network store, ...); a half-built service must not leak the
-        # store handles it just opened.
+        # Everything below may fail (bad eval config, unreadable store, ...);
+        # a half-built service must not leak the store handles it just opened.
         try:
             if isinstance(warm_store, str):
                 warm_store = WarmStartLibrary(warm_store)
@@ -366,7 +365,7 @@ class MappingService:
             # A fingerprint stored at startup is read from the store on its
             # first hit; on a shared store another replica may have solved
             # any fingerprint since startup.  The store is consulted *before*
-            # taking the lock (it may be network I/O); racing first hits and
+            # taking the lock (it is file I/O); racing first hits and
             # a concurrent local solve are harmless: the first answer pinned
             # wins, and duplicate appends resolve to the best record.  A
             # fingerprint removed from the store since startup reads ``None``

@@ -9,10 +9,9 @@ Since the store-backend split the solution store is transport-agnostic: it
 defines the record schema and the duplicate-resolution semantics, and
 persists through any :class:`~repro.utils.storage.StoreBackend` —
 ``jsonl:path`` (the default; byte-compatible with every store file written
-before backends existed), ``sqlite:path`` for concurrent local replicas, or
-``tcp://host:port`` for a fleet of service replicas sharing one store
-(docs/SERVICE.md has the matrix).  Appends stay atomic and crash-safe on
-every transport.
+before backends existed) or ``sqlite:path`` for service replicas on one host
+sharing one store (docs/SERVICE.md has the matrix).  Appends stay atomic
+and crash-safe on every transport.
 
 Append-only means a fingerprint may appear in several records (two service
 workers racing on near-identical requests, or a re-run with a fresh library

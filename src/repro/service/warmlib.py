@@ -9,7 +9,7 @@ historical JSONL file by default): every improvement is appended as one
 crash-safe record, and a new process replays the store into a fresh engine,
 so *any* later search — service request, campaign cell, or one-off CLI
 search — warm-starts from the best solution any previous run ever found for
-its task type.  On a shared backend (``sqlite:``/``tcp://``) the remembered
+its task type.  On a shared backend (``sqlite:``) the remembered
 improvements of every replica accumulate in one place.
 
 Keys are namespaced by objective (``"<task>/<objective>"``): a
@@ -57,8 +57,8 @@ class WarmStartLibrary:
     ----------
     store:
         Anything :func:`~repro.utils.storage.parse_store_url` accepts — a
-        bare path (the historical JSONL file), a ``jsonl:``/``sqlite:``/
-        ``tcp://`` URL, or an already open backend — holding one record per
+        bare path (the historical JSONL file), a ``jsonl:``/``sqlite:`` URL,
+        or an already open backend — holding one record per
         remembered improvement (``{"task_key", "encoding", "num_jobs",
         "num_sub_accelerators", "fitness"}``).  Missing store = empty
         library.  Records are replayed through the engine's
@@ -83,7 +83,7 @@ class WarmStartLibrary:
                     state[str(task_key)] = entry
         except BaseException:
             # A library that failed to load must not leak the backend it
-            # just opened (replay errors, unreachable network store, ...).
+            # just opened (replay errors, an unreadable store, ...).
             self.close()
             raise
         self._engine = WarmStartEngine.from_state(state)
@@ -91,8 +91,8 @@ class WarmStartLibrary:
     # ------------------------------------------------------------------
     @property
     def path(self) -> str:
-        """Location of the backing store (a path for file-backed stores)."""
-        return str(getattr(self._file, "path", self._file.url))
+        """Filesystem path of the backing store."""
+        return self._file.path
 
     @property
     def url(self) -> str:

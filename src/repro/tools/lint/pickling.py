@@ -1,12 +1,10 @@
 """RPL3xx — no pickle deserialization in library code.
 
 ``pickle.loads`` on bytes a peer controls is remote code execution.  The
-library's one network protocol, the ``tcp://`` store transport
-(:mod:`repro.service.netstore`), carries JSON after a raw-bytes token
-handshake, so no library module has a reason to unpickle anything.  This
-checker keeps it that way: every reference to ``pickle.loads``/``load``/
-``Unpickler`` (or the same names in the ``_pickle`` C module), through any
-import alias, is RPL301 — a call, but also a decoder passed as a value
+library's one wire protocol, the service's HTTP JSON API, carries JSON, so
+no library module has a reason to unpickle anything.  This checker keeps it
+that way: every reference to ``pickle.loads``/``load``/``Unpickler`` (or the
+same names in the ``_pickle`` C module), through any import alias, is RPL301 — a call, but also a decoder passed as a value
 (``map(pickle.loads, frames)``) or an ``Unpickler`` subclass.  No annotation
 exempts a function — a new wire format must be a non-executable one.
 """

@@ -32,7 +32,7 @@ Since the store-backend split (:mod:`repro.utils.storage`) this class is the
 the default backend, byte-compatible with every store file written before
 backends existed.  It remains single-process (appends are thread-safe, but
 two OS processes appending to one file race); multi-replica deployments use
-the ``sqlite:`` or ``tcp://`` backends instead.
+the ``sqlite:`` backend instead.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class AppendOnlyJsonlStore(StoreBackend):
         self._offsets: Optional[Dict[str, List[int]]] = None  # guarded-by: _lock
         self._indexed_end = 0  # guarded-by: _lock
         self._indexed_file: Optional[Tuple[int, int]] = None  # guarded-by: _lock
-
-    @property
-    def url(self) -> str:
-        return f"jsonl:{self.path}"
 
     def close(self) -> None:
         """Nothing to release: appends open and close the file per record."""

@@ -71,10 +71,6 @@ class SqliteStoreBackend(StoreBackend):
             self._conn = None
             raise
 
-    @property
-    def url(self) -> str:
-        return f"sqlite:{self.path}"
-
     def close(self) -> None:  # acquires-lock: _lock
         with self._lock:
             if self._conn is not None:

@@ -1,4 +1,4 @@
-"""Pluggable store backends: one protocol, three transports, one URL grammar.
+"""Pluggable store backends: one protocol, two transports, one URL grammar.
 
 Every durable store in the system — the mapping service's
 :class:`~repro.service.store.SolutionStore`, the campaign engine's
@@ -22,16 +22,13 @@ URL               backend                               sharing model
 ``sqlite:PATH``   SQLite database in WAL mode           N processes on one host
                                                         (concurrent local
                                                         replicas)
-``tcp://H:P``     network store client speaking the     N processes on N hosts
-                  token-authenticated frame protocol    (``repro-magma store
-                  of :mod:`repro.service.netstore`      serve`` is the server)
 ================  ====================================  =========================
 
 The protocol is deliberately small — append one record, iterate records in
 append order, scan fingerprints cheaply, repair torn writes, resolve
 best-fitness duplicates, compact — because that is everything the three
 stores (and campaign ``--resume``) have ever needed.  Records are JSON-safe
-dicts on every transport; the network backend never pickles anything.
+dicts on every transport.
 
 Compaction (:class:`CompactionPolicy`) bounds a store that append-only
 semantics would otherwise grow forever: keep only the best record per
@@ -47,13 +44,12 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
-from urllib.parse import parse_qs, urlsplit
 
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import Counter, get_metrics
 
 #: URL schemes understood by :func:`parse_store_url`.
-STORE_SCHEMES: Tuple[str, ...] = ("jsonl", "sqlite", "tcp")
+STORE_SCHEMES: Tuple[str, ...] = ("jsonl", "sqlite")
 
 #: Store operations counted in ``repro_store_ops_total{backend,op}``.
 _STORE_OPS: Tuple[str, ...] = (
@@ -69,15 +65,10 @@ class StoreUrl:
     """A parsed store address (see :func:`parse_store_url` for the grammar)."""
 
     kind: str
-    path: str = ""
-    host: str = ""
-    port: int = 0
-    token: Optional[str] = None
+    path: str
 
     def render(self) -> str:
-        """The canonical URL string for this address (token elided)."""
-        if self.kind == "tcp":
-            return f"tcp://{self.host}:{self.port}"
+        """The canonical URL string for this address."""
         return f"{self.kind}:{self.path}"
 
 
@@ -89,33 +80,19 @@ def parse_store_url(spec: str) -> StoreUrl:
 
     * ``jsonl:PATH`` — append-only JSONL file at ``PATH``.
     * ``sqlite:PATH`` — SQLite (WAL) database at ``PATH``.
-    * ``tcp://HOST:PORT[?token=SECRET]`` — a running network store server
-      (``repro-magma store serve``); with no ``token`` the client falls back
-      to ``$REPRO_RPC_TOKEN``.
     * anything else — a bare filesystem path, meaning ``jsonl:`` (so every
       pre-existing path keeps working unchanged).
 
-    Unknown *explicit* schemes fail loudly: a typo'd ``sqlit:db`` must not be
-    silently treated as a weirdly named JSONL file.
+    Unknown *explicit* schemes (a letter, then letters or digits, before the
+    first colon) fail loudly: a typo'd ``sqlit:db`` or ``sqlite3:db`` must not
+    be silently treated as a weirdly named JSONL file.  A one-letter scheme is
+    a Windows drive letter, so ``C:\\x.jsonl`` stays a bare path.
     """
     spec = str(spec)
     if not spec:
         raise ConfigurationError("empty store URL")
-    if spec.startswith("tcp://"):
-        parts = urlsplit(spec)
-        if not parts.hostname or parts.port is None:
-            raise ConfigurationError(
-                f"network store URL {spec!r} is not of the form tcp://HOST:PORT[?token=...]"
-            )
-        token_values = parse_qs(parts.query).get("token")
-        return StoreUrl(
-            kind="tcp",
-            host=parts.hostname,
-            port=int(parts.port),
-            token=token_values[0] if token_values else None,
-        )
     scheme, sep, rest = spec.partition(":")
-    if sep and scheme in ("jsonl", "sqlite"):
+    if sep and scheme in STORE_SCHEMES:
         # Tolerate the optional URL-style double slash (``sqlite://db`` and
         # ``sqlite:db`` address the same file) but keep absolute paths: the
         # third slash of ``sqlite:///x.db`` is the path root.
@@ -124,7 +101,7 @@ def parse_store_url(spec: str) -> StoreUrl:
         if not rest:
             raise ConfigurationError(f"store URL {spec!r} names no path")
         return StoreUrl(kind=scheme, path=rest)
-    if sep and scheme.isalpha() and len(scheme) > 1 and "/" not in scheme and "\\" not in scheme:
+    if sep and len(scheme) > 1 and scheme[0].isalpha() and scheme.isalnum():
         raise ConfigurationError(
             f"unknown store scheme {scheme!r} in {spec!r}; "
             f"available: {', '.join(STORE_SCHEMES)} (a bare path means jsonl:)"
@@ -158,17 +135,8 @@ class CompactionPolicy:
         if self.max_bytes is not None and self.max_bytes < 0:
             raise ConfigurationError(f"max_bytes must be >= 0, got {self.max_bytes}")
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CompactionPolicy":
-        """Rebuild a policy from its JSON form (the network store op payload)."""
-        known = {"keep_best_per_fingerprint", "max_records", "max_bytes", "key"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown compaction policy fields: {sorted(unknown)}")
-        return cls(**data)
-
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe form (sent to the network store server)."""
+        """JSON-safe form (``repro-magma store compact`` prints it)."""
         return {
             "keep_best_per_fingerprint": self.keep_best_per_fingerprint,
             "max_records": self.max_records,
@@ -233,30 +201,11 @@ def render_record(record: Dict[str, Any]) -> str:
     """The canonical single-line JSON form every backend stores records in.
 
     Sorted keys and no trailing whitespace, exactly what
-    :func:`repro.utils.serialization.dump_jsonl_line` writes — the SQLite and
-    network backends round-trip through this same rendering so a store
-    migrated between backends stays byte-identical record for record.
+    :func:`repro.utils.serialization.dump_jsonl_line` writes — the SQLite
+    backend round-trips through this same rendering so a store migrated
+    between backends stays byte-identical record for record.
     """
     return json.dumps(record, sort_keys=True)
-
-
-def transport_byte_counters() -> Tuple[Counter, Counter]:
-    """``(sent, received)``: bytes on ``tcp://`` store-transport sockets.
-
-    Every store backend registers both, so ``/metrics`` lists them (at 0)
-    whichever store a service opens; the ``tcp://`` transport counts into them.
-    """
-    registry = get_metrics()
-    return (
-        registry.counter(
-            "repro_rpc_bytes_sent_total",
-            "Bytes written to store-transport sockets (length-prefixed frames).",
-        ),
-        registry.counter(
-            "repro_rpc_bytes_received_total",
-            "Bytes read from store-transport sockets (length-prefixed frames).",
-        ),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -272,10 +221,12 @@ class StoreBackend(ABC):
     :func:`record_fitness`, ties keeping the earliest record.
     """
 
-    #: Short backend discriminator (``"jsonl"``, ``"sqlite"``, ``"tcp"``).
+    #: Short backend discriminator (``"jsonl"`` or ``"sqlite"``).
     kind: str = "abstract"
     #: True when several replicas (processes) can safely share this backend.
     shared: bool = False
+    #: Filesystem path of the store (every backend is file-backed).
+    path: str
 
     def __init__(self) -> None:
         registry = get_metrics()
@@ -287,21 +238,20 @@ class StoreBackend(ABC):
             )
             for op in _STORE_OPS
         }
-        transport_byte_counters()
 
     def _count_op(self, op: str, amount: int = 1) -> None:
         counter = self._op_counters.get(op)
         if counter is not None:
             counter.inc(amount)
 
+    @property
+    def url(self) -> str:
+        """Canonical URL of this backend (``kind:path``)."""
+        return f"{self.kind}:{self.path}"
+
     # ------------------------------------------------------------------
     # Abstract surface
     # ------------------------------------------------------------------
-    @property
-    @abstractmethod
-    def url(self) -> str:
-        """Canonical URL of this backend (``kind:path`` or ``tcp://host:port``)."""
-
     @abstractmethod
     def append_record(self, record: Dict[str, Any]) -> None:
         """Durably append one record (atomic: readers never see a torn record)."""
@@ -425,12 +375,6 @@ def open_store_backend(spec: "str | StoreUrl | StoreBackend") -> StoreBackend:
         from repro.utils.sqlite_store import SqliteStoreBackend
 
         return SqliteStoreBackend(url.path)
-    if url.kind == "tcp":
-        # The network client lives in the service layer; imported lazily so
-        # plain file-backed stores never pay for the socket machinery.
-        from repro.service.netstore import NetworkStoreBackend
-
-        return NetworkStoreBackend(url.host, url.port, token=url.token)
     raise ConfigurationError(f"unknown store backend kind {url.kind!r}")
 
 
@@ -469,12 +413,8 @@ class BackedStore:
 
     @property
     def path(self) -> str:
-        """Filesystem path for file-backed stores; the URL otherwise.
-
-        Kept for compatibility: callers (and tests) of the historically
-        JSONL-only stores open ``store.path`` directly.
-        """
-        return str(getattr(self._backend, "path", self._backend.url))
+        """Filesystem path of the backend's store file."""
+        return self._backend.path
 
     # Delegated protocol surface -------------------------------------
     def append_record(self, record: Dict[str, Any]) -> None:
@@ -523,5 +463,4 @@ __all__ = [
     "parse_store_url",
     "record_fitness",
     "render_record",
-    "transport_byte_counters",
 ]

@@ -3,8 +3,8 @@
 The campaign engine's resume guarantee — an interrupted campaign resumed to
 completion holds exactly the records an uninterrupted run would — was
 proven byte-for-byte on the JSONL store.  These tests extend it to the
-``sqlite:`` and ``tcp://`` backends at *record* granularity (neither is a
-text file), and pin that all three backends converge to the same records.
+``sqlite:`` backend at *record* granularity (it is not a text file), and
+pin that both backends converge to the same records.
 """
 
 import pytest
@@ -14,10 +14,8 @@ from repro.exceptions import ExperimentError
 from repro.experiments import get_scale
 from repro.experiments.campaign import CampaignResultsStore, CampaignRunner
 from repro.experiments.scenarios import ScenarioSpec
-from repro.service.netstore import NetworkStoreServer
 
 TINY = get_scale("tiny")
-TOKEN = "campaign-secret"
 
 
 @pytest.fixture()
@@ -37,17 +35,9 @@ def fresh_engine():
     return CampaignRunner(scale=TINY, table_cache=AnalysisTableCache())
 
 
-@pytest.fixture(params=["sqlite", "tcp"])
-def store_url(request, tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_RPC_TOKEN", raising=False)
-    if request.param == "sqlite":
-        yield f"sqlite:{tmp_path / 'campaign.sqlite3'}"
-    else:
-        server = NetworkStoreServer(
-            f"sqlite:{tmp_path / 'backing.sqlite3'}", token=TOKEN
-        ).start()
-        yield f"{server.url}?token={TOKEN}"
-        server.shutdown()
+@pytest.fixture(params=["sqlite"])
+def store_url(request, tmp_path):
+    return f"{request.param}:{tmp_path / 'campaign.sqlite3'}"
 
 
 class TestResumeOnSharedBackends:

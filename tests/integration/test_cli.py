@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import _eval_config, build_parser, main
 from repro.core.evalconfig import EvalConfig
+from repro.exceptions import ConfigurationError
 from repro.experiments import list_scenarios
 
 
@@ -256,6 +257,15 @@ class TestStoreCommands:
         assert payload["records"] == 6
         assert payload["fingerprints"] == 2
 
+    @pytest.mark.parametrize("kind, shared", [("jsonl", False), ("sqlite", True)])
+    def test_store_info_reports_the_backend_and_whether_replicas_can_share_it(self, capsys, tmp_path, kind, shared):
+        url = f"{kind}:{tmp_path / f'db.{kind}'}"
+        self._seed(url)
+        assert main(["store", "info", url]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["url"], payload["kind"], payload["shared"]) == (url, kind, shared)
+        assert (payload["records"], payload["fingerprints"]) == (6, 2)
+
     def test_store_compact_applies_policy_and_reports(self, capsys, tmp_path):
         url = f"sqlite:{tmp_path / 'db.sqlite3'}"
         self._seed(url)
@@ -276,14 +286,17 @@ class TestStoreCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kept"] == 3 and payload["dropped"] == 3
 
-    def test_store_serve_parser_defaults(self):
-        args = build_parser().parse_args(["store", "serve"])
-        assert args.listen == "127.0.0.1:9917"
-        assert args.backing == "sqlite:store.sqlite3"
+    @pytest.mark.parametrize("scheme", ["jsonl", "sqlite"])
+    def test_store_commands_refuse_a_missing_store_and_create_nothing(self, tmp_path, scheme):
+        missing = tmp_path / f"nothere.{scheme}"
+        for command in ("info", "compact"):
+            with pytest.raises(ConfigurationError, match="nothere"):
+                main(["store", command, f"{scheme}:{missing}"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_serve_parser_accepts_replica_id_and_store_url(self):
         args = build_parser().parse_args(
-            ["serve", "--store", "tcp://127.0.0.1:9917", "--replica-id", "a"]
+            ["serve", "--store", "sqlite:shared.sqlite3", "--replica-id", "a"]
         )
-        assert args.store == "tcp://127.0.0.1:9917"
+        assert args.store == "sqlite:shared.sqlite3"
         assert args.replica_id == "a"

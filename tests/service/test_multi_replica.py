@@ -1,12 +1,12 @@
 """Multi-replica service tests: shared stores, lifecycle, and health.
 
 The service tier's scaling story is N :class:`MappingService` replicas
-sharing one store through a ``shared`` backend (``sqlite:`` locally,
-``tcp://`` across machines).  The acceptance bar: a fingerprint solved on
-one replica is answered *bit-identically* by another replica without
-running a second search.  Alongside that E2E path this module pins the
-store-lifecycle contract — a service closes exactly the store handles it
-opened itself, on every path including a constructor that fails halfway.
+sharing one store through the ``shared`` ``sqlite:`` backend on one host.
+The acceptance bar: a fingerprint solved on one replica is answered
+*bit-identically* by another replica without running a second search.
+Alongside that E2E path this module pins the store-lifecycle contract — a
+service closes exactly the store handles it opened itself, on every path
+including a constructor that fails halfway.
 """
 
 import pytest
@@ -14,24 +14,14 @@ import pytest
 from repro.core.evalconfig import EvalConfig
 from repro.exceptions import ConfigurationError
 from repro.service import MappingRequest, MappingService, SolutionStore
-from repro.service.netstore import NetworkStoreServer
 
 SCALE = "tiny"
-TOKEN = "replica-secret"
 
 
-@pytest.fixture(params=["sqlite", "tcp"])
-def shared_store_url(request, tmp_path, monkeypatch):
-    """A shared-capable store URL per transport (tcp served over sqlite)."""
-    monkeypatch.delenv("REPRO_RPC_TOKEN", raising=False)
-    if request.param == "sqlite":
-        yield f"sqlite:{tmp_path / 'shared.sqlite3'}"
-    else:
-        server = NetworkStoreServer(
-            f"sqlite:{tmp_path / 'backing.sqlite3'}", token=TOKEN
-        ).start()
-        yield f"{server.url}?token={TOKEN}"
-        server.shutdown()
+@pytest.fixture(params=["sqlite"])
+def shared_store_url(request, tmp_path):
+    """A shared-capable store URL per transport."""
+    return f"{request.param}:{tmp_path / 'shared.sqlite3'}"
 
 
 class TestTwoReplicasOneStore:

@@ -11,12 +11,10 @@ from repro.core.evalconfig import EvalConfig
 from repro.exceptions import ServiceError
 from repro.experiments.settings import get_scale
 from repro.service import MappingRequest, MappingService, SolutionStore, WarmStartLibrary
-from repro.service.netstore import NetworkStoreServer
 from repro.utils.serialization import SearchResultSummary, payload_fingerprint
 
 
 SCALE = "tiny"
-TOKEN = "service-secret"
 
 
 @pytest.fixture()
@@ -352,16 +350,10 @@ class TestResultText:
             sys.setswitchinterval(interval)
 
 
-@pytest.fixture(params=["jsonl", "sqlite", "tcp"])
-def store_url(request, tmp_path, monkeypatch):
-    """One solution-store URL per transport (tcp served over sqlite)."""
-    monkeypatch.delenv("REPRO_RPC_TOKEN", raising=False)
-    if request.param == "tcp":
-        server = NetworkStoreServer(f"sqlite:{tmp_path / 'backing.sqlite3'}", token=TOKEN).start()
-        yield f"{server.url}?token={TOKEN}"
-        server.shutdown()
-    else:
-        yield f"{request.param}:{tmp_path / ('solutions.' + request.param)}"
+@pytest.fixture(params=["jsonl", "sqlite"])
+def store_url(request, tmp_path):
+    """One solution-store URL per transport."""
+    return f"{request.param}:{tmp_path / ('solutions.' + request.param)}"
 
 
 class TestLazyStartupIndex:

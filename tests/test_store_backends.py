@@ -1,32 +1,38 @@
 """Backend-conformance suite for the pluggable store backends.
 
-Every test in :class:`TestBackendConformance` runs against all three
-transports — ``jsonl:``, ``sqlite:`` and ``tcp://`` (a network store backed
-by SQLite) — so a behavioural divergence between backends fails the same
-test three ways instead of hiding behind whichever backend a feature test
-happened to use.  The URL grammar and compaction policy get their own unit
-classes since they are backend-independent.
+Every test in :class:`TestBackendConformance` runs against both
+transports — ``jsonl:`` and ``sqlite:`` — so a behavioural divergence
+between backends fails the same test both ways instead of hiding behind
+whichever backend a feature test happened to use.  Each transport also runs
+as a ``-peer`` arm: writes go through one handle and reads through a second
+handle on the same file, the view another replica (or another process's
+``repro-magma store`` command) has of the store.
+:class:`TestSqliteAcrossProcesses` checks the sharing claim the ``sqlite:``
+backend makes: replicas in separate OS processes share one store.  The URL
+grammar and compaction policy get their own unit classes since they are
+backend-independent.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
-from repro.service.netstore import NetworkStoreBackend, NetworkStoreServer
 from repro.exceptions import ConfigurationError
 from repro.utils.jsonl_store import AppendOnlyJsonlStore
 from repro.utils.sqlite_store import SqliteStoreBackend
 from repro.utils.storage import (
     CompactionPolicy,
+    StoreBackend,
     StoreUrl,
     open_store_backend,
     parse_store_url,
     record_fitness,
     render_record,
 )
-
-TOKEN = "conformance-secret"
 
 
 def _record(fingerprint, fitness, **extra):
@@ -35,26 +41,60 @@ def _record(fingerprint, fitness, **extra):
     return record
 
 
-@pytest.fixture(params=["jsonl", "sqlite", "tcp"])
-def backend(request, tmp_path, monkeypatch):
+class _PeerView(StoreBackend):
+    """Writes through one handle and reads through a second on the same file.
+
+    Every read answers from a handle that never made the writes, so any
+    per-handle state (the JSONL offset index, a SQLite connection's view)
+    that went stale would surface as a conformance failure.
+    """
+
+    def __init__(self, writer: StoreBackend, reader: StoreBackend) -> None:
+        self.kind, self.shared, self.path = writer.kind, writer.shared, writer.path
+        super().__init__()
+        self._writer, self._reader = writer, reader
+
+    def append_record(self, record):
+        self._writer.append_record(record)
+
+    def iter_records(self):
+        return self._reader.iter_records()
+
+    def __len__(self):
+        return len(self._reader)
+
+    def fingerprints(self):
+        return self._reader.fingerprints()
+
+    def lookup(self, fingerprint):
+        return self._reader.lookup(fingerprint)
+
+    def repair(self):
+        return self._writer.repair()
+
+    def truncate(self):
+        self._writer.truncate()
+
+    def _replace_records(self, records):
+        self._writer._replace_records(records)
+
+    def close(self):
+        self._writer.close()
+        self._reader.close()
+
+
+_BACKEND_CLASSES = {"jsonl": AppendOnlyJsonlStore, "sqlite": SqliteStoreBackend}
+
+
+@pytest.fixture(params=["jsonl", "sqlite", "jsonl-peer", "sqlite-peer"])
+def backend(request, tmp_path):
     """One open store backend per transport; torn down after the test."""
-    monkeypatch.delenv("REPRO_RPC_TOKEN", raising=False)
-    if request.param == "jsonl":
-        store = AppendOnlyJsonlStore(str(tmp_path / "store.jsonl"))
-        yield store
-        store.close()
-    elif request.param == "sqlite":
-        store = SqliteStoreBackend(str(tmp_path / "store.sqlite3"))
-        yield store
-        store.close()
-    else:
-        server = NetworkStoreServer(
-            f"sqlite:{tmp_path / 'backing.sqlite3'}", token=TOKEN
-        ).start()
-        store = NetworkStoreBackend(server.host, server.port, token=TOKEN)
-        yield store
-        store.close()
-        server.shutdown()
+    kind, _, peer = request.param.partition("-")
+    cls = _BACKEND_CLASSES[kind]
+    path = str(tmp_path / f"store.{kind}")
+    store = _PeerView(cls(path), cls(path)) if peer else cls(path)
+    yield store
+    store.close()
 
 
 class TestBackendConformance:
@@ -110,10 +150,8 @@ class TestBackendConformance:
         for i in range(5):
             backend.append_record(_record(f"fp-{i}", float(i)))
         expected = backend.records()
-        url = backend.url if backend.kind != "tcp" else f"{backend.url}?token={TOKEN}"
-        if backend.kind != "tcp":
-            backend.close()
-        with open_store_backend(url) as reopened:
+        backend.close()
+        with open_store_backend(backend.url) as reopened:
             assert reopened.kind == backend.kind
             assert reopened.records() == expected
 
@@ -177,6 +215,52 @@ class TestBackendConformance:
         backend.append_record(_record("fp", 1.0))
         assert registry.value_of("repro_store_ops_total", labels) == before + 1
 
+    def test_close_is_idempotent_and_keeps_the_records(self, backend):
+        backend.append_record(_record("fp", 1.0))
+        backend.close()
+        backend.close()
+        with open_store_backend(backend.url) as reopened:
+            assert reopened.fingerprints() == {"fp"}
+
+    def test_compaction_max_bytes_keeps_the_newest_records_that_fit(self, backend):
+        records = [_record(f"fp-{i}", float(i)) for i in range(6)]
+        for record in records:
+            backend.append_record(record)
+        budget = sum(len(render_record(record).encode("utf-8")) + 1 for record in records[4:])
+        policy = CompactionPolicy(keep_best_per_fingerprint=False, max_bytes=budget)
+        assert backend.compact(policy) == (2, 4)
+        assert backend.records() == records[4:]
+
+    def test_compaction_by_alternate_key_keeps_the_best_per_key(self, backend):
+        backend.append_record({"task_key": "a", "result": {"best_fitness": 1.0}, "n": 0})
+        backend.append_record({"task_key": "b", "result": {"best_fitness": 2.0}, "n": 1})
+        backend.append_record({"task_key": "a", "result": {"best_fitness": 3.0}, "n": 2})
+        assert backend.compact(CompactionPolicy(key="task_key")) == (2, 1)
+        assert [record["n"] for record in backend.records()] == [1, 2]
+
+    def test_appends_after_compaction_follow_the_survivors(self, backend):
+        for fitness in (1.0, 4.0, 2.0):
+            backend.append_record(_record("fp-a", fitness))
+        assert record_fitness(backend.lookup("fp-a")) == 4.0
+        assert backend.compact() == (1, 2)
+        backend.append_record(_record("fp-b", 0.5))
+        backend.append_record(_record("fp-a", 9.0, tag="newer"))
+        survivors = [(r["fingerprint"], record_fitness(r)) for r in backend.records()]
+        assert survivors == [("fp-a", 4.0), ("fp-b", 0.5), ("fp-a", 9.0)]
+        assert backend.lookup("fp-a")["tag"] == "newer"
+        assert backend.fingerprints() == {"fp-a", "fp-b"}
+
+    def test_nested_and_unicode_payloads_round_trip(self, backend):
+        record = _record(
+            "fp-payload",
+            0.1,
+            payload={"name": "π ≈ 3.14 ✓", "nested": [[1, 2.5], {"k": None}], "flag": True},
+            big=2**53 + 1,
+        )
+        backend.append_record(record)
+        assert backend.records() == [record]
+        assert backend.lookup("fp-payload") == record
+
 
 class TestCrossBackendMigration:
     def test_records_migrate_byte_identically_between_jsonl_and_sqlite(self, tmp_path):
@@ -204,7 +288,125 @@ class TestCrossBackendMigration:
         assert json.loads(rendered) == {"b": 1, "a": [1.0, 2]}
 
 
+_APPEND_SCRIPT = """
+import sys
+from repro.utils.sqlite_store import SqliteStoreBackend
+
+path, worker, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+with SqliteStoreBackend(path) as store:
+    print("ready", flush=True)
+    sys.stdin.readline()
+    for i in range(count):
+        store.append_record(
+            {"fingerprint": f"{worker}-{i:04d}", "worker": worker, "result": {"best_fitness": float(i)}}
+        )
+"""
+
+_TRUNCATE_SCRIPT = """
+import sys
+from repro.utils.sqlite_store import SqliteStoreBackend
+
+with SqliteStoreBackend(sys.argv[1]) as store:
+    store.truncate()
+"""
+
+
+def _python(*args, **kwargs):
+    """Run ``python *args`` with this interpreter's import path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.Popen(
+        [sys.executable, *args],
+        env=env,
+        text=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        **kwargs,
+    )
+
+
+def _finish(process):
+    stdout, stderr = process.communicate(timeout=60)
+    assert process.returncode == 0, stderr
+    return stdout
+
+
+class TestSqliteAcrossProcesses:
+    """Replicas in separate OS processes share one ``sqlite:`` store."""
+
+    def test_concurrent_appends_from_two_processes_never_tear_or_drop(self, tmp_path):
+        path, count = str(tmp_path / "shared.sqlite3"), 150
+        writers = [_python("-c", _APPEND_SCRIPT, path, worker, str(count), stdin=subprocess.PIPE) for worker in "ab"]
+        try:
+            for writer in writers:
+                assert writer.stdout.readline().strip() == "ready"
+            for writer in writers:  # both hold the store open before either writes
+                writer.stdin.write("go\n")
+                writer.stdin.flush()
+        finally:
+            for writer in writers:
+                _finish(writer)
+        with SqliteStoreBackend(path) as store:
+            records = store.records()
+        assert len(records) == 2 * count
+        for worker in "ab":
+            own = [r["fingerprint"] for r in records if r["worker"] == worker]
+            assert own == [f"{worker}-{i:04d}" for i in range(count)]
+
+    def test_an_open_handle_sees_another_processs_appends(self, tmp_path):
+        path = str(tmp_path / "shared.sqlite3")
+        with SqliteStoreBackend(path) as store:
+            assert len(store) == 0
+            writer = _python("-c", _APPEND_SCRIPT, path, "peer", "3", stdin=subprocess.PIPE)
+            writer.stdin.write("go\n")
+            writer.stdin.flush()
+            _finish(writer)
+            assert len(store) == 3
+            assert store.fingerprints() == {f"peer-{i:04d}" for i in range(3)}
+            assert record_fitness(store.lookup("peer-0002")) == 2.0
+
+    def test_an_open_handle_sees_a_store_compact_run_in_another_process(self, tmp_path):
+        path = str(tmp_path / "shared.sqlite3")
+        with SqliteStoreBackend(path) as store:
+            for i in range(6):
+                store.append_record(_record("fp-a" if i % 2 else "fp-b", float(i)))
+            assert len(store) == 6
+            report = json.loads(_finish(_python("-m", "repro.cli", "store", "compact", f"sqlite:{path}")))
+            assert (report["kept"], report["dropped"]) == (2, 4)
+            assert [record_fitness(r) for r in store.records()] == [4.0, 5.0]
+            assert record_fitness(store.lookup("fp-a")) == 5.0
+
+    def test_an_open_handle_sees_another_processs_truncate(self, tmp_path):
+        path = str(tmp_path / "shared.sqlite3")
+        with SqliteStoreBackend(path) as store:
+            store.append_record(_record("fp-old", 1.0))
+            assert store.fingerprints() == {"fp-old"}
+            _finish(_python("-c", _TRUNCATE_SCRIPT, path))
+            assert store.records() == [] and store.lookup("fp-old") is None
+            store.append_record(_record("fp-new", 2.0))
+            assert store.fingerprints() == {"fp-new"}
+
+
 class TestParseStoreUrl:
+    @pytest.mark.parametrize(
+        "spec, kind, path",
+        [
+            ("store.jsonl", "jsonl", "store.jsonl"),
+            ("/abs/dir/store.jsonl", "jsonl", "/abs/dir/store.jsonl"),
+            ("./rel/a:b.jsonl", "jsonl", "./rel/a:b.jsonl"),  # a colon after a slash is path
+            ("D:store.jsonl", "jsonl", "D:store.jsonl"),  # a one-letter scheme is a drive
+            ("jsonl:store.jsonl", "jsonl", "store.jsonl"),
+            ("jsonl://store.jsonl", "jsonl", "store.jsonl"),
+            ("jsonl:///abs/store.jsonl", "jsonl", "/abs/store.jsonl"),
+            ("sqlite:db.sqlite3", "sqlite", "db.sqlite3"),
+            ("sqlite:///abs/db.sqlite3", "sqlite", "/abs/db.sqlite3"),
+            ("sqlite:dir/with:colon.db", "sqlite", "dir/with:colon.db"),
+        ],
+    )
+    def test_grammar_and_render_round_trip(self, spec, kind, path):
+        url = parse_store_url(spec)
+        assert url == StoreUrl(kind=kind, path=path)
+        assert parse_store_url(url.render()) == url
+
     def test_bare_path_means_jsonl(self):
         assert parse_store_url("results/run.jsonl") == StoreUrl(
             kind="jsonl", path="results/run.jsonl"
@@ -220,36 +422,31 @@ class TestParseStoreUrl:
         assert parse_store_url("sqlite://db.sqlite3").path == "db.sqlite3"
         assert parse_store_url("sqlite:///abs/db.sqlite3").path == "/abs/db.sqlite3"
 
-    def test_tcp_with_and_without_token(self):
-        plain = parse_store_url("tcp://10.0.0.7:9917")
-        assert (plain.kind, plain.host, plain.port, plain.token) == (
-            "tcp", "10.0.0.7", 9917, None,
-        )
-        authed = parse_store_url("tcp://store.local:9917?token=secret")
-        assert authed.token == "secret"
-
-    def test_render_round_trips_and_elides_token(self):
+    def test_render_round_trips(self):
         assert parse_store_url("sqlite:db").render() == "sqlite:db"
-        assert parse_store_url("tcp://h:1?token=s").render() == "tcp://h:1"
+        assert parse_store_url("jsonl://db.jsonl").render() == "jsonl:db.jsonl"
 
-    def test_unknown_scheme_fails_loudly(self):
-        with pytest.raises(ConfigurationError, match="unknown store scheme"):
-            parse_store_url("sqlit:typo.db")
+    @pytest.mark.parametrize(
+        "spec",
+        ["sqlit:typo.db", "sqlite3:typo.db", "tcp://127.0.0.1:9917", "s3://bucket/key", "SQLITE:db"],
+    )
+    def test_unknown_scheme_fails_loudly(self, spec):
+        with pytest.raises(ConfigurationError, match="unknown store scheme.*jsonl, sqlite"):
+            parse_store_url(spec)
 
     def test_windows_drive_letter_is_a_path_not_a_scheme(self):
         assert parse_store_url(r"C:\stores\x.jsonl").kind == "jsonl"
 
-    def test_malformed_tcp_and_empty_urls_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_store_url("tcp://no-port")
+    def test_empty_urls_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_store_url("")
         with pytest.raises(ConfigurationError):
             parse_store_url("sqlite:")
 
-    def test_open_store_backend_rejects_unknown_scheme(self):
-        with pytest.raises(ConfigurationError):
-            open_store_backend("redis:whatever")
+    @pytest.mark.parametrize("spec", ["redis:whatever", "tcp://127.0.0.1:9917"])
+    def test_open_store_backend_rejects_unknown_scheme(self, spec):
+        with pytest.raises(ConfigurationError, match="unknown store scheme.*jsonl, sqlite"):
+            open_store_backend(spec)
 
 
 class TestCompactionPolicy:
@@ -278,14 +475,13 @@ class TestCompactionPolicy:
         kept = policy.survivors(records)
         assert [r["fingerprint"] for r in kept] == ["fp-3", "fp-4"]
 
+    def test_to_dict_round_trips_through_the_constructor(self):
+        policy = CompactionPolicy(keep_best_per_fingerprint=False, max_records=5, max_bytes=64, key="task_key")
+        assert json.loads(json.dumps(policy.to_dict())) == policy.to_dict()
+        assert CompactionPolicy(**policy.to_dict()) == policy
+
     def test_negative_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             CompactionPolicy(max_records=-1)
         with pytest.raises(ConfigurationError):
             CompactionPolicy(max_bytes=-1)
-
-    def test_round_trips_through_dict_and_rejects_unknown_fields(self):
-        policy = CompactionPolicy(max_records=5, key="task_key")
-        assert CompactionPolicy.from_dict(policy.to_dict()) == policy
-        with pytest.raises(ConfigurationError):
-            CompactionPolicy.from_dict({"max_recordz": 5})
