@@ -77,7 +77,7 @@ from repro.accelerator import build_setting, list_settings
 from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS, EvalConfig
 from repro.core.framework import M3E
 from repro.core.objectives import list_objectives
-from repro.exceptions import ConfigurationError, ExperimentError, ServiceError
+from repro.exceptions import ConfigurationError, ExperimentError, ReproError, ServiceError
 from repro.experiments.settings import get_scale, list_scales
 from repro.utils.rng import resolve_seed, set_global_seed
 from repro.workloads import TaskType, build_task_workload, list_models
@@ -716,11 +716,21 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     return parser
 
 
+#: Exit status of a command that failed with a library error.  Distinct from
+#: 1 (a command's own "found something" answer, e.g. lint findings) and 2
+#: (argparse's usage error).
+ERROR_EXIT_CODE = 3
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point; a library error prints ``error: <message>`` to stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return ERROR_EXIT_CODE
 
 
 if __name__ == "__main__":  # pragma: no cover

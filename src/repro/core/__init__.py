@@ -26,7 +26,6 @@ from repro._lazy import lazy_exports
 # The process pool (and with it multiprocessing) loads on first use: only
 # the ``parallel`` backend runs it.
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "EvaluatorSpec": "repro.core.parallel",
     "ParallelEvaluationPool": "repro.core.parallel",
 })
 
@@ -52,7 +51,6 @@ __all__ = [
     "get_objective",
     "MappingEvaluator",
     "EvaluationResult",
-    "EvaluatorSpec",
     "ParallelEvaluationPool",
     "SimulationRig",
     "M3E",

@@ -147,6 +147,17 @@ class JobAnalysisTable:
         #: objective), summed once: the arrays are read-only.
         self.total_flops = float(self.job_flops.sum())
 
+    def __reduce__(self):
+        # Unpickling (a spawned parallel worker's copy) runs the constructor
+        # again, so that table's arrays are read-only too.
+        return type(self), (
+            self.latency_cycles,
+            self.required_bw_gbps,
+            self.energy_joules,
+            self.dram_traffic_bytes,
+            self.job_flops,
+        )
+
     # ------------------------------------------------------------------
     @property
     def num_jobs(self) -> int:

@@ -16,8 +16,8 @@ as ``--eval-backend {scalar,batch,parallel}`` on the CLI):
   :class:`~repro.core.bw_allocator.BatchBandwidthAllocator`.
 * ``"parallel"`` — the batch sweep sharded across a persistent pool of worker
   processes (:mod:`repro.core.parallel`); ``EvalConfig.workers`` picks the
-  pool size (default: one per usable CPU, capped at 8).  Workers run the same
-  :class:`SimulationRig` code path the batch backend uses in process, so the
+  pool size (default: one per usable CPU, capped at 8).  Every lane runs the
+  evaluator's own :class:`SimulationRig` (workers get a copy of it), so the
   results are bit-identical to ``batch``.  Only this backend imports the
   pool module (and with it :mod:`multiprocessing`).
 * ``"scalar"`` — the original one-encoding-at-a-time reference oracle.
@@ -76,8 +76,10 @@ class SimulationRig:
 
     ``fitnesses_for_rows`` is the one implementation of "simulate these
     repaired encodings and score them" — the ``batch`` backend calls it in
-    process and every ``parallel`` worker calls it on its shard, so the two
-    backends cannot drift apart numerically.
+    process and every ``parallel`` lane calls it on its shard, so the two
+    backends cannot drift apart numerically.  A rig pickles (a spawned
+    ``parallel`` worker receives it that way) and scores the same rows the
+    same after.
     """
 
     def __init__(
@@ -86,15 +88,11 @@ class SimulationRig:
         allocator: BatchBandwidthAllocator,
         table: JobAnalysisTable,
         objective: Objective,
-        resolved_seed: Optional[int] = None,
     ):
         self.codec = codec
         self.allocator = allocator
         self.table = table
         self.objective = objective
-        #: The coordinating search's resolved seed (see
-        #: :class:`~repro.core.parallel.EvaluatorSpec`).
-        self.resolved_seed = resolved_seed
 
     def fitnesses_for_rows(self, rows: np.ndarray) -> np.ndarray:
         """Fitness of each (already repaired) encoding row, in row order."""
@@ -143,7 +141,6 @@ class MappingEvaluator:
         objective: Objective | str = "throughput",
         analysis_table: Optional[JobAnalysisTable] = None,
         sampling_budget: Optional[int] = None,
-        resolved_seed: Optional[int] = None,
         eval_config: EvalConfig = EvalConfig(),
     ):
         if not isinstance(eval_config, EvalConfig):
@@ -155,9 +152,6 @@ class MappingEvaluator:
         self.platform = platform
         self.objective = get_objective(objective)
         self.backend = eval_config.backend
-        #: The search's resolved seed (recorded here so worker bootstraps in
-        #: the parallel backend carry it instead of re-deriving one).
-        self.resolved_seed = resolved_seed
         self.codec = MappingCodec(
             num_jobs=group.size,
             num_sub_accelerators=platform.num_sub_accelerators,
@@ -171,27 +165,20 @@ class MappingEvaluator:
             system_bandwidth_gbps=platform.system_bandwidth_gbps,
             frequency_hz=platform.sub_accelerators[0].frequency_hz,
         )
-        #: The row-fitness engine shared (as a code path) with parallel workers.
+        #: The row-fitness engine; the parallel pool runs this same rig.
         self._rig = SimulationRig(
             codec=self.codec,
             allocator=self.batch_allocator,
             table=self.table,
             objective=self.objective,
-            resolved_seed=resolved_seed,
         )
         # Backend/worker combinations were validated once, by
         # ``EvalConfig.__post_init__``.
         self._pool: Optional[ParallelEvaluationPool] = None
         if self.backend == "parallel":
-            from repro.core.parallel import EvaluatorSpec, ParallelEvaluationPool
+            from repro.core.parallel import ParallelEvaluationPool
 
-            self._pool = ParallelEvaluationPool(
-                spec=EvaluatorSpec.capture(
-                    self.codec, self.batch_allocator, self.table, self.objective,
-                    resolved_seed=resolved_seed,
-                ),
-                num_workers=eval_config.workers,
-            )
+            self._pool = ParallelEvaluationPool(rig=self._rig, num_workers=eval_config.workers)
         self.sampling_budget = sampling_budget
         # Telemetry (docs/OBSERVABILITY.md): per-generation spans when the
         # process tracer is enabled, always-on cheap counters (one lock

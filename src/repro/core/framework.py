@@ -169,14 +169,8 @@ class M3E:
         self,
         group: JobGroup,
         sampling_budget: Optional[int] = None,
-        resolved_seed: Optional[int] = None,
     ) -> MappingEvaluator:
-        """Construct the fitness evaluator for a group (pre-processing step).
-
-        ``resolved_seed`` is the search's concrete seed (when known): the
-        parallel backend carries it into its worker bootstraps so workers
-        never re-derive their own.
-        """
+        """Construct the fitness evaluator for a group (pre-processing step)."""
         return MappingEvaluator(
             group=group,
             platform=self.platform,
@@ -184,7 +178,6 @@ class M3E:
             analysis_table=self.analyze(group),
             sampling_budget=sampling_budget if sampling_budget is not None else self.sampling_budget,
             eval_config=self.eval_config,
-            resolved_seed=resolved_seed,
         )
 
     # ------------------------------------------------------------------
@@ -211,8 +204,8 @@ class M3E:
         from repro.optimizers.base import BaseOptimizer
 
         # The algorithm is built first so its governing seed policy is known
-        # before the evaluator exists: the parallel backend threads the
-        # resolved seed into its worker bootstraps.
+        # before the search span opens: the span and the result's metadata
+        # both record the resolved seed.
         if isinstance(optimizer, BaseOptimizer):
             algorithm = optimizer
             if seed is not None:
@@ -239,7 +232,7 @@ class M3E:
             seed=resolved_seed,
         ):
             with phase("analyze"):
-                evaluator = self.build_evaluator(group, sampling_budget, resolved_seed=resolved_seed)
+                evaluator = self.build_evaluator(group, sampling_budget)
 
             with phase("warm_start"):
                 if initial_encodings is None and self.warm_store is not None:

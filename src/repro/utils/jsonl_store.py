@@ -56,9 +56,14 @@ _FINGERPRINT_RE = re.compile(rb'"fingerprint":\s*"([^"]*)"')
 
 
 def _line_fingerprint(line: bytes) -> Optional[str]:
-    """The fingerprint a store line is indexed under (``None``: not indexed)."""
+    """The fingerprint a store line is indexed under (``None``: not indexed).
+
+    A match without a backslash is the string itself.  One with a backslash
+    holds a JSON escape (``json.dumps`` writes non-ASCII as ``\\uXXXX``, and
+    an escaped quote cuts the match short), so the line is parsed in full.
+    """
     match = _FINGERPRINT_RE.search(line)
-    if match is not None:
+    if match is not None and b"\\" not in match.group(1):
         return match.group(1).decode("utf-8")
     try:
         record = json.loads(line)
@@ -179,13 +184,14 @@ class AppendOnlyJsonlStore(StoreBackend):
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
 
-    def truncate(self) -> None:  # acquires-lock: _lock
-        """Start the store afresh."""
+    def truncate(self) -> None:
+        """Start the store afresh.
+
+        An atomic replace, not an in-place truncate: the new file's inode
+        tells every other handle's offset index that it is stale.
+        """
         self._count_op("truncate")
-        with self._lock:
-            self._ensure_parent()
-            open(self.path, "w", encoding="utf-8").close()
-            self._offsets = None
+        self._replace_records([])
 
     def append_record(self, record: Dict[str, Any]) -> None:  # acquires-lock: _lock
         """Append one record as a single flushed line (crash/thread-safe)."""
@@ -196,7 +202,7 @@ class AppendOnlyJsonlStore(StoreBackend):
                 dump_jsonl_line(record, handle)
 
     def _replace_records(self, records: List[Dict[str, Any]]) -> None:  # acquires-lock: _lock
-        """Atomically replace the whole file (compaction commit path)."""
+        """Atomically replace the whole file (compaction and truncate commit path)."""
         with self._lock:
             self._ensure_parent()
             temp_path = self.path + ".compact"

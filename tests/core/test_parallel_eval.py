@@ -11,6 +11,7 @@ import multiprocessing
 import pickle
 import signal
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -21,9 +22,7 @@ from repro.core.evaluator import EVAL_BACKENDS, MappingEvaluator, SimulationRig
 from repro.core.framework import M3E
 from repro.core import parallel as parallel_module
 from repro.core.parallel import (
-    EvaluatorSpec,
     ParallelEvaluationPool,
-    SharedMemoryRing,
     MIN_ROWS_PER_WORKER,
     resolve_num_workers,
     split_shards,
@@ -44,38 +43,22 @@ def _problem(setting: str, bandwidth: float, group_size: int, seed: int = 0):
     return platform, group
 
 
-def _spec_for(evaluator: MappingEvaluator) -> EvaluatorSpec:
-    return EvaluatorSpec.capture(
-        evaluator.codec, evaluator.batch_allocator, evaluator.table, evaluator.objective
-    )
-
-
-class TestEvaluatorSpec:
-    def test_spec_pickles_and_rebuilds_equivalent_rig(self):
-        """The spec is the worker-bootstrap contract: it must survive pickling
-        and rebuild a rig that scores rows bit-identically to the original."""
+class TestRigAndWorkerCount:
+    @pytest.mark.parametrize("objective", ["throughput", "energy"])
+    def test_rig_survives_pickling_and_scores_bit_identically(self, objective):
+        """A spawned worker receives the evaluator's rig by pickle: the copy
+        scores rows bit-identically, and its table stays read-only."""
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
-        spec = _spec_for(evaluator)
-        clone = pickle.loads(pickle.dumps(spec))
-        rig = clone.build_rig()
-        assert isinstance(rig, SimulationRig)
+        evaluator = MappingEvaluator(
+            group, platform, objective=objective, eval_config=EvalConfig(backend="batch")
+        )
+        clone = pickle.loads(pickle.dumps(evaluator._rig))
+        assert isinstance(clone, SimulationRig)
+        assert not clone.table.latency_cycles.flags.writeable
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(16, rng=3))
         assert np.array_equal(
-            rig.fitnesses_for_rows(rows), evaluator._rig.fitnesses_for_rows(rows)
+            clone.fitnesses_for_rows(rows), evaluator._rig.fitnesses_for_rows(rows)
         )
-
-    def test_spec_shares_table_arrays_without_copy(self):
-        platform, group = _problem("S1", 16.0, 8)
-        evaluator = MappingEvaluator(group, platform)
-        spec = _spec_for(evaluator)
-        assert spec.latency_cycles is evaluator.table.latency_cycles
-
-    def test_resolve_num_workers(self):
-        assert resolve_num_workers(3) == 3
-        assert resolve_num_workers(None) >= 1
-        with pytest.raises(ConfigurationError):
-            resolve_num_workers(0)
 
     def test_auto_worker_count_follows_the_affinity_mask(self, monkeypatch):
         """A process pinned to one CPU (``taskset -c 0``) gets one worker,
@@ -103,7 +86,7 @@ class TestParallelEvaluationPool:
         evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(33, rng=7))
         reference = evaluator._rig.fitnesses_for_rows(rows)
-        with ParallelEvaluationPool(_spec_for(evaluator), num_workers=2) as pool:
+        with ParallelEvaluationPool(evaluator._rig, num_workers=2) as pool:
             assert np.array_equal(pool.evaluate(rows), reference)
 
     def test_pool_reused_across_calls_and_restartable_after_close(self):
@@ -111,7 +94,7 @@ class TestParallelEvaluationPool:
         evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(20, rng=1))
         reference = evaluator._rig.fitnesses_for_rows(rows)
-        pool = ParallelEvaluationPool(_spec_for(evaluator), num_workers=2)
+        pool = ParallelEvaluationPool(evaluator._rig, num_workers=2)
         try:
             assert np.array_equal(pool.evaluate(rows), reference)
             assert pool.is_running
@@ -125,8 +108,8 @@ class TestParallelEvaluationPool:
 
     def test_spawn_pool_equals_batch_and_closes_cleanly(self):
         """Where ``fork`` is missing the pool spawns its workers: each starts
-        a fresh interpreter, unpickles the spec and rebuilds the rig from the
-        evaluator module.  Its fitnesses equal the batch backend bit for bit."""
+        a fresh interpreter and unpickles the evaluator's rig.  Its
+        fitnesses equal the batch backend bit for bit."""
         from repro.obs import get_metrics
 
         platform, group = _problem("S2", 16.0, 10)
@@ -137,7 +120,7 @@ class TestParallelEvaluationPool:
             "repro_local_fallback_chunks_total", labels={"backend": "parallel"}
         )
         fallback_before = fallback.value
-        pool = ParallelEvaluationPool(_spec_for(evaluator), num_workers=2, start_method="spawn")
+        pool = ParallelEvaluationPool(evaluator._rig, num_workers=2, start_method="spawn")
         try:
             assert np.array_equal(pool.evaluate(rows), reference)
             (process, _), = pool._workers
@@ -149,17 +132,37 @@ class TestParallelEvaluationPool:
         assert not pool.is_running
         assert multiprocessing.active_children() == []
 
-    def test_warm_up_starts_workers_and_next_evaluate_is_bit_identical(self):
+    def test_segment_regrows_and_workers_reattach(self):
+        """A population larger than any before replaces the pool's segment
+        with a bigger one under a new name; the same worker maps it and
+        computes its shards (no inline recovery), so results stay
+        bit-identical.  A smaller population reuses the grown segment."""
+        from repro.obs import get_metrics
+
         platform, group = _problem("S2", 16.0, 10)
         evaluator = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
-        spec = _spec_for(evaluator)
-        rows = evaluator.codec.repair_batch(evaluator.codec.random_population(40, rng=9))
-        reference = spec.build_rig().fitnesses_for_rows(rows)
-        with ParallelEvaluationPool(spec, num_workers=2) as pool:
-            pool.warm_up()
-            assert pool.is_running
-            assert np.array_equal(pool.evaluate(rows), reference)
-            assert pool.is_running  # the warmed pool served the dispatch
+        rig = evaluator._rig
+        small = evaluator.codec.repair_batch(evaluator.codec.random_population(20, rng=1))
+        large = evaluator.codec.repair_batch(evaluator.codec.random_population(60, rng=2))
+        fallback = get_metrics().counter(
+            "repro_local_fallback_chunks_total", labels={"backend": "parallel"}
+        )
+        fallback_before = fallback.value
+        with ParallelEvaluationPool(rig, num_workers=2) as pool:
+            assert np.array_equal(pool.evaluate(small), rig.fitnesses_for_rows(small))
+            first = pool._segment.name
+            (process, _), = pool._workers
+            assert np.array_equal(pool.evaluate(large), rig.fitnesses_for_rows(large))
+            grown = pool._segment.name
+            assert grown != first and pool._segment.size >= large.nbytes + len(large) * 8
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=first)  # the outgrown segment is unlinked
+            assert np.array_equal(pool.evaluate(small[::-1]), rig.fitnesses_for_rows(small[::-1]))
+            assert pool._segment.name == grown
+            assert pool._workers[0][0] is process
+        assert fallback.value == fallback_before
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=grown)  # close() unlinks it
 
     def test_worker_cpus_avoid_the_coordinator(self):
         """Each worker gets a CPU of its own and none gets the coordinator's;
@@ -181,7 +184,7 @@ class TestParallelEvaluationPool:
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(40, rng=9))
         reference = evaluator._rig.fitnesses_for_rows(rows)
         allowed = parallel_module.os.sched_getaffinity(0)
-        with ParallelEvaluationPool(_spec_for(evaluator), num_workers=2) as pool:
+        with ParallelEvaluationPool(evaluator._rig, num_workers=2) as pool:
             assert np.array_equal(pool.evaluate(rows), reference)
             (process, _), = pool._workers
             pinned = parallel_module.os.sched_getaffinity(process.pid)
@@ -190,7 +193,7 @@ class TestParallelEvaluationPool:
     def test_empty_population_needs_no_workers(self):
         platform, group = _problem("S1", 16.0, 8)
         evaluator = MappingEvaluator(group, platform)
-        pool = ParallelEvaluationPool(_spec_for(evaluator), num_workers=2)
+        pool = ParallelEvaluationPool(evaluator._rig, num_workers=2)
         out = pool.evaluate(np.empty((0, evaluator.codec.encoding_length)))
         assert out.shape == (0,)
         assert not pool.is_running  # nothing dispatched, nothing started
@@ -356,9 +359,8 @@ class TestShardingProperties:
 
     @pytest.fixture()
     def rig_and_rows(self, evaluator):
-        spec = _spec_for(evaluator)
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(73, rng=5))
-        return spec, rows, spec.build_rig().fitnesses_for_rows(rows)
+        return evaluator._rig, rows, evaluator._rig.fitnesses_for_rows(rows)
 
     @pytest.fixture(autouse=True)
     def _reset_fault_seams(self):
@@ -374,18 +376,18 @@ class TestShardingProperties:
     @pytest.mark.parametrize("num_workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("pop", [1, 15, 16, 17, 33, 73, 80, 200])
     def test_every_partition_bit_identical(self, evaluator, num_workers, pop):
-        spec = _spec_for(evaluator)
+        rig = evaluator._rig
         rows = evaluator.codec.repair_batch(evaluator.codec.random_population(pop, rng=pop))
-        with ParallelEvaluationPool(spec, num_workers=num_workers) as pool:
-            assert np.array_equal(pool.evaluate(rows), spec.build_rig().fitnesses_for_rows(rows))
+        with ParallelEvaluationPool(rig, num_workers=num_workers) as pool:
+            assert np.array_equal(pool.evaluate(rows), rig.fitnesses_for_rows(rows))
             # Workers ran exactly when the population fills two lanes or more.
             lanes = min(num_workers, pop // MIN_ROWS_PER_WORKER)
             assert pool.is_running == (lanes >= 2)
 
     def test_slow_workers_bit_identical(self, rig_and_rows):
-        spec, rows, reference = rig_and_rows
+        rig, rows, reference = rig_and_rows
         parallel_module._FAULT_DELAY_S = 0.01
-        with ParallelEvaluationPool(spec, num_workers=3) as pool:
+        with ParallelEvaluationPool(rig, num_workers=3) as pool:
             assert np.array_equal(pool.evaluate(rows), reference)
 
     def test_killed_worker_recovers_at_once_bit_identical(self, rig_and_rows):
@@ -394,12 +396,12 @@ class TestShardingProperties:
         recomputes the shard inline, and respawns the worker next call."""
         from repro.obs import get_metrics, get_tracer
 
-        spec, rows, reference = rig_and_rows
+        rig, rows, reference = rig_and_rows
         get_tracer().clear()
         deaths = get_metrics().counter("repro_worker_deaths_total", labels={"backend": "parallel"})
         deaths_before = deaths.value
         parallel_module._FAULT_KILL_SHARD_START = 24  # 73 rows, 3 lanes: (0, 24), (24, 48), (48, 73)
-        pool = ParallelEvaluationPool(spec, num_workers=3, task_timeout_s=30.0)
+        pool = ParallelEvaluationPool(rig, num_workers=3, task_timeout_s=30.0)
         try:
             began = time.perf_counter()
             assert np.array_equal(pool.evaluate(rows), reference)
@@ -426,10 +428,10 @@ class TestShardingProperties:
         its shard is recomputed inline and a fresh worker serves the next call."""
         from repro.obs import get_tracer
 
-        spec, rows, reference = rig_and_rows
+        rig, rows, reference = rig_and_rows
         get_tracer().clear()
         parallel_module._FAULT_DELAY_S = 30.0
-        pool = ParallelEvaluationPool(spec, num_workers=2, task_timeout_s=0.5)
+        pool = ParallelEvaluationPool(rig, num_workers=2, task_timeout_s=0.5)
         try:
             began = time.perf_counter()
             assert np.array_equal(pool.evaluate(rows), reference)
@@ -442,15 +444,3 @@ class TestShardingProperties:
             pool.close()
         lost = get_tracer().records(kind="event", name="parallel.worker-lost", level="warning")
         assert [(r["attrs"]["reason"], r["attrs"]["exitcode"]) for r in lost] == [("timeout", -signal.SIGTERM)]
-
-    def test_shared_memory_ring_rotates_and_grows(self):
-        ring = SharedMemoryRing()
-        first = ring.acquire(64)
-        second = ring.acquire(64)
-        assert first.name != second.name  # consecutive generations rotate slots
-        third = ring.acquire(64)
-        assert third.name == first.name  # full rotation reuses the slot
-        grown = ring.acquire(first.size + 1)  # too small: recreated bigger
-        assert grown.name != second.name and grown.size >= first.size + 1
-        ring.close()
-        ring.close()  # idempotent

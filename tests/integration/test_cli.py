@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import _eval_config, build_parser, main
+from repro.cli import ERROR_EXIT_CODE, _eval_config, build_parser, main
 from repro.core.evalconfig import EvalConfig
-from repro.exceptions import ConfigurationError
 from repro.experiments import list_scenarios
 
 
@@ -144,11 +146,9 @@ class TestCampaignCommand:
         assert exit_code == 0
         assert '"cells_run": 2' in capsys.readouterr().out
 
-    def test_campaign_without_scenarios_rejected(self, tmp_path):
-        from repro.exceptions import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            main(["campaign", "--out", str(tmp_path / "x.jsonl")])
+    def test_campaign_without_scenarios_rejected(self, tmp_path, capsys):
+        assert main(["campaign", "--out", str(tmp_path / "x.jsonl")]) == ERROR_EXIT_CODE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_campaign_seeds_flag_prints_uncertainty_and_agreement(self, capsys, tmp_path):
         """Acceptance: ``campaign --seeds 3`` emits per-cell mean ± std plus
@@ -230,11 +230,9 @@ class TestServiceCommands:
             server.server_close()
             service.close()
 
-    def test_submit_without_service_fails_loudly(self, tmp_path):
-        from repro.exceptions import ServiceError
-
-        with pytest.raises(ServiceError, match="cannot reach"):
-            main(["submit", "--url", "http://127.0.0.1:9", "--timeout", "1"])
+    def test_submit_without_service_fails_loudly(self, tmp_path, capsys):
+        assert main(["submit", "--url", "http://127.0.0.1:9", "--timeout", "1"]) == ERROR_EXIT_CODE
+        assert "cannot reach" in capsys.readouterr().err
 
 
 class TestStoreCommands:
@@ -287,12 +285,28 @@ class TestStoreCommands:
         assert payload["kept"] == 3 and payload["dropped"] == 3
 
     @pytest.mark.parametrize("scheme", ["jsonl", "sqlite"])
-    def test_store_commands_refuse_a_missing_store_and_create_nothing(self, tmp_path, scheme):
+    def test_store_commands_refuse_a_missing_store_and_create_nothing(self, tmp_path, scheme, capsys):
         missing = tmp_path / f"nothere.{scheme}"
         for command in ("info", "compact"):
-            with pytest.raises(ConfigurationError, match="nothere"):
-                main(["store", command, f"{scheme}:{missing}"])
+            assert main(["store", command, f"{scheme}:{missing}"]) == ERROR_EXIT_CODE
+            assert "nothere" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_library_error_prints_one_line_and_no_traceback(self, tmp_path):
+        """From a shell, a failing command prints ``error: <message>`` on
+        stderr and exits with ERROR_EXIT_CODE, not a stack trace."""
+        missing = tmp_path / "nothere.sqlite3"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "store", "info", f"sqlite:{missing}"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == ERROR_EXIT_CODE
+        assert completed.stdout == ""
+        assert completed.stderr.startswith("error: ") and "nothere" in completed.stderr
+        assert completed.stderr.count("\n") == 1  # one line, no traceback
 
     def test_serve_parser_accepts_replica_id_and_store_url(self):
         args = build_parser().parse_args(

@@ -138,8 +138,10 @@ class TestCommittedBaselines:
         expectations = {
             ("BENCH_batch_eval.json", "speedup"): (
                 "test_batch_eval_speed.py", "MIN_SPEEDUP"),
-            ("BENCH_parallel_eval.json", "speedup"): (
-                "test_parallel_eval_speed.py", "MIN_SPEEDUP"),
+            ("BENCH_parallel_eval.json", "efficiency_pop200"): (
+                "test_parallel_eval_speed.py", "MIN_EFFICIENCY"),
+            ("BENCH_parallel_eval.json", "efficiency_pop80"): (
+                "test_parallel_eval_speed.py", "MIN_EFFICIENCY"),
             ("BENCH_kernel_sweep.json", "s2_row_events_per_second"): (
                 "test_kernel_sweep.py", "MIN_S2_ROW_EVENTS_PER_SECOND"),
             ("BENCH_kernel_sweep.json", "s6_row_events_per_second"): (

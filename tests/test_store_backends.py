@@ -140,6 +140,29 @@ class TestBackendConformance:
         assert backend.records() == []
         assert len(backend) == 0
 
+    def test_an_indexed_reader_sees_a_truncate_and_a_longer_record(self, backend):
+        """On the peer arms the reader indexes the file, then the writer
+        truncates it and appends a longer record: the reader must answer
+        from the new file, not from its old offsets."""
+        backend.append_record(_record("fp-old", 1.0))
+        assert backend.lookup("fp-old") is not None
+        backend.truncate()
+        longer = _record("fp-new", 2.0, payload="x" * 200)
+        backend.append_record(longer)
+        assert backend.lookup("fp-old") is None
+        assert backend.lookup("fp-new") == longer
+        assert backend.fingerprints() == {"fp-new"}
+
+    def test_lookup_answers_fingerprints_json_escapes(self, backend):
+        """A fingerprint that JSON writes with an escape (non-ASCII, an
+        embedded quote) is indexed and answered under its own value."""
+        fingerprints = ["fp-ü", 'fp-"quoted"']
+        for fitness, fingerprint in enumerate(fingerprints):
+            backend.append_record(_record(fingerprint, float(fitness)))
+        assert backend.fingerprints() == set(fingerprints)
+        for fitness, fingerprint in enumerate(fingerprints):
+            assert backend.lookup(fingerprint) == _record(fingerprint, float(fitness))
+
     def test_repair_reports_intact_count(self, backend):
         for i in range(7):
             backend.append_record(_record(f"fp-{i}", float(i)))
