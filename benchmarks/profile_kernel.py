@@ -14,7 +14,10 @@ gated by ``benchmarks/test_kernel_sweep.py`` -> ``BENCH_kernel_sweep.json``.
 
 It also splits one MAGMA generation (population 100, 80 children) into
 breed / repair / decode / kernel / score at the two perfbench search
-shapes; the five parts add up to the generation's wall time.
+shapes; the five parts add up to the generation's wall time.  And it splits
+one A2C and one PPO2 search (S1, vision, G=50, 800 samples) into forward /
+draw / env / kernel / update / other; those six add up to the search's wall
+time.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ import pstats
 import time
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
 from repro.accelerator import build_setting
 from repro.core.bw_allocator import BatchBandwidthAllocator
 from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
 from repro.optimizers.magma import MagmaOptimizer
+from repro.optimizers.rl import A2COptimizer, PPOOptimizer
+from repro.optimizers.rl import env as rl_env
+from repro.optimizers.rl.nn import MLP
 from repro.workloads import TaskType, build_task_workload
 
 #: (setting, bandwidth GB/s, group size) grid of kernel measurement points.
@@ -180,6 +184,86 @@ def generation_table() -> str:
     return "\n".join(lines)
 
 
+#: The parts of one RL search, in the order a rollout step runs them.
+RL_PARTS = ("forward", "draw", "env", "kernel", "update", "other")
+
+
+def rl_split(agent: str, budget: int = 800, seed: int = 0) -> Dict[str, float]:
+    """Seconds of each part of one RL search at S1/vision/G=50.
+
+    ``forward`` is the rollout's policy forwards (the agent's update runs
+    its own, counted under ``update``); ``draw`` is the action draw;
+    ``env`` is the environment's reset and steps minus ``kernel``, which is
+    ``evaluate_population`` on the finished episodes (repair, decode,
+    simulate and score); ``update`` is the agent's gradient step; ``other``
+    is the rest of the search's wall time (network init, rollout
+    bookkeeping, return normalisation), so the six add up to ``total``.
+    """
+    platform = build_setting("S1", 16.0)
+    group = build_task_workload(
+        TaskType.VISION, group_size=50, seed=0, num_sub_accelerators=platform.num_sub_accelerators
+    )[0]
+    evaluator = MappingEvaluator(group, platform, sampling_budget=budget, eval_config=EvalConfig(backend="batch"))
+    optimizer = {"a2c": A2COptimizer, "ppo2": PPOOptimizer}[agent](seed=seed)
+    seconds = dict.fromkeys(("forward", "draw", "env", "kernel", "update"), 0.0)
+    inside_update = False
+    patched = []
+
+    def timed(owner: object, attr: str, part: str) -> None:
+        original: Callable = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            nonlocal inside_update
+            if part == "forward" and inside_update:
+                return original(*args, **kwargs)
+            outer = inside_update
+            inside_update = outer or part == "update"
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                seconds[part] += time.perf_counter() - start
+                inside_update = outer
+
+        # Class and module attributes are put back; instance ones deleted.
+        patched.append((owner, attr, vars(owner).get(attr)))
+        setattr(owner, attr, wrapper)
+
+    timed(MLP, "forward", "forward")
+    timed(rl_env, "sample_actions", "draw")
+    timed(rl_env.MappingEnv, "reset", "env")
+    timed(rl_env.MappingEnv, "step", "env")
+    timed(evaluator, "evaluate_population", "kernel")
+    timed(optimizer, "_update", "update")
+    try:
+        start = time.perf_counter()
+        optimizer.optimize(evaluator)
+        total = time.perf_counter() - start
+    finally:
+        for owner, attr, original in reversed(patched):
+            if original is None:
+                delattr(owner, attr)
+            else:
+                setattr(owner, attr, original)
+    seconds["env"] -= seconds["kernel"]
+    seconds["other"] = total - sum(seconds.values())
+    seconds["total"] = total
+    return seconds
+
+
+def rl_table() -> str:
+    """The :func:`rl_split` of one A2C and one PPO2 search."""
+    header = f"{'agent':>8} " + " ".join(f"{part:>8}" for part in RL_PARTS)
+    header += f" {'total':>8}  (s per search)"
+    lines = [header, "-" * len(header)]
+    for agent in ("a2c", "ppo2"):
+        split = rl_split(agent)
+        lines.append(
+            f"{agent:>8} " + " ".join(f"{split[part]:>8.3f}" for part in RL_PARTS) + f" {split['total']:>8.3f}"
+        )
+    return "\n".join(lines)
+
+
 def profile_kernel(setting: str = "S2", bandwidth: float = 16.0,
                    group_size: int = 20, pop: int = 512) -> str:
     """cProfile the kernel; returns the cumulative-time stats text."""
@@ -220,6 +304,7 @@ def main(argv: "List[str] | None" = None) -> int:
             f"{point['rows_per_second']:>12.0f} {point['row_events_per_second']:>14.0f}"
         )
     table = "\n".join(lines) + "\n\nMAGMA generation, population 100:\n" + generation_table()
+    table += "\n\nRL search, S1/vision/G=50, 800 samples:\n" + rl_table()
     print(table)
     profile_text = profile_kernel()
     print("\ncProfile (S2, pop=512, 5 calls, top 25 by cumulative time):")

@@ -1,52 +1,28 @@
 """Advantage Actor-Critic (A2C) mapper — the "RL A2C" baseline of Table IV.
 
-The agent builds mappings job-by-job in the :class:`SequentialMappingEnv`.
-Several environments are stepped in lock-step so the policy/critic forward
-and backward passes are batched, matching the synchronous multi-worker
-formulation of A2C.  Hyper-parameters follow Table IV: 3-layer MLPs with 128
-units, discount 0.99, learning rate 7e-4, RMSProp.
+The agent builds mappings job-by-job in the :class:`MappingEnv`.  Its
+``num_parallel_envs`` episodes are stepped in lock-step so the policy/critic
+forward and backward passes are batched, matching the synchronous
+multi-worker formulation of A2C.  Hyper-parameters follow Table IV: 3-layer
+MLPs with 128 units, discount 0.99, learning rate 7e-4, RMSProp.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.evaluator import MappingEvaluator
 from repro.exceptions import OptimizationError
 from repro.optimizers.base import BaseOptimizer
-from repro.optimizers.rl.env import SequentialMappingEnv
+from repro.optimizers.rl.env import MappingEnv, RunningNormalizer, rollout
 from repro.optimizers.rl.nn import MLP, RMSPropOptimizer, clip_gradients, softmax
 from repro.utils.rng import SeedLike
 
 
-class _RunningNormalizer:
-    """Running mean/std used to normalise episode returns into stable advantages."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    @property
-    def std(self) -> float:
-        if self.count < 2:
-            return 1.0
-        return float(np.sqrt(self.m2 / (self.count - 1))) or 1.0
-
-    def normalise(self, value: float) -> float:
-        return (value - self.mean) / (self.std + 1e-8)
-
-
 class A2COptimizer(BaseOptimizer):
-    """Synchronous advantage actor-critic over the sequential mapping environment."""
+    """Synchronous advantage actor-critic over the lock-step mapping environment."""
 
     default_name = "RL A2C"
     is_rl = True
@@ -82,83 +58,29 @@ class A2COptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
-        envs = [
-            SequentialMappingEnv(evaluator, self.num_priority_buckets)
-            for _ in range(self.num_parallel_envs)
-        ]
-        spec = envs[0].spec
+        env = MappingEnv(evaluator, self.num_priority_buckets)
         hidden = [self.hidden_size] * self.num_hidden_layers
         # Network init comes from named substreams, not draws of self.rng:
         # reseed() then rebuilds them exactly, and the action-sampling stream
         # is insensitive to how many weights the networks have.
-        policy = MLP([spec.observation_size, *hidden, spec.num_actions], rng=self.stream("policy-init"))
-        critic = MLP([spec.observation_size, *hidden, 1], rng=self.stream("critic-init"))
+        policy = MLP([env.observation_size, *hidden, env.num_actions], rng=self.stream("policy-init"))
+        critic = MLP([env.observation_size, *hidden, 1], rng=self.stream("critic-init"))
         policy_opt = RMSPropOptimizer(learning_rate=self.learning_rate)
         critic_opt = RMSPropOptimizer(learning_rate=self.learning_rate)
-        normalizer = _RunningNormalizer()
+        normalizer = RunningNormalizer()
 
         episodes = 0
         updates = 0
         best_return = -np.inf
 
         while not evaluator.budget_exhausted:
-            batch_states: List[np.ndarray] = []
-            batch_actions: List[int] = []
-            batch_returns: List[float] = []
-
-            # Roll out one episode per parallel environment, stepping them in
-            # lock-step so every forward pass is batched.
-            observations = np.stack([env.reset() for env in envs])
-            done_flags = [False] * len(envs)
-            trajectories: List[List[tuple[np.ndarray, int]]] = [[] for _ in envs]
-            episode_returns = [0.0] * len(envs)
-
-            for _ in range(spec.num_jobs):
-                logits, _ = policy.forward(observations)
-                probabilities = softmax(logits)
-                actions = [
-                    int(self.rng.choice(spec.num_actions, p=probabilities[i]))
-                    for i in range(len(envs))
-                ]
-                next_observations = observations.copy()
-                for i, env in enumerate(envs):
-                    if done_flags[i]:
-                        continue
-                    trajectories[i].append((observations[i], actions[i]))
-                    try:
-                        next_obs, reward, done = env.step(actions[i])
-                    except OptimizationError:
-                        done_flags[i] = True
-                        continue
-                    if done:
-                        done_flags[i] = True
-                        episode_returns[i] = reward
-                    else:
-                        next_observations[i] = next_obs
-                observations = next_observations
-                if all(done_flags):
-                    break
-
-            for i, trajectory in enumerate(trajectories):
-                if not done_flags[i] or not trajectory:
-                    continue
-                episodes += 1
-                final_return = episode_returns[i]
-                normalizer.update(final_return)
-                best_return = max(best_return, final_return)
-                horizon = len(trajectory)
-                for t, (state, action) in enumerate(trajectory):
-                    discounted = self.discount ** (horizon - 1 - t) * normalizer.normalise(final_return)
-                    batch_states.append(state)
-                    batch_actions.append(action)
-                    batch_returns.append(discounted)
-
-            if not batch_states:
+            batch = rollout(env, policy, self.rng, self.num_parallel_envs)
+            if not len(batch.returns):
                 break
-            self._update(
-                policy, critic, policy_opt, critic_opt,
-                np.stack(batch_states), np.asarray(batch_actions), np.asarray(batch_returns),
-            )
+            episodes += len(batch.returns)
+            best_return = max(best_return, float(batch.returns.max()))
+            targets = normalizer.discounted_targets(batch.returns, env.num_jobs, self.discount)
+            self._update(policy, critic, policy_opt, critic_opt, batch.states, batch.actions, targets)
             updates += 1
 
         self.metadata.update({"episodes": episodes, "updates": updates, "best_return": float(best_return)})

@@ -1,28 +1,28 @@
 """Proximal Policy Optimization (PPO2) mapper — the "RL PPO2" baseline of Table IV.
 
-PPO collects a rollout of complete episodes from the sequential mapping
-environment, then performs several epochs of clipped-surrogate updates over
-minibatches of the collected (state, action, advantage) samples.
-Hyper-parameters follow Table IV: 3-layer MLPs with 128 units, discount 0.99,
-clipping range 0.2, learning rate 2.5e-4, Adam.
+PPO collects a rollout of ``episodes_per_rollout`` complete episodes, run in
+lock-step in the :class:`MappingEnv`, then performs several epochs of
+clipped-surrogate updates over minibatches of the collected (state, action,
+advantage) samples.  Hyper-parameters follow Table IV: 3-layer MLPs with
+128 units, discount 0.99, clipping range 0.2, learning rate 2.5e-4, Adam.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.evaluator import MappingEvaluator
 from repro.exceptions import OptimizationError
 from repro.optimizers.base import BaseOptimizer
-from repro.optimizers.rl.env import SequentialMappingEnv
+from repro.optimizers.rl.env import MappingEnv, RunningNormalizer, rollout
 from repro.optimizers.rl.nn import MLP, AdamOptimizer, clip_gradients, softmax
 from repro.utils.rng import SeedLike
 
 
 class PPOOptimizer(BaseOptimizer):
-    """Clipped-surrogate PPO over the sequential mapping environment."""
+    """Clipped-surrogate PPO over the lock-step mapping environment."""
 
     default_name = "RL PPO2"
     is_rl = True
@@ -66,97 +66,34 @@ class PPOOptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
-        env = SequentialMappingEnv(evaluator, self.num_priority_buckets)
-        spec = env.spec
+        env = MappingEnv(evaluator, self.num_priority_buckets)
         hidden = [self.hidden_size] * self.num_hidden_layers
         # Named substreams (not self.rng draws) so reseed() rebuilds the
         # exact same networks and action sampling is layout-insensitive.
-        policy = MLP([spec.observation_size, *hidden, spec.num_actions], rng=self.stream("policy-init"))
-        critic = MLP([spec.observation_size, *hidden, 1], rng=self.stream("critic-init"))
+        policy = MLP([env.observation_size, *hidden, env.num_actions], rng=self.stream("policy-init"))
+        critic = MLP([env.observation_size, *hidden, 1], rng=self.stream("critic-init"))
         policy_opt = AdamOptimizer(learning_rate=self.learning_rate)
         critic_opt = AdamOptimizer(learning_rate=self.learning_rate)
+        normalizer = RunningNormalizer()
 
-        return_history: List[float] = []
         episodes = 0
         rollouts = 0
+        best_return = -np.inf
 
         while not evaluator.budget_exhausted:
-            states, actions, old_log_probs, returns = self._collect_rollout(env, policy, evaluator, return_history)
-            if len(states) == 0:
+            batch = rollout(env, policy, self.rng, self.episodes_per_rollout)
+            if not len(batch.returns):
                 break
-            episodes += self.episodes_per_rollout
+            episodes += len(batch.returns)
             rollouts += 1
-            self._update(policy, critic, policy_opt, critic_opt, states, actions, old_log_probs, returns)
+            best_return = max(best_return, float(batch.returns.max()))
+            targets = normalizer.discounted_targets(batch.returns, env.num_jobs, self.discount)
+            self._update(policy, critic, policy_opt, critic_opt, batch.states, batch.actions, batch.log_probs, targets)
 
-        self.metadata.update(
-            {
-                "episodes": episodes,
-                "rollouts": rollouts,
-                "best_return": float(max(return_history)) if return_history else float("-inf"),
-            }
-        )
+        self.metadata.update({"episodes": episodes, "rollouts": rollouts, "best_return": float(best_return)})
         return evaluator.best_encoding
 
     # ------------------------------------------------------------------
-    def _collect_rollout(
-        self,
-        env: SequentialMappingEnv,
-        policy: MLP,
-        evaluator: MappingEvaluator,
-        return_history: List[float],
-    ):
-        """Run several complete episodes with the current policy."""
-        states: List[np.ndarray] = []
-        actions: List[int] = []
-        log_probs: List[float] = []
-        returns: List[float] = []
-
-        for _ in range(self.episodes_per_rollout):
-            if evaluator.budget_exhausted:
-                break
-            observation = env.reset()
-            trajectory: List[tuple[np.ndarray, int, float]] = []
-            final_return = None
-            done = False
-            while not done:
-                logits, _ = policy.forward(observation)
-                probabilities = softmax(logits)[0]
-                action = int(self.rng.choice(len(probabilities), p=probabilities))
-                log_prob = float(np.log(probabilities[action] + 1e-12))
-                trajectory.append((observation, action, log_prob))
-                try:
-                    next_observation, reward, done = env.step(action)
-                except OptimizationError:
-                    trajectory = []
-                    done = True
-                    break
-                if done:
-                    final_return = reward
-                else:
-                    observation = next_observation
-            if not trajectory or final_return is None:
-                continue
-            return_history.append(final_return)
-            # Normalise returns across the history so advantages stay well-scaled.
-            mean = float(np.mean(return_history))
-            std = float(np.std(return_history)) or 1.0
-            normalised = (final_return - mean) / (std + 1e-8)
-            horizon = len(trajectory)
-            for t, (state, action, log_prob) in enumerate(trajectory):
-                states.append(state)
-                actions.append(action)
-                log_probs.append(log_prob)
-                returns.append(self.discount ** (horizon - 1 - t) * normalised)
-
-        if not states:
-            return np.empty((0,)), np.empty((0,)), np.empty((0,)), np.empty((0,))
-        return (
-            np.stack(states),
-            np.asarray(actions),
-            np.asarray(log_probs),
-            np.asarray(returns),
-        )
-
     def _update(
         self,
         policy: MLP,

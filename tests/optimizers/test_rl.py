@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.evaluator import MappingEvaluator
+from repro.core.framework import M3E
 from repro.exceptions import OptimizationError
 from repro.optimizers.rl.a2c import A2COptimizer
-from repro.optimizers.rl.env import SequentialMappingEnv
+from repro.optimizers.rl.env import MappingEnv, rollout, sample_actions
 from repro.optimizers.rl.nn import MLP, AdamOptimizer, RMSPropOptimizer, clip_gradients, softmax
 from repro.optimizers.rl.ppo import PPOOptimizer
+from repro.utils.serialization import SearchResultSummary
 
 
 class TestMLP:
@@ -67,50 +69,95 @@ class TestMLP:
 
 class TestEnvironment:
     def test_episode_length_equals_group_size(self, evaluator):
-        env = SequentialMappingEnv(evaluator, num_priority_buckets=3)
-        observation = env.reset()
-        assert observation.shape == (env.spec.observation_size,)
+        env = MappingEnv(evaluator, num_priority_buckets=3)
+        observations = env.reset(4)
+        assert observations.shape == (4, env.observation_size)
         done = False
         steps = 0
         while not done:
-            _, reward, done = env.step(0)
+            _, rewards, done = env.step(np.zeros(4, dtype=int))
             steps += 1
         assert steps == evaluator.codec.num_jobs
-        assert reward > 0  # final reward is the mapping fitness
+        assert rewards.shape == (4,)
+        assert np.all(rewards > 0)  # final rewards are the mapping fitnesses
 
     def test_invalid_action_rejected(self, evaluator):
-        env = SequentialMappingEnv(evaluator)
-        env.reset()
+        env = MappingEnv(evaluator)
+        env.reset(2)
         with pytest.raises(OptimizationError):
-            env.step(env.spec.num_actions)
+            env.step(np.array([0, env.num_actions]))
+        with pytest.raises(OptimizationError):
+            env.step(np.array([-1, 0]))
+        with pytest.raises(OptimizationError):
+            env.step(np.zeros(3, dtype=int))  # one action per episode
 
     def test_step_after_done_rejected(self, evaluator):
-        env = SequentialMappingEnv(evaluator)
-        env.reset()
-        for _ in range(evaluator.codec.num_jobs):
-            env.step(0)
+        env = MappingEnv(evaluator)
         with pytest.raises(OptimizationError):
-            env.step(0)
+            env.step(np.zeros(1, dtype=int))  # before the first reset
+        env.reset(2)
+        for _ in range(evaluator.codec.num_jobs):
+            env.step(np.zeros(2, dtype=int))
+        with pytest.raises(OptimizationError):
+            env.step(np.zeros(2, dtype=int))
 
     def test_encoding_reflects_actions(self, evaluator):
-        env = SequentialMappingEnv(evaluator, num_priority_buckets=2)
-        env.reset()
-        chosen_core = 1
-        action = chosen_core * 2  # bucket 0 on core 1
-        for _ in range(evaluator.codec.num_jobs):
-            env.step(action)
-        encoding = env.encoding()
-        assert np.all(encoding[: evaluator.codec.num_jobs] == chosen_core)
+        env = MappingEnv(evaluator, num_priority_buckets=2)
+        env.reset(2)
+        num_jobs = evaluator.codec.num_jobs
+        # Episode 0: core 1, bucket 0.  Episode 1: core 0, bucket 1.
+        for _ in range(num_jobs):
+            env.step(np.array([1 * 2 + 0, 0 * 2 + 1]))
+        encodings = env.encodings()
+        assert encodings.shape == (2, 2 * num_jobs)
+        assert np.all(encodings[0, :num_jobs] == 1)
+        assert np.all(encodings[1, :num_jobs] == 0)
+        # Bucket 1 outranks bucket 0 on every job.
+        assert np.all(encodings[1, num_jobs:] > encodings[0, num_jobs:])
+        evaluator.codec.validate(encodings[0])
 
     def test_each_episode_consumes_one_sample(self, small_platform, mix_group):
         evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=5)
-        env = SequentialMappingEnv(evaluator)
-        for _ in range(3):
-            env.reset()
-            done = False
-            while not done:
-                _, _, done = env.step(0)
+        env = MappingEnv(evaluator)
+        env.reset(3)
+        done = False
+        while not done:
+            _, rewards, done = env.step(np.zeros(3, dtype=int))
         assert evaluator.samples_used == 3
+        assert np.all(np.isfinite(rewards))
+
+    def test_budget_cut_episodes_are_not_evaluated(self, small_platform, mix_group):
+        evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=5)
+        env = MappingEnv(evaluator)
+        policy = MLP([env.observation_size, 8, env.num_actions], rng=0)
+        batch = rollout(env, policy, np.random.default_rng(0), 8)
+        assert evaluator.samples_used == 5
+        assert len(batch.returns) == 5 and np.all(np.isfinite(batch.returns))
+        assert batch.states.shape == (5 * env.num_jobs, env.observation_size)
+        assert batch.actions.shape == batch.log_probs.shape == (5 * env.num_jobs,)
+        assert batch.returns.max() == evaluator.best_fitness
+
+    def test_rewards_match_the_scalar_oracle(self, evaluator):
+        env = MappingEnv(evaluator)
+        env.reset(3)
+        actions = np.random.default_rng(1).integers(0, env.num_actions, size=(evaluator.codec.num_jobs, 3))
+        for step_actions in actions:
+            _, rewards, _ = env.step(step_actions)
+        oracle = [evaluator.evaluate(row, count_sample=False) for row in env.encodings()]
+        assert rewards.tolist() == oracle
+
+
+class TestSampleActions:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_row_by_row_choice(self, seed):
+        """One draw equals ``rng.choice(A, p=row)`` per row, stream state included."""
+        rng = np.random.default_rng(seed)
+        num_rows, num_actions = int(rng.integers(1, 12)), int(rng.integers(2, 40))
+        probabilities = softmax(rng.normal(size=(num_rows, num_actions)) * rng.choice([0.1, 3.0, 30.0]))
+        reference, batched = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        expected = [int(reference.choice(num_actions, p=row)) for row in probabilities]
+        assert sample_actions(probabilities, batched).tolist() == expected
+        assert batched.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("factory", [
@@ -132,10 +179,29 @@ class TestAgents:
         optimizer.optimize(evaluator)
         assert optimizer.metadata["episodes"] >= 1
 
+    def test_episodes_are_scored_through_the_eval_backend(self, factory, small_platform, mix_group, monkeypatch):
+        evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=20)
+        monkeypatch.setattr(evaluator, "evaluate", None)  # no per-episode scalar call
+        factory(0).optimize(evaluator)
+        assert evaluator.generations == 10  # one evaluate_population per 2-episode rollout
+        assert evaluator.samples_used == 20
+
+    def test_budget_cut_episodes_are_not_counted(self, factory, small_platform, mix_group):
+        """The last 2-episode rollout has budget for one episode only.
+
+        Under ``latency`` (fitness < 0) a made-up 0.0 return for the cut
+        episode would also win ``best_return``.
+        """
+        evaluator = MappingEvaluator(mix_group, small_platform, objective="latency", sampling_budget=19)
+        optimizer = factory(0)
+        optimizer.optimize(evaluator)
+        assert optimizer.metadata["episodes"] == evaluator.samples_used == 19
+        assert optimizer.metadata["best_return"] == evaluator.best_fitness < 0
+
     def test_deterministic_given_seed(self, factory, small_platform, mix_group):
-        fitnesses = []
+        summaries = []
         for _ in range(2):
-            evaluator = MappingEvaluator(mix_group, small_platform, sampling_budget=12)
-            factory(7).optimize(evaluator)
-            fitnesses.append(evaluator.best_fitness)
-        assert fitnesses[0] == pytest.approx(fitnesses[1])
+            explorer = M3E(small_platform, sampling_budget=12)
+            result = explorer.search(mix_group, optimizer=factory(7))
+            summaries.append(SearchResultSummary.from_result(result).to_dict())
+        assert summaries[0] == summaries[1]

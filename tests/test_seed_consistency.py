@@ -30,6 +30,9 @@ BACKENDS = ("scalar", "batch", "parallel")
 
 SEED = 1234
 
+#: Options per optimizer; the RL agents run their Table IV defaults.
+OPTIMIZER_OPTIONS = {"magma": {"population_size": 8}}
+
 
 def _problem(group_size: int = 10):
     platform = build_setting("S1", 16.0)
@@ -50,7 +53,7 @@ def _search(backend: str, seed, optimizer: str = "magma"):
         group,
         optimizer=optimizer,
         seed=seed,
-        optimizer_options={"population_size": 8},
+        optimizer_options=OPTIMIZER_OPTIONS.get(optimizer),
     )
 
 
@@ -63,10 +66,15 @@ class TestBackendSeedConsistency:
         assert first.to_dict() == second.to_dict()
 
     @pytest.mark.parametrize("backend", ("batch", "parallel"))
-    def test_every_backend_matches_the_scalar_oracle(self, backend):
-        """Standing invariant: backends are interchangeable at fixed seed."""
-        oracle = SearchResultSummary.from_result(_search("scalar", SEED))
-        other = SearchResultSummary.from_result(_search(backend, SEED))
+    @pytest.mark.parametrize("optimizer", ("magma", "a2c", "ppo2"))
+    def test_every_backend_matches_the_scalar_oracle(self, optimizer, backend):
+        """Standing invariant: backends are interchangeable at fixed seed.
+
+        The RL agents score each rollout's finished episodes through the
+        configured backend, so they are held to it too.
+        """
+        oracle = SearchResultSummary.from_result(_search("scalar", SEED, optimizer))
+        other = SearchResultSummary.from_result(_search(backend, SEED, optimizer))
         assert other.to_dict() == oracle.to_dict()
 
     def test_displayed_fitness_is_the_selection_fitness(self):
