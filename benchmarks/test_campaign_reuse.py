@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.core.analyzer import AnalysisTableCache
-from repro.experiments.campaign import CampaignRunner
+from repro.experiments.campaign import CampaignResultsStore, CampaignRunner
 from repro.experiments.scenarios import ScenarioSpec
 
 SETTINGS = ("S1", "S2")
@@ -39,7 +39,7 @@ def test_campaign_reuses_tables_and_resumes_for_free(scale, tmp_path, report_lin
     spec = _grid()
     num_cells = len(SETTINGS) * len(TASKS) * len(METHODS)
     unique_problems = len(SETTINGS) * len(TASKS)
-    store_path = str(tmp_path / "campaign.jsonl")
+    store_path = str(tmp_path / "campaign.sqlite3")
 
     engine = CampaignRunner(scale=scale, table_cache=AnalysisTableCache())
     start = time.perf_counter()
@@ -62,18 +62,18 @@ def test_campaign_reuses_tables_and_resumes_for_free(scale, tmp_path, report_lin
     assert resumed.cells_run == 0
     assert resumed.cells_skipped == num_cells
 
-    # ... and an interrupted campaign converges to an identical store.
-    with open(store_path, "r", encoding="utf-8") as handle:
-        full_lines = handle.read()
-    truncated = str(tmp_path / "interrupted.jsonl")
-    with open(truncated, "w", encoding="utf-8") as handle:
-        handle.write("".join(line + "\n" for line in full_lines.splitlines()[: num_cells // 2]))
-    repaired = CampaignRunner(scale=scale, table_cache=AnalysisTableCache()).run(
+    # ... and an interrupted campaign converges to identical records.
+    with CampaignResultsStore(store_path) as store:
+        full_records = store.records()
+    truncated = str(tmp_path / "interrupted.sqlite3")
+    with CampaignResultsStore(truncated) as store:
+        store.backend.append_many(full_records[: num_cells // 2])
+    resumed_half = CampaignRunner(scale=scale, table_cache=AnalysisTableCache()).run(
         [spec], store=truncated, resume=True
     )
-    assert repaired.cells_run == num_cells - num_cells // 2
-    with open(truncated, "r", encoding="utf-8") as handle:
-        assert handle.read() == full_lines
+    assert resumed_half.cells_run == num_cells - num_cells // 2
+    with CampaignResultsStore(truncated) as store:
+        assert store.records() == full_records
 
     payload = {
         "scale": scale.name,

@@ -81,8 +81,8 @@ def _http_hit_round_trip_ms(service: MappingService, request: MappingRequest) ->
 
 def test_cache_hits_are_fast_and_bit_identical(scale, tmp_path, report_lines, write_bench_result):
     service = MappingService(
-        store=str(tmp_path / "solutions.jsonl"),
-        warm_store=str(tmp_path / "warm.jsonl"),
+        store=str(tmp_path / "solutions.sqlite3"),
+        warm_store=str(tmp_path / "warm.sqlite3"),
         scale=scale,
         workers=2,
     )

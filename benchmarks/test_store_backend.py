@@ -1,7 +1,7 @@
 """Perf smoke: multi-replica service tier over a shared store backend.
 
-The scaling claim behind the pluggable store backends: two ``repro-magma
-serve`` replicas sharing one ``sqlite:`` store stay fast — and bit-identical
+The scaling claim behind the store backend: two ``repro-magma serve``
+replicas sharing one ``sqlite:`` store stay fast — and bit-identical
 — when the store already holds 10⁵ solutions.  This benchmark records, to
 ``BENCH_store_backend.json``:
 
@@ -28,7 +28,7 @@ import time
 
 from repro.service import MappingRequest, MappingService, SolutionStore
 from repro.utils.serialization import SearchResultSummary
-from repro.utils.sqlite_store import SqliteStoreBackend
+from repro.utils.storage import StoreBackend
 
 SEED_RECORDS = 100_000
 LOOKUP_SAMPLES = 500
@@ -85,7 +85,7 @@ def test_two_replicas_share_a_hundred_thousand_solution_store(
     store_url = f"sqlite:{tmp_path / 'shared.sqlite3'}"
 
     # Bulk-seed 10^5 solutions (one transaction batch at a time).
-    backend = SqliteStoreBackend(str(tmp_path / "shared.sqlite3"))
+    backend = StoreBackend(str(tmp_path / "shared.sqlite3"))
     start = time.perf_counter()
     batch = 10_000
     for base in range(0, SEED_RECORDS, batch):

@@ -17,11 +17,11 @@ chosen scale::
     repro-magma experiment objective-sweep --scale smoke --seed 1
 
 Run a whole campaign of scenarios as one resumable, deduplicated stream of
-search cells, with per-cell results appended to a JSONL store::
+search cells, with per-cell results appended to a SQLite store::
 
-    repro-magma campaign fig8 fig12 --out campaign.jsonl
-    repro-magma campaign --grid grid.json --out campaign.jsonl
-    repro-magma campaign fig8 fig12 --out campaign.jsonl --resume
+    repro-magma campaign fig8 fig12 --out campaign.sqlite3
+    repro-magma campaign --grid grid.json --out campaign.sqlite3
+    repro-magma campaign fig8 fig12 --out campaign.sqlite3 --resume
 
 Fitness evaluation defaults to the vectorized ``batch`` backend; pass
 ``--eval-backend scalar`` to force the one-encoding-at-a-time reference
@@ -36,13 +36,12 @@ Run the mapping service — repeated requests are answered from the persistent
 solution store in milliseconds, and new same-task requests warm-start from
 remembered solutions (Table V) — then submit queries to it::
 
-    repro-magma serve --store solutions.jsonl --warm-store warm.jsonl
+    repro-magma serve --store solutions.sqlite3 --warm-store warm.sqlite3
     repro-magma submit --task vision --setting S2 --wait
 
 Scale the service tier out to N replicas on one host by pointing them at
-one shared ``sqlite:PATH`` store (every ``--store``/``--warm-store``/``--out``
-accepts ``jsonl:``/``sqlite:`` URLs; bare paths mean ``jsonl:``; see
-docs/SERVICE.md)::
+one shared store (every ``--store``/``--warm-store``/``--out`` is a SQLite
+file, addressed as ``sqlite:PATH`` or a bare ``PATH``; see docs/SERVICE.md)::
 
     repro-magma serve --port 8787 --store sqlite:shared.sqlite3 --replica-id a
     repro-magma serve --port 8788 --store sqlite:shared.sqlite3 --replica-id b
@@ -52,7 +51,7 @@ docs/SERVICE.md)::
 Any search-running command accepts ``--warm-store PATH`` to read/extend the
 same cross-run warm-start library::
 
-    repro-magma search --task vision --warm-store warm.jsonl
+    repro-magma search --task vision --warm-store warm.sqlite3
 
 Observability (docs/OBSERVABILITY.md): ``--trace PATH`` records a structured
 JSONL trace of any search-running command (bit-identical results, traced or
@@ -217,7 +216,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    """Expand scenarios into search cells and stream results to a JSONL store."""
+    """Expand scenarios into search cells and stream results to a store."""
     from repro.experiments import CampaignRunner, spec_from_grid
     from repro.experiments.stats import (
         aggregate_cells,
@@ -278,12 +277,12 @@ def _open_existing_store(spec: str):
     Opening a ``sqlite:`` path creates the database, so without this check a
     mistyped path would be reported as an empty store and left on disk.
     """
-    from repro.utils.storage import open_store_backend, parse_store_url
+    from repro.utils.storage import StoreBackend, parse_store_url
 
-    url = parse_store_url(spec)
-    if not os.path.exists(url.path):
-        raise ConfigurationError(f"store {url.render()!r} does not exist (no file at {url.path!r})")
-    return open_store_backend(url)
+    path = parse_store_url(spec)
+    if not os.path.exists(path):
+        raise ConfigurationError(f"store {spec!r} does not exist (no file at {path!r})")
+    return StoreBackend(path)
 
 
 def _cmd_store_compact(args: argparse.Namespace) -> int:
@@ -296,7 +295,6 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
         max_bytes=args.max_bytes,
     )
     with _open_existing_store(args.store) as backend:
-        backend.repair()
         kept, dropped = backend.compact(policy)
         print(json.dumps(
             {"store": backend.url, "kept": kept, "dropped": dropped, "policy": policy.to_dict()},
@@ -306,7 +304,7 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_info(args: argparse.Namespace) -> int:
-    """Print a JSON summary of a store (any backend URL)."""
+    """Print a JSON summary of a store."""
     from repro.utils.serialization import jsonable
 
     with _open_existing_store(args.store) as backend:
@@ -471,8 +469,8 @@ def _add_warm_store_option(parser: argparse.ArgumentParser) -> None:
     """The persistent warm-start flag shared by search-running commands."""
     parser.add_argument(
         "--warm-store", default=None, metavar="URL",
-        help="persistent warm-start library (a path or jsonl:/sqlite: "
-        "store URL): searches seed from the best prior same-task solution "
+        help="persistent warm-start library (a path or sqlite: URL): "
+        "searches seed from the best prior same-task solution "
         "and record their winners back",
     )
 
@@ -596,9 +594,9 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         help="skip cells whose fingerprints are already in the --out store",
     )
     campaign.add_argument(
-        "--out", default="campaign_results.jsonl", metavar="URL",
-        help="results store: a path or jsonl:/sqlite: URL "
-        "(default: campaign_results.jsonl)",
+        "--out", default="campaign_results.sqlite3", metavar="URL",
+        help="results store: a path or sqlite: URL "
+        "(default: campaign_results.sqlite3)",
     )
     campaign.add_argument("--scale", default=None, choices=list_scales())
     _add_seed_option(campaign)
@@ -618,10 +616,10 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8787)
     serve.add_argument(
-        "--store", default="solutions.jsonl", metavar="URL",
-        help="persistent solution store: a path or jsonl:/sqlite: URL "
-        "(default: solutions.jsonl; shared backends let several replicas "
-        "answer from one store — see docs/SERVICE.md)",
+        "--store", default="solutions.sqlite3", metavar="URL",
+        help="persistent solution store: a path or sqlite: URL "
+        "(default: solutions.sqlite3; several replicas can answer from "
+        "one store — see docs/SERVICE.md)",
     )
     serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
@@ -638,7 +636,7 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     serve.set_defaults(func=_cmd_serve)
 
     store = subparsers.add_parser(
-        "store", help="manage pluggable store backends (docs/SERVICE.md)"
+        "store", help="inspect and compact stores (docs/SERVICE.md)"
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_compact = store_sub.add_parser(
@@ -651,7 +649,7 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     )
     store_compact.add_argument(
         "--max-bytes", type=int, default=None, metavar="BYTES",
-        help="drop oldest survivors until the rendered store fits BYTES",
+        help="drop oldest survivors until their rendered record bytes fit BYTES",
     )
     store_compact.add_argument(
         "--no-keep-best", action="store_true",
@@ -659,7 +657,7 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
     )
     store_compact.set_defaults(func=_cmd_store_compact)
     store_info = store_sub.add_parser(
-        "info", help="print a JSON summary of a store (any backend URL)"
+        "info", help="print a JSON summary of a store"
     )
     store_info.add_argument("store", metavar="URL", help="store path or URL to inspect")
     store_info.set_defaults(func=_cmd_store_info)

@@ -13,11 +13,11 @@ A *campaign* executes one or more declarative scenarios
 * **Uniform backend threading** — one ``eval_config``
   (:class:`~repro.core.evalconfig.EvalConfig`) applies to every cell (and to
   the custom scenario runners via :meth:`CampaignRunner.explorer`).
-* **Resumable results store** — each finished cell is appended to a JSONL
-  store keyed by the cell's deterministic fingerprint; re-running with
-  ``resume=True`` skips every fingerprint already on disk, so an
-  interrupted campaign continues where it stopped and converges to a store
-  byte-identical to an uninterrupted run.
+* **Resumable results store** — each finished cell is appended to a
+  ``sqlite:`` store keyed by the cell's deterministic fingerprint;
+  re-running with ``resume=True`` skips every fingerprint already on disk,
+  so an interrupted campaign continues where it stopped and converges to the
+  records of an uninterrupted run, record for record.
 """
 
 from __future__ import annotations
@@ -54,13 +54,12 @@ class CampaignResultsStore(BackedStore):
     One record per completed cell: ``{"fingerprint", "scenario", "cell",
     "result"}``.  The fingerprint is the cell's deterministic identity
     (:meth:`~repro.experiments.scenarios.SearchCell.fingerprint`), which is
-    what makes interrupted campaigns resumable.  Append/repair/fingerprint
-    mechanics live with the pluggable :class:`~repro.utils.storage.StoreBackend`
-    (shared with the mapping service's solution store) — ``--out`` accepts
-    any store URL, so several campaign processes on one host can feed one
-    ``sqlite:`` store.  On the default JSONL backend ``fingerprints()`` scans
-    the fingerprint key without parsing whole records, so resuming a large
-    campaign does not pay for re-reading every stored convergence history.
+    what makes interrupted campaigns resumable.  Append/fingerprint
+    mechanics live with :class:`~repro.utils.storage.StoreBackend` (shared
+    with the mapping service's solution store), so several campaign
+    processes on one host can feed one store.  ``fingerprints()`` reads the
+    indexed fingerprint column, so resuming a large campaign does not pay
+    for re-reading every stored convergence history.
     """
 
     def append(self, fingerprint: str, scenario: str, cell: Dict[str, Any], result: Dict[str, Any]) -> None:
@@ -236,14 +235,14 @@ class CampaignRunner:
         ``base_seed``), feeding the seed-replicate statistics layer
         (:mod:`repro.experiments.stats`); replication happens *before*
         fingerprinting, so an interrupted multi-seed campaign resumes to the
-        same byte-identical store an uninterrupted one writes.
+        same records an uninterrupted one writes.
         """
         specs = [get_scenario(s) if isinstance(s, str) else s for s in scenarios]
         if seed_replicates is not None:
             specs = [with_seed_replicates(spec, seed_replicates) for spec in specs]
         owns_store = isinstance(store, str)
         if isinstance(store, str):
-            # Any store URL (bare path = jsonl:), resolved by the one parser.
+            # Any store address, resolved by the one parser.
             store = CampaignResultsStore(store)
         try:
             return self._run(specs, store, resume, base_seed, progress)
@@ -261,10 +260,6 @@ class CampaignRunner:
     ) -> CampaignReport:
         stored: Set[str] = set()
         if store is not None:
-            # Repairing first keeps both branches safe against a torn trailing
-            # line from a hard mid-write interruption (it is a no-op on
-            # intact stores).
-            store.repair()
             if resume:
                 stored = store.fingerprints()
             else:

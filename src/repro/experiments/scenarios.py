@@ -14,7 +14,7 @@ CLI, and campaign engine.
 :func:`run_scenario` runs any spec — registered, or a registered one
 customised with :func:`dataclasses.replace` (``methods=``, ``panels=``).
 :mod:`repro.experiments.campaign` executes expanded cells with shared-work
-dedup, a JSONL results store, and ``--resume``.
+dedup, a results store, and ``--resume``.
 """
 
 from __future__ import annotations
@@ -44,15 +44,13 @@ class BudgetPolicy:
 
     ``base`` selects the scale's budget family (``"sampling"`` for the
     paper's standard 10K-sample searches, ``"convergence"`` for the extended
-    Fig. 11/16-style studies).  With ``rl_reduction`` enabled (the default),
-    reinforcement-learning methods are capped at the scale's reduced RL
-    budget — RL-ness is resolved through the optimizer registry
-    (:func:`repro.optimizers.registry.is_rl_method`), not a hard-coded name
-    set, so new RL aliases are never silently missed.
+    Fig. 11/16-style studies).  Reinforcement-learning methods are capped at
+    the scale's reduced RL budget — RL-ness is resolved through the
+    optimizer registry (:func:`repro.optimizers.registry.is_rl_method`), not
+    a hard-coded name set, so new RL aliases are never silently missed.
     """
 
     base: str = "sampling"
-    rl_reduction: bool = True
 
     _BASES = ("sampling", "convergence")
 
@@ -69,7 +67,7 @@ class BudgetPolicy:
     def budget_for(self, method: str, scale: ExperimentScale) -> int:
         """Sampling budget for one method at one scale."""
         budget = self.base_budget(scale)
-        if self.rl_reduction and is_rl_method(method):
+        if is_rl_method(method):
             return min(budget, scale.rl_sampling_budget)
         return budget
 

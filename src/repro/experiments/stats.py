@@ -198,7 +198,7 @@ def rows_from_store(store: Any) -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
 
     owns_store = isinstance(store, str)
     if owns_store:
-        # Any store URL (bare path = jsonl:); closed again before returning.
+        # Any store address; closed again before returning.
         store = CampaignResultsStore(store)
     try:
         rows = []

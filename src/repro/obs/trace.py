@@ -10,10 +10,9 @@ two record kinds:
 
 Records land in a bounded in-memory ring (:class:`collections.deque` with a
 ``maxlen``) and, when a sink path is configured, are appended to a JSONL
-file using the same crash-safety discipline as
-:class:`repro.utils.jsonl_store.AppendOnlyJsonlStore`: one flushed
-``write`` per whole line, under a lock, so a crash can tear at most the
-final line — and :func:`read_trace` tolerates exactly that.
+file: one flushed ``write`` per whole line, under a lock, so a crash can
+tear at most the final line — and :func:`read_trace` tolerates exactly
+that.
 
 Tracing is **off by default** and provably inert: a disabled tracer's
 ``span``/``event`` calls return immediately without reading a clock, no
@@ -202,9 +201,8 @@ class Tracer:
             if self._sink_path is not None:
                 if self._sink is None:
                     self._sink = open(self._sink_path, "a", encoding="utf-8")
-                # One write of one whole line, flushed — the same torn-write
-                # discipline as AppendOnlyJsonlStore.append_record: a crash
-                # can tear at most the trailing line, never an earlier one.
+                # One write of one whole line, flushed: a crash can tear at
+                # most the trailing line, never an earlier one.
                 self._sink.write(json.dumps(record, sort_keys=True, default=str) + "\n")
                 self._sink.flush()
 

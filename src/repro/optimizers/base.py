@@ -131,6 +131,20 @@ class BaseOptimizer(abc.ABC):
         record.
         """
 
+    def _require_budget(self, evaluator: MappingEvaluator) -> None:
+        """Refuse an evaluator without a sampling budget.
+
+        Search loops run until ``evaluator.budget_exhausted``, which an
+        evaluator without a budget never reports, so the search would never
+        end.  Direct ``evaluate``/``evaluate_population`` calls on such an
+        evaluator stay valid.
+        """
+        if evaluator.sampling_budget is None:
+            raise OptimizationError(
+                f"optimizer {self.name!r} needs a sampling budget, but the evaluator has "
+                f"sampling_budget=None: its search loop would never end"
+            )
+
     # ------------------------------------------------------------------
     # Helpers shared by population-based methods.
     # ------------------------------------------------------------------

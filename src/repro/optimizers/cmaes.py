@@ -51,6 +51,7 @@ class CMAESOptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
+        self._require_budget(evaluator)
         codec = evaluator.codec
         dimension = codec.encoding_length
         lam = self.population_size

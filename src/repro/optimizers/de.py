@@ -50,6 +50,7 @@ class DifferentialEvolutionOptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
+        self._require_budget(evaluator)
         codec = evaluator.codec
         population = self._initial_population(evaluator, self.population_size, initial_encodings)
         fitnesses = evaluator.evaluate_population(population)
@@ -85,7 +86,4 @@ class DifferentialEvolutionOptimizer(BaseOptimizer):
             generations += 1
 
         self.metadata["generations"] = generations
-        best_index = int(np.argmax(fitnesses))
-        if evaluator.best_encoding is not None and evaluator.best_fitness >= fitnesses[best_index]:
-            return evaluator.best_encoding
-        return population[best_index]
+        return evaluator.best_encoding

@@ -80,6 +80,7 @@ class MagmaOptimizer(BaseOptimizer):
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
         """Run the generational loop until the sampling budget is exhausted."""
+        self._require_budget(evaluator)
         cfg = self.config
         population = self._initial_population(evaluator, cfg.population_size, initial_encodings)
         fitnesses = evaluator.evaluate_population(population)
@@ -97,11 +98,7 @@ class MagmaOptimizer(BaseOptimizer):
                 "final_population_best": float(fitnesses[best_index]),
             }
         )
-        # The evaluator's global best can precede the final population's best
-        # (elitism keeps it, but guard against operator drift anyway).
-        if evaluator.best_encoding is not None and evaluator.best_fitness >= fitnesses[best_index]:
-            return evaluator.best_encoding
-        return population[best_index]
+        return evaluator.best_encoding
 
     # ------------------------------------------------------------------
     def _next_generation(

@@ -51,6 +51,7 @@ class PSOOptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
+        self._require_budget(evaluator)
         codec = evaluator.codec
         dimension = codec.encoding_length
         upper = np.concatenate(
@@ -97,6 +98,4 @@ class PSOOptimizer(BaseOptimizer):
             iterations += 1
 
         self.metadata.update({"iterations": iterations, "global_best_fitness": global_best_fitness})
-        if evaluator.best_encoding is not None and evaluator.best_fitness >= global_best_fitness:
-            return evaluator.best_encoding
-        return global_best
+        return evaluator.best_encoding

@@ -35,6 +35,7 @@ class RandomSearchOptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
+        self._require_budget(evaluator)
         if initial_encodings is not None:
             evaluator.evaluate_population(np.atleast_2d(np.asarray(initial_encodings, dtype=float)))
         samples = 0

@@ -58,6 +58,7 @@ class A2COptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
+        self._require_budget(evaluator)
         env = MappingEnv(evaluator, self.num_priority_buckets)
         hidden = [self.hidden_size] * self.num_hidden_layers
         # Network init comes from named substreams, not draws of self.rng:

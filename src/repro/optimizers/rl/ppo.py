@@ -66,6 +66,7 @@ class PPOOptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
+        self._require_budget(evaluator)
         env = MappingEnv(evaluator, self.num_priority_buckets)
         hidden = [self.hidden_size] * self.num_hidden_layers
         # Named substreams (not self.rng draws) so reseed() rebuilds the

@@ -52,6 +52,7 @@ class StandardGAOptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
+        self._require_budget(evaluator)
         population = self._initial_population(evaluator, self.population_size, initial_encodings)
         fitnesses = evaluator.evaluate_population(population)
         generations = 0
@@ -70,10 +71,7 @@ class StandardGAOptimizer(BaseOptimizer):
             generations += 1
 
         self.metadata["generations"] = generations
-        best = int(np.argmax(fitnesses))
-        if evaluator.best_encoding is not None and evaluator.best_fitness >= fitnesses[best]:
-            return evaluator.best_encoding
-        return population[best]
+        return evaluator.best_encoding
 
     # ------------------------------------------------------------------
     def _children(

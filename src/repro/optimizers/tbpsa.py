@@ -52,6 +52,7 @@ class TBPSAOptimizer(BaseOptimizer):
         evaluator: MappingEvaluator,
         initial_encodings: Optional[np.ndarray] = None,
     ) -> Optional[np.ndarray]:
+        self._require_budget(evaluator)
         codec = evaluator.codec
         dimension = codec.encoding_length
         scale = np.concatenate(

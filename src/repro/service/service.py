@@ -215,10 +215,10 @@ class MappingService:
     ----------
     store:
         :class:`SolutionStore` of solved requests, or anything
-        :func:`~repro.utils.storage.parse_store_url` accepts (a bare path,
-        a ``jsonl:``/``sqlite:`` URL, or an open backend).  On a
-        shared backend several service replicas answer from — and feed —
-        one store.  A store the service opened itself (from a path/URL) is
+        :func:`~repro.utils.storage.parse_store_url` accepts (a bare path
+        or a ``sqlite:`` URL), or an open backend.  Several service
+        replicas can answer from — and feed — one store.  A store the
+        service opened itself (from a path/URL) is
         closed by :meth:`close`; an already open store/backend stays the
         caller's to close.
     warm_store:
@@ -313,12 +313,10 @@ class MappingService:
                 )
                 for outcome in ("cache-hit", "deduped", "queued")
             }
-            # Never-corrupt startup: drop a torn trailing line a previous
-            # crash may have left, then list the stored fingerprints.  Their
-            # answers are read from the store on first hit, not here, so
-            # startup parses no record.  A frozenset is immutable, so
-            # threads read it without the lock.
-            self.store.repair()
+            # The fingerprints stored at startup, kept only so healthz
+            # counts answerable fingerprints in O(1); answers are read from
+            # the store on first hit, so startup parses no record.  A
+            # frozenset is immutable, so threads read it without the lock.
             self._stored = frozenset(self.store.fingerprints())
             # Answers pinned on first hit or on a finished search.
             self._index: Dict[str, SearchResultSummary] = {}  # guarded-by: _lock
@@ -360,20 +358,21 @@ class MappingService:
             request = MappingRequest.from_dict(request)
         payload = request.resolve(self.scale)
         fingerprint = payload_fingerprint(payload)
+        # A fingerprint neither pinned nor in flight is read from the store:
+        # it may have been stored before startup, or by another replica
+        # since.  The store is consulted *before* taking the lock (it is
+        # file I/O); racing first hits and a concurrent local solve are
+        # harmless: the first answer pinned wins, and duplicate appends
+        # resolve to the best record.  A fingerprint removed from the store
+        # since startup reads ``None`` and is searched as an ordinary miss.
+        # A closed service refuses before touching its closed store.
         stored = None
-        if self.store.shared or fingerprint in self._stored:
-            # A fingerprint stored at startup is read from the store on its
-            # first hit; on a shared store another replica may have solved
-            # any fingerprint since startup.  The store is consulted *before*
-            # taking the lock (it is file I/O); racing first hits and
-            # a concurrent local solve are harmless: the first answer pinned
-            # wins, and duplicate appends resolve to the best record.  A
-            # fingerprint removed from the store since startup reads ``None``
-            # and is searched as an ordinary miss.
-            with self._lock:
-                unknown = fingerprint not in self._index and fingerprint not in self._inflight
-            if unknown:
-                stored = self.store.lookup_result(fingerprint)
+        with self._lock:
+            if self._closed:
+                raise ServiceError("service is shut down")
+            unknown = fingerprint not in self._index and fingerprint not in self._inflight
+        if unknown:
+            stored = self.store.lookup_result(fingerprint)
         with self._lock:
             if self._closed:
                 raise ServiceError("service is shut down")

@@ -5,13 +5,10 @@ payload with the :class:`~repro.utils.serialization.SearchResultSummary` of
 the search that solved it, keyed by the request's deterministic fingerprint
 (canonical-JSON SHA-256, the same identity scheme campaign cells use).
 
-Since the store-backend split the solution store is transport-agnostic: it
-defines the record schema and the duplicate-resolution semantics, and
-persists through any :class:`~repro.utils.storage.StoreBackend` —
-``jsonl:path`` (the default; byte-compatible with every store file written
-before backends existed) or ``sqlite:path`` for service replicas on one host
-sharing one store (docs/SERVICE.md has the matrix).  Appends stay atomic
-and crash-safe on every transport.
+The solution store defines the record schema and the duplicate-resolution
+semantics, and persists through :class:`~repro.utils.storage.StoreBackend`,
+one SQLite-WAL file that service replicas on one host can share
+(docs/SERVICE.md).  Appends are atomic and crash-safe.
 
 Append-only means a fingerprint may appear in several records (two service
 workers racing on near-identical requests, or a re-run with a fresh library
@@ -53,8 +50,8 @@ class SolutionStore(BackedStore):
         """The best-fitness record for *fingerprint*, or ``None``.
 
         Ties keep the earliest record, so a store with duplicate equal
-        solutions answers deterministically.  Indexed backends resolve this
-        without scanning the whole store.
+        solutions answers deterministically.  The fingerprint index resolves
+        this without scanning the whole store.
         """
         return self.backend.lookup(fingerprint)
 

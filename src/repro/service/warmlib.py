@@ -4,13 +4,12 @@ The paper's warm-start engine (Section V-C) remembers the best solution per
 task type and seeds new searches with it — 7.4x-152x better starting points
 in Table V — but the in-memory :class:`~repro.optimizers.warmstart.WarmStartEngine`
 forgets everything at process exit.  :class:`WarmStartLibrary` wraps it with
-a durable store (any :class:`~repro.utils.storage.StoreBackend` — the
-historical JSONL file by default): every improvement is appended as one
-crash-safe record, and a new process replays the store into a fresh engine,
-so *any* later search — service request, campaign cell, or one-off CLI
-search — warm-starts from the best solution any previous run ever found for
-its task type.  On a shared backend (``sqlite:``) the remembered
-improvements of every replica accumulate in one place.
+a durable :class:`~repro.utils.storage.StoreBackend`: every improvement is
+appended as one crash-safe record, and a new process replays the store into
+a fresh engine, so *any* later search — service request, campaign cell, or
+one-off CLI search — warm-starts from the best solution any previous run
+ever found for its task type.  Replicas sharing one store accumulate their
+remembered improvements in one place.
 
 Keys are namespaced by objective (``"<task>/<objective>"``): a
 throughput-optimal mapping is not a useful seed for an energy search.
@@ -31,7 +30,7 @@ import numpy as np
 from repro.core.encoding import MappingCodec
 from repro.optimizers.warmstart import WarmStartEngine
 from repro.utils.rng import SeedLike
-from repro.utils.storage import StoreBackend, StoreUrl, open_store_backend
+from repro.utils.storage import StoreBackend, open_store_backend
 from repro.workloads.benchmark import TaskType
 from repro.workloads.groups import JobGroup
 
@@ -57,8 +56,8 @@ class WarmStartLibrary:
     ----------
     store:
         Anything :func:`~repro.utils.storage.parse_store_url` accepts — a
-        bare path (the historical JSONL file), a ``jsonl:``/``sqlite:`` URL,
-        or an already open backend — holding one record per
+        bare path or a ``sqlite:`` URL — or an already open backend, holding
+        one record per
         remembered improvement (``{"task_key", "encoding", "num_jobs",
         "num_sub_accelerators", "fitness"}``).  Missing store = empty
         library.  Records are replayed through the engine's
@@ -66,12 +65,11 @@ class WarmStartLibrary:
         harmless and the store needs no compaction.
     """
 
-    def __init__(self, store: "str | StoreUrl | StoreBackend"):
+    def __init__(self, store: "str | StoreBackend"):
         self._owns_backend = not isinstance(store, StoreBackend)
         self._file = open_store_backend(store)
         self._lock = threading.Lock()
         try:
-            self._file.repair()
             state: Dict[str, Dict] = {}
             for record in self._file.iter_records():
                 task_key = record.get("task_key")

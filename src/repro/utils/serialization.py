@@ -9,8 +9,8 @@ broke on ``__slots__`` classes and serialized enums as their internal
 member ``__dict__``).
 
 :class:`SearchResultSummary` is the durable subset of a search result — the
-record the campaign results store writes one JSONL line per cell from — with
-a proper dump/load round trip.
+record the campaign results store writes one row per cell from — with a
+proper dump/load round trip.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -167,22 +167,3 @@ class SearchResultSummary:
         if unknown:
             raise ValueError(f"unknown SearchResultSummary fields: {sorted(unknown)}")
         return cls(**data)
-
-
-def dump_jsonl_line(record: Dict[str, Any], stream: IO[str]) -> None:
-    """Append one record to a JSONL stream (sorted keys, flushed)."""
-    stream.write(json.dumps(jsonable(record), sort_keys=True) + "\n")
-    stream.flush()
-
-
-def load_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """Yield the records of a JSONL file (missing file yields nothing)."""
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

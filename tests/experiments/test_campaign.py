@@ -1,6 +1,4 @@
-"""Tests for the resumable campaign engine and its JSONL results store."""
-
-import json
+"""Tests for the resumable campaign engine and its results store."""
 
 import pytest
 
@@ -30,10 +28,22 @@ def fresh_engine():
     return CampaignRunner(scale=TINY, table_cache=AnalysisTableCache())
 
 
+def _stored(path):
+    """The records of the campaign store at *path*, in append order."""
+    with CampaignResultsStore(str(path)) as store:
+        return store.records()
+
+
+def _records_of(spec, path, **run_options):
+    """Run *spec* uninterrupted into a fresh store at *path*; its records."""
+    fresh_engine().run([spec], store=str(path), **run_options)
+    return _stored(path)
+
+
 class TestSharedAnalysisTables:
     def test_table_built_once_per_unique_group_platform(self, grid_spec, tmp_path):
         engine = fresh_engine()
-        report = engine.run([grid_spec], store=str(tmp_path / "out.jsonl"))
+        report = engine.run([grid_spec], store=str(tmp_path / "out.sqlite3"))
         assert report.cells_run == 8
         # 2 settings x 2 tasks = 4 unique (group, platform) pairs; the other
         # 4 cells (second method) hit the shared cache.
@@ -80,7 +90,7 @@ class TestSharedAnalysisTables:
 
 class TestResultsStore:
     def test_records_are_loadable_summaries(self, grid_spec, tmp_path):
-        store = CampaignResultsStore(str(tmp_path / "out.jsonl"))
+        store = CampaignResultsStore(str(tmp_path / "out.sqlite3"))
         fresh_engine().run([grid_spec], store=store)
         records = store.records()
         assert len(records) == 8
@@ -93,43 +103,54 @@ class TestResultsStore:
     def test_resume_skips_completed_cells_and_matches_uninterrupted_store(
         self, grid_spec, tmp_path
     ):
-        full_path = tmp_path / "full.jsonl"
-        fresh_engine().run([grid_spec], store=str(full_path))
-        full_lines = full_path.read_text().splitlines()
+        full = _records_of(grid_spec, tmp_path / "full.sqlite3")
 
         # Simulate an interruption after 3 completed cells.
-        partial_path = tmp_path / "partial.jsonl"
-        partial_path.write_text("\n".join(full_lines[:3]) + "\n")
-        report = fresh_engine().run([grid_spec], store=str(partial_path), resume=True)
+        partial_path = str(tmp_path / "partial.sqlite3")
+        with CampaignResultsStore(partial_path) as partial:
+            partial.backend.append_many(full[:3])
+        report = fresh_engine().run([grid_spec], store=partial_path, resume=True)
         assert report.cells_skipped == 3
         assert report.cells_run == 5
-        assert partial_path.read_text() == full_path.read_text()
+        assert _stored(partial_path) == full
 
-        # A second resume has nothing left to do.
-        rerun = fresh_engine().run([grid_spec], store=str(partial_path), resume=True)
+        # A second resume has nothing left to do and changes nothing.
+        rerun = fresh_engine().run([grid_spec], store=partial_path, resume=True)
         assert rerun.cells_run == 0
         assert rerun.cells_skipped == 8
+        assert _stored(partial_path) == full
 
-    def test_resume_repairs_a_torn_trailing_line(self, grid_spec, tmp_path):
-        """A SIGKILL mid-append can leave a half-written last line; resume
-        must drop it (re-running that cell) instead of crashing or
-        corrupting later appends."""
-        full_path = tmp_path / "full.jsonl"
-        fresh_engine().run([grid_spec], store=str(full_path))
-        full_text = full_path.read_text()
-        full_lines = full_text.splitlines()
+    def test_a_bare_path_and_its_sqlite_url_resume_one_store(self, grid_spec, tmp_path):
+        """A campaign started as ``--out PATH`` resumes as ``--out sqlite:PATH``."""
+        full = _records_of(grid_spec, tmp_path / "full.sqlite3")
+        path = tmp_path / "partial.sqlite3"
+        with CampaignResultsStore(str(path)) as partial:
+            partial.backend.append_many(full[:4])
+        report = fresh_engine().run([grid_spec], store=f"sqlite:{path}", resume=True)
+        assert (report.cells_skipped, report.cells_run) == (4, 4)
+        assert _stored(path) == full
 
-        torn_path = tmp_path / "torn.jsonl"
-        torn_path.write_text("\n".join(full_lines[:3]) + "\n" + full_lines[3][: len(full_lines[3]) // 2])
-        report = fresh_engine().run([grid_spec], store=str(torn_path), resume=True)
-        assert report.cells_skipped == 3
-        assert report.cells_run == 5
-        assert torn_path.read_text() == full_text
+    def test_store_rows_are_canonical_json(self, grid_spec, tmp_path):
+        """Each record is one row of canonical JSON, readable without this
+        package (for example by the ``sqlite3`` shell)."""
+        import json
+        import sqlite3
+
+        from repro.utils.storage import render_record
+
+        path = tmp_path / "out.sqlite3"
+        records = _records_of(grid_spec, path)
+        with sqlite3.connect(str(path)) as conn:
+            rows = conn.execute("SELECT fingerprint, record FROM records ORDER BY seq").fetchall()
+        conn.close()
+        assert [json.loads(text) for _, text in rows] == records
+        assert [text for _, text in rows] == [render_record(record) for record in records]
+        assert [fingerprint for fingerprint, _ in rows] == [r["fingerprint"] for r in records]
 
     def test_fingerprint_scan_matches_full_parse_on_large_store(self, tmp_path):
-        """``fingerprints()`` no longer parses whole records — on a large
-        store the fast scan must agree exactly with the full JSON parse."""
-        store = CampaignResultsStore(str(tmp_path / "large.jsonl"))
+        """``fingerprints()`` reads the indexed column, not whole records —
+        on a large store it must agree exactly with the full JSON parse."""
+        store = CampaignResultsStore(str(tmp_path / "large.sqlite3"))
         expected = set()
         for i in range(3000):
             fingerprint = f"{i:032x}"
@@ -145,32 +166,19 @@ class TestResultsStore:
             record["fingerprint"] for record in store.records()
         }
 
-    def test_non_resume_on_a_torn_store_still_refuses_cleanly(self, grid_spec, tmp_path):
-        """Regression: the populated-store guard used to crash with a raw
-        JSONDecodeError when the store ended in a torn line."""
-        from repro.exceptions import ExperimentError
-
-        path = tmp_path / "out.jsonl"
-        fresh_engine().run([grid_spec], store=str(path))
-        torn = path.read_text()[:-20]
-        path.write_text(torn)
-        with pytest.raises(ExperimentError):
-            fresh_engine().run([grid_spec], store=str(path), resume=False)
-
     def test_non_resume_refuses_to_wipe_a_populated_store(self, grid_spec, tmp_path):
         """Hours of campaign results must not be silently truncated because
         --resume was omitted; starting over requires a fresh path."""
         from repro.exceptions import ExperimentError
 
-        path = tmp_path / "out.jsonl"
-        fresh_engine().run([grid_spec], store=str(path))
-        before = path.read_text()
+        path = tmp_path / "out.sqlite3"
+        before = _records_of(grid_spec, path)
         with pytest.raises(ExperimentError):
             fresh_engine().run([grid_spec], store=str(path), resume=False)
-        assert path.read_text() == before
+        assert _stored(path) == before
 
     def test_non_resume_overwrites_an_empty_store_file(self, grid_spec, tmp_path):
-        path = tmp_path / "out.jsonl"
+        path = tmp_path / "out.sqlite3"
         path.write_text("")
         report = fresh_engine().run([grid_spec], store=str(path))
         assert report.cells_run == 8
@@ -178,13 +186,13 @@ class TestResultsStore:
     def test_resume_into_a_fresh_nested_path(self, grid_spec, tmp_path):
         """--resume against a store that does not exist yet (including its
         directory) behaves like a fresh run instead of crashing mid-append."""
-        path = tmp_path / "sub" / "dir" / "out.jsonl"
+        path = tmp_path / "sub" / "dir" / "out.sqlite3"
         report = fresh_engine().run([grid_spec], store=str(path), resume=True)
         assert report.cells_run == 8
-        assert len(path.read_text().splitlines()) == 8
+        assert len(_stored(path)) == 8
 
     def test_custom_scenarios_store_their_output(self, tmp_path):
-        store = CampaignResultsStore(str(tmp_path / "out.jsonl"))
+        store = CampaignResultsStore(str(tmp_path / "out.sqlite3"))
         report = fresh_engine().run(["fig15"], store=store)
         assert report.cells_total == report.cells_run == 1
         (record,) = store.records()
@@ -194,18 +202,10 @@ class TestResultsStore:
         rerun = fresh_engine().run(["fig15"], store=store, resume=True)
         assert rerun.cells_run == 0 and rerun.cells_skipped == 1
 
-    def test_store_lines_are_plain_json(self, grid_spec, tmp_path):
-        path = tmp_path / "out.jsonl"
-        fresh_engine().run([grid_spec], store=str(path))
-        for line in path.read_text().splitlines():
-            record = json.loads(line)
-            assert isinstance(record["fingerprint"], str)
-
-
 class TestEngineByName:
     def test_registered_scenarios_run_by_name(self, tmp_path):
         report = fresh_engine().run(
-            ["seed-replicates"], store=str(tmp_path / "out.jsonl"), base_seed=0
+            ["seed-replicates"], store=str(tmp_path / "out.sqlite3"), base_seed=0
         )
         # 3 methods x 3 seeds on one panel.
         assert report.cells_total == 9
@@ -217,32 +217,32 @@ class TestSeedReplicates:
 
     def test_seed_replicates_expand_every_grid_cell(self, grid_spec, tmp_path):
         report = fresh_engine().run(
-            [grid_spec], store=str(tmp_path / "out.jsonl"), seed_replicates=2
+            [grid_spec], store=str(tmp_path / "out.sqlite3"), seed_replicates=2
         )
         assert report.cells_total == report.cells_run == 16
 
-    def test_interrupted_multi_seed_campaign_resumes_byte_identical(
+    def test_interrupted_multi_seed_campaign_resumes_to_identical_records(
         self, grid_spec, tmp_path
     ):
         """Acceptance: an interrupted --seeds campaign resumed to completion
-        is byte-identical to an uninterrupted one, with identical aggregate
-        statistics."""
+        holds the records of an uninterrupted one, record for record, with
+        identical aggregate statistics."""
         from repro.experiments.stats import replicate_summary, rows_from_store
 
-        full_path = tmp_path / "full.jsonl"
-        fresh_engine().run([grid_spec], store=str(full_path), seed_replicates=2)
-        full_lines = full_path.read_text().splitlines()
-        assert len(full_lines) == 16
+        full_path = tmp_path / "full.sqlite3"
+        full = _records_of(grid_spec, full_path, seed_replicates=2)
+        assert len(full) == 16
 
         # Simulate an interruption after 5 completed cells (mid-replicate).
-        partial_path = tmp_path / "partial.jsonl"
-        partial_path.write_text("\n".join(full_lines[:5]) + "\n")
+        partial_path = tmp_path / "partial.sqlite3"
+        with CampaignResultsStore(str(partial_path)) as partial:
+            partial.backend.append_many(full[:5])
         report = fresh_engine().run(
             [grid_spec], store=str(partial_path), resume=True, seed_replicates=2
         )
         assert report.cells_skipped == 5
         assert report.cells_run == 11
-        assert partial_path.read_text() == full_path.read_text()
+        assert _stored(partial_path) == full
 
         full_stats = replicate_summary(rows_from_store(str(full_path)))
         resumed_stats = replicate_summary(rows_from_store(str(partial_path)))
@@ -251,7 +251,7 @@ class TestSeedReplicates:
     def test_replicated_store_aggregates_with_uncertainty(self, grid_spec, tmp_path):
         from repro.experiments.stats import replicate_summary, rows_from_store
 
-        path = tmp_path / "out.jsonl"
+        path = tmp_path / "out.sqlite3"
         fresh_engine().run([grid_spec], store=str(path), seed_replicates=3)
         summary = replicate_summary(rows_from_store(str(path)))
         assert summary["num_cells"] == 24
@@ -272,12 +272,10 @@ class TestSeedReplicates:
     def test_replication_happens_before_fingerprinting(self, grid_spec, tmp_path):
         """A single-seed store is a strict prefix-compatible subset of the
         replicated one: seed 0 cells share fingerprints across both runs."""
-        single = tmp_path / "single.jsonl"
-        multi = tmp_path / "multi.jsonl"
-        fresh_engine().run([grid_spec], store=str(single))
-        fresh_engine().run([grid_spec], store=str(multi), seed_replicates=2)
-        single_fps = {json.loads(l)["fingerprint"] for l in single.read_text().splitlines()}
-        multi_fps = {json.loads(l)["fingerprint"] for l in multi.read_text().splitlines()}
+        single = _records_of(grid_spec, tmp_path / "single.sqlite3")
+        multi = _records_of(grid_spec, tmp_path / "multi.sqlite3", seed_replicates=2)
+        single_fps = {record["fingerprint"] for record in single}
+        multi_fps = {record["fingerprint"] for record in multi}
         assert single_fps < multi_fps
 
     def test_non_positive_replicate_count_rejected(self, grid_spec):

@@ -43,10 +43,6 @@ class TestBudgetPolicy:
         policy = BudgetPolicy(base="convergence")
         assert policy.budget_for("magma", SMOKE) == SMOKE.convergence_budget
 
-    def test_rl_reduction_can_be_disabled(self):
-        policy = BudgetPolicy(rl_reduction=False)
-        assert policy.budget_for("a2c", SMOKE) == SMOKE.sampling_budget
-
     def test_unknown_base_rejected(self):
         with pytest.raises(ExperimentError):
             BudgetPolicy(base="galactic")

@@ -109,17 +109,19 @@ class TestScenarioSmoke:
 
 class TestCampaignCommand:
     def test_campaign_runs_and_resumes(self, capsys, tmp_path):
-        out = str(tmp_path / "campaign.jsonl")
+        from repro.experiments.campaign import CampaignResultsStore
+
+        out = str(tmp_path / "campaign.sqlite3")
         exit_code = main([
             "campaign", "seed-replicates", "--scale", "tiny", "--out", out,
         ])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert '"cells_run": 9' in output
-        with open(out, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        assert len(lines) == 9
-        record = json.loads(lines[0])
+        with CampaignResultsStore(out) as store:
+            records = store.records()
+        assert len(records) == 9
+        record = records[0]
         assert record["scenario"] == "seed-replicates"
         assert record["result"]["throughput_gflops"] > 0
 
@@ -139,7 +141,7 @@ class TestCampaignCommand:
             "tasks": ["vision"],
             "methods": ["magma", "stdga"],
         }))
-        out = str(tmp_path / "campaign.jsonl")
+        out = str(tmp_path / "campaign.sqlite3")
         exit_code = main([
             "campaign", "--grid", str(grid), "--scale", "tiny", "--out", out,
         ])
@@ -147,7 +149,7 @@ class TestCampaignCommand:
         assert '"cells_run": 2' in capsys.readouterr().out
 
     def test_campaign_without_scenarios_rejected(self, tmp_path, capsys):
-        assert main(["campaign", "--out", str(tmp_path / "x.jsonl")]) == ERROR_EXIT_CODE
+        assert main(["campaign", "--out", str(tmp_path / "x.sqlite3")]) == ERROR_EXIT_CODE
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_campaign_seeds_flag_prints_uncertainty_and_agreement(self, capsys, tmp_path):
@@ -160,7 +162,7 @@ class TestCampaignCommand:
             "tasks": ["vision"],
             "methods": ["magma", "stdga"],
         }))
-        out = str(tmp_path / "campaign.jsonl")
+        out = str(tmp_path / "campaign.sqlite3")
         exit_code = main([
             "campaign", "--grid", str(grid), "--scale", "tiny", "--out", out,
             "--seeds", "3",
@@ -187,7 +189,7 @@ class TestCampaignCommand:
 
 class TestServiceCommands:
     def test_search_with_warm_store_persists_solution(self, capsys, tmp_path):
-        warm = str(tmp_path / "warm.jsonl")
+        warm = str(tmp_path / "warm.sqlite3")
         argv = [
             "search", "--setting", "S1", "--task", "vision",
             "--group-size", "12", "--budget", "60", "--optimizer", "stdga",
@@ -205,7 +207,7 @@ class TestServiceCommands:
         from repro.service import MappingService, serve_in_background
 
         service = MappingService(
-            store=str(tmp_path / "solutions.jsonl"), scale="tiny", workers=1
+            store=str(tmp_path / "solutions.sqlite3"), scale="tiny", workers=1
         )
         server, _ = serve_in_background(service, host="127.0.0.1", port=0)
         host, port = server.server_address[:2]
@@ -251,18 +253,14 @@ class TestStoreCommands:
         self._seed(url)
         assert main(["store", "info", url]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["kind"] == "sqlite"
-        assert payload["records"] == 6
-        assert payload["fingerprints"] == 2
+        assert payload == {"url": url, "kind": "sqlite", "records": 6, "fingerprints": 2}
 
-    @pytest.mark.parametrize("kind, shared", [("jsonl", False), ("sqlite", True)])
-    def test_store_info_reports_the_backend_and_whether_replicas_can_share_it(self, capsys, tmp_path, kind, shared):
-        url = f"{kind}:{tmp_path / f'db.{kind}'}"
-        self._seed(url)
-        assert main(["store", "info", url]) == 0
+    def test_store_info_on_a_bare_path_reports_its_sqlite_url(self, capsys, tmp_path):
+        path = tmp_path / "db.sqlite3"
+        self._seed(str(path))
+        assert main(["store", "info", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["url"], payload["kind"], payload["shared"]) == (url, kind, shared)
-        assert (payload["records"], payload["fingerprints"]) == (6, 2)
+        assert payload == {"url": f"sqlite:{path}", "kind": "sqlite", "records": 6, "fingerprints": 2}
 
     def test_store_compact_applies_policy_and_reports(self, capsys, tmp_path):
         url = f"sqlite:{tmp_path / 'db.sqlite3'}"
@@ -277,20 +275,39 @@ class TestStoreCommands:
             assert len(backend) == 2
 
     def test_store_compact_max_records(self, capsys, tmp_path):
-        url = f"jsonl:{tmp_path / 'db.jsonl'}"
+        url = f"sqlite:{tmp_path / 'db.sqlite3'}"
         self._seed(url)
         argv = ["store", "compact", url, "--no-keep-best", "--max-records", "3"]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kept"] == 3 and payload["dropped"] == 3
 
-    @pytest.mark.parametrize("scheme", ["jsonl", "sqlite"])
-    def test_store_commands_refuse_a_missing_store_and_create_nothing(self, tmp_path, scheme, capsys):
-        missing = tmp_path / f"nothere.{scheme}"
+    @pytest.mark.parametrize("prefix", ["", "sqlite:"], ids=["bare", "sqlite"])
+    def test_store_commands_refuse_a_missing_store_and_create_nothing(self, tmp_path, prefix, capsys):
+        missing = tmp_path / "nothere.sqlite3"
         for command in ("info", "compact"):
-            assert main(["store", command, f"{scheme}:{missing}"]) == ERROR_EXIT_CODE
+            assert main(["store", command, f"{prefix}{missing}"]) == ERROR_EXIT_CODE
             assert "nothere" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("{path}", "not a SQLite database"), ("sqlite:{path}", "not a SQLite database"),
+         ("jsonl:{path}", "unknown store scheme 'jsonl'")],
+        ids=["bare", "sqlite", "jsonl"],
+    )
+    def test_store_commands_refuse_a_jsonl_store_in_one_line(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "old.jsonl"
+        content = b'{"fingerprint": "fp-a", "result": {"best_fitness": 1.0}}\n'
+        path.write_bytes(content)
+        for command in ("info", "compact"):
+            assert main(["store", command, spec.format(path=path)]) == ERROR_EXIT_CODE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert message in captured.err
+        assert path.read_bytes() == content
+        assert [p.name for p in tmp_path.iterdir()] == ["old.jsonl"]
 
     def test_a_library_error_prints_one_line_and_no_traceback(self, tmp_path):
         """From a shell, a failing command prints ``error: <message>`` on

@@ -10,15 +10,19 @@ stdGA are audited here for the same pattern).
 import numpy as np
 import pytest
 
+from repro.accelerator import build_setting
 from repro.core.evaluator import MappingEvaluator
+from repro.exceptions import OptimizationError
 from repro.optimizers import (
     CMAESOptimizer,
     DifferentialEvolutionOptimizer,
     PSOOptimizer,
     StandardGAOptimizer,
     TBPSAOptimizer,
+    build_optimizer,
 )
 from repro.optimizers.base import ranked_finite
+from repro.workloads import TaskType, build_task_workload
 
 
 class TestRankedFinite:
@@ -83,3 +87,27 @@ class TestRecombinationExcludesUnevaluated:
         assert evaluator.samples_used == 3
         assert best is not None
         assert np.isfinite(evaluator.best_fitness)
+
+
+class TestMissingBudget:
+    """An evaluator without a sampling budget never reports exhaustion, so a
+    budget-driven optimizer handed one must refuse before its first
+    evaluation instead of looping forever."""
+
+    @pytest.mark.parametrize(
+        "name", ["magma", "a2c", "ppo2", "stdga", "de", "pso", "cma", "tbpsa", "random"]
+    )
+    def test_optimizer_refuses_an_unbudgeted_evaluator(self, name):
+        platform = build_setting("S1", 16.0)
+        group = build_task_workload(
+            TaskType.VISION, group_size=8, seed=0,
+            num_sub_accelerators=platform.num_sub_accelerators,
+        )[0]
+        evaluator = MappingEvaluator(group, platform)
+        assert evaluator.sampling_budget is None
+        with pytest.raises(OptimizationError, match="sampling_budget=None"):
+            build_optimizer(name, seed=0).optimize(evaluator)
+        assert evaluator.samples_used == 0
+        # Direct evaluation stays valid without a budget, and is never cut off.
+        fitnesses = evaluator.evaluate_population(evaluator.codec.random_population(4, rng=0))
+        assert np.isfinite(fitnesses).all() and evaluator.samples_used == 4

@@ -12,8 +12,8 @@ from repro.service import MappingService, serve_in_background
 @pytest.fixture()
 def frontend(tmp_path):
     service = MappingService(
-        store=str(tmp_path / "solutions.jsonl"),
-        warm_store=str(tmp_path / "warm.jsonl"),
+        store=str(tmp_path / "solutions.sqlite3"),
+        warm_store=str(tmp_path / "warm.sqlite3"),
         scale="tiny",
         workers=1,
     )

@@ -86,11 +86,11 @@ class TestHealthz:
         import os
 
         with MappingService(
-            store=str(tmp_path / "db.jsonl"), scale=SCALE, workers=1
+            store=str(tmp_path / "db.sqlite3"), scale=SCALE, workers=1
         ) as service:
             health = service.healthz()
         assert str(os.getpid()) in health["replica"]
-        assert health["store_backend"] == "jsonl"
+        assert health["store_backend"] == "sqlite"
 
 
 class TestStoreLifecycle:
@@ -139,14 +139,14 @@ class TestStoreLifecycle:
         with pytest.raises(ConfigurationError):
             MappingService(
                 store=f"sqlite:{tmp_path / 'db.sqlite3'}",
-                warm_store=str(tmp_path / "warm.jsonl"),
+                warm_store=str(tmp_path / "warm.sqlite3"),
                 scale=SCALE,
                 workers=1,
             )
         assert len(closed) == 1  # the solution store the service had opened
 
     def test_failed_constructor_leaves_caller_owned_store_open(self, tmp_path, monkeypatch):
-        store = SolutionStore(str(tmp_path / "db.jsonl"))
+        store = SolutionStore(str(tmp_path / "db.sqlite3"))
         self._fail_inside_constructor(monkeypatch)
         try:
             with pytest.raises(ConfigurationError):
@@ -157,7 +157,7 @@ class TestStoreLifecycle:
 
     def test_eval_config_accepted(self, tmp_path):
         with MappingService(
-            store=str(tmp_path / "db.jsonl"),
+            store=str(tmp_path / "db.sqlite3"),
             scale=SCALE,
             workers=1,
             eval_config=EvalConfig(backend="scalar"),

@@ -20,8 +20,8 @@ SCALE = "tiny"
 @pytest.fixture()
 def service(tmp_path):
     svc = MappingService(
-        store=str(tmp_path / "solutions.jsonl"),
-        warm_store=str(tmp_path / "warm.jsonl"),
+        store=str(tmp_path / "solutions.sqlite3"),
+        warm_store=str(tmp_path / "warm.sqlite3"),
         scale=SCALE,
         workers=2,
     )
@@ -91,9 +91,9 @@ class TestEndToEnd:
 
         monkeypatch.setattr(optimizers_module, "build_optimizer", counting_build)
 
-        warm_path = str(tmp_path / "warm.jsonl")
+        warm_path = str(tmp_path / "warm.sqlite3")
         service = MappingService(
-            store=str(tmp_path / "solutions.jsonl"),
+            store=str(tmp_path / "solutions.sqlite3"),
             warm_store=warm_path,
             scale=SCALE,
             workers=1,
@@ -128,7 +128,7 @@ class TestEndToEnd:
             service.close()
 
         cold_service = MappingService(
-            store=str(tmp_path / "cold.jsonl"), warm_store=None, scale=SCALE, workers=1
+            store=str(tmp_path / "cold.sqlite3"), warm_store=None, scale=SCALE, workers=1
         )
         try:
             cold = cold_service.submit(MappingRequest(task="vision", setting="S2", seed=7))
@@ -148,7 +148,7 @@ class TestEndToEnd:
         assert library.fitness_of("vision", "throughput") >= first_result.best_fitness
 
     def test_fresh_service_answers_from_prior_process_store(self, tmp_path):
-        store_path = str(tmp_path / "solutions.jsonl")
+        store_path = str(tmp_path / "solutions.sqlite3")
         request = MappingRequest(task="language", setting="S1", seed=3)
         with MappingService(store=store_path, scale=SCALE, workers=1) as first:
             job = first.submit(request)
@@ -170,7 +170,7 @@ class TestEvalBackendParity:
 
     def _solve(self, tmp_path, eval_config):
         service = MappingService(
-            store=str(tmp_path / f"solutions-{eval_config.backend}.jsonl"),
+            store=str(tmp_path / f"solutions-{eval_config.backend}.sqlite3"),
             scale=SCALE,
             eval_config=eval_config,
             workers=2,
@@ -228,7 +228,7 @@ class TestQueueSemantics:
     def test_identical_inflight_requests_share_one_job(self, tmp_path, monkeypatch):
         release, started = threading.Event(), threading.Event()
         monkeypatch.setattr(MappingService, "_execute", _blocking_execute(release, started))
-        service = MappingService(store=str(tmp_path / "s.jsonl"), scale=SCALE, workers=1)
+        service = MappingService(store=str(tmp_path / "s.sqlite3"), scale=SCALE, workers=1)
         try:
             request = MappingRequest(task="vision", seed=0)
             first = service.submit(request)
@@ -250,7 +250,7 @@ class TestQueueSemantics:
             raise RuntimeError("simulated engine failure")
 
         monkeypatch.setattr(MappingService, "_execute", boom)
-        service = MappingService(store=str(tmp_path / "s.jsonl"), scale=SCALE, workers=1)
+        service = MappingService(store=str(tmp_path / "s.sqlite3"), scale=SCALE, workers=1)
         try:
             job = service.submit(MappingRequest(task="vision", seed=0))
             assert service.wait(job.job_id, timeout=10)
@@ -272,7 +272,7 @@ class TestQueueSemantics:
         """A long-running service must not grow its job table with every
         cache hit; only the newest finished jobs stay pollable."""
         service = MappingService(
-            store=str(tmp_path / "s.jsonl"), scale=SCALE, workers=1, max_finished_jobs=5
+            store=str(tmp_path / "s.sqlite3"), scale=SCALE, workers=1, max_finished_jobs=5
         )
         try:
             request = MappingRequest(task="vision", setting="S1", seed=0)
@@ -296,7 +296,7 @@ class TestResultText:
 
     @pytest.fixture()
     def solved_store(self, tmp_path):
-        store_path = str(tmp_path / "solutions.jsonl")
+        store_path = str(tmp_path / "solutions.sqlite3")
         with MappingService(store=store_path, scale=SCALE, workers=1) as first:
             first.result(first.submit(self.REQUEST).job_id, timeout=120)
         return store_path
@@ -350,10 +350,10 @@ class TestResultText:
             sys.setswitchinterval(interval)
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
-def store_url(request, tmp_path):
-    """One solution-store URL per transport."""
-    return f"{request.param}:{tmp_path / ('solutions.' + request.param)}"
+@pytest.fixture()
+def store_url(tmp_path):
+    """A fresh solution-store URL."""
+    return f"sqlite:{tmp_path / 'solutions.sqlite3'}"
 
 
 class TestLazyStartupIndex:
@@ -426,22 +426,21 @@ class TestLazyStartupIndex:
 
 class TestShutdown:
     def test_graceful_close_drains_queue_and_leaves_store_intact(self, tmp_path):
-        service = MappingService(store=str(tmp_path / "s.jsonl"), scale=SCALE, workers=2)
+        service = MappingService(store=str(tmp_path / "s.sqlite3"), scale=SCALE, workers=2)
         jobs = [
             service.submit(MappingRequest(task="vision", setting="S1", seed=seed))
             for seed in range(3)
         ]
         service.close(wait=True)
         assert all(job.state == "done" for job in jobs)
-        # Every line in the store parses: nothing torn, nothing lost.
-        store = SolutionStore(service.store.path)
-        assert store.repair() == 3
-        assert len(store.records()) == 3
+        # Every record in the store parses: nothing torn, nothing lost.
+        with SolutionStore(service.store.path) as store:
+            assert len(store.records()) == 3
 
     def test_non_draining_close_cancels_queued_jobs(self, tmp_path, monkeypatch):
         release, started = threading.Event(), threading.Event()
         monkeypatch.setattr(MappingService, "_execute", _blocking_execute(release, started))
-        service = MappingService(store=str(tmp_path / "s.jsonl"), scale=SCALE, workers=1)
+        service = MappingService(store=str(tmp_path / "s.sqlite3"), scale=SCALE, workers=1)
         running = service.submit(MappingRequest(task="vision", seed=0))
         queued = service.submit(MappingRequest(task="vision", seed=1))
         assert started.wait(timeout=10)
@@ -456,7 +455,7 @@ class TestShutdown:
         assert running.state == "done"
 
     def test_submit_after_close_rejected(self, tmp_path):
-        service = MappingService(store=str(tmp_path / "s.jsonl"), scale=SCALE, workers=1)
+        service = MappingService(store=str(tmp_path / "s.sqlite3"), scale=SCALE, workers=1)
         service.close()
         with pytest.raises(ServiceError, match="shut down"):
             service.submit(MappingRequest(task="vision"))

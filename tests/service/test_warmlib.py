@@ -8,6 +8,7 @@ from repro.core.encoding import MappingCodec
 from repro.core.framework import M3E
 from repro.optimizers.warmstart import WarmStartEngine
 from repro.service.warmlib import WarmStartLibrary, group_task_key
+from repro.utils.storage import StoreBackend
 from repro.workloads.benchmark import TaskType, build_task_workload
 
 
@@ -66,7 +67,7 @@ class TestStateRoundTrip:
 
 class TestLibraryPersistence:
     def test_solutions_survive_reload(self, tmp_path, codec):
-        path = str(tmp_path / "warm.jsonl")
+        path = str(tmp_path / "warm.sqlite3")
         library = WarmStartLibrary(path)
         encoding = codec.random_encoding(rng=0)
         assert library.record("vision", "throughput", encoding, codec, fitness=4.0)
@@ -80,37 +81,26 @@ class TestLibraryPersistence:
         )
 
     def test_only_improvements_are_appended(self, tmp_path, codec):
-        path = str(tmp_path / "warm.jsonl")
+        path = str(tmp_path / "warm.sqlite3")
         library = WarmStartLibrary(path)
         library.record("mix", "throughput", codec.random_encoding(rng=0), codec, fitness=4.0)
         assert not library.record(
             "mix", "throughput", codec.random_encoding(rng=1), codec, fitness=2.0
         )
         library.record("mix", "throughput", codec.random_encoding(rng=2), codec, fitness=9.0)
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == 2  # the non-improvement was not persisted
+        with StoreBackend(path) as store:
+            assert len(store) == 2  # the non-improvement was not persisted
         assert WarmStartLibrary(path).fitness_of("mix", "throughput") == 9.0
 
     def test_objectives_are_namespaced(self, tmp_path, codec):
-        library = WarmStartLibrary(str(tmp_path / "warm.jsonl"))
+        library = WarmStartLibrary(str(tmp_path / "warm.sqlite3"))
         library.record("mix", "throughput", codec.random_encoding(rng=0), codec, fitness=4.0)
         assert library.suggest("mix", "energy", codec) is None
         assert library.fitness_of("mix", "energy") is None
 
     def test_missing_file_is_empty_library(self, tmp_path):
-        library = WarmStartLibrary(str(tmp_path / "nope.jsonl"))
+        library = WarmStartLibrary(str(tmp_path / "nope.sqlite3"))
         assert len(library) == 0
-
-    def test_torn_trailing_line_is_repaired_on_load(self, tmp_path, codec):
-        path = str(tmp_path / "warm.jsonl")
-        library = WarmStartLibrary(path)
-        library.record("vision", "throughput", codec.random_encoding(rng=0), codec, fitness=4.0)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"task_key": "vision/throughput", "fitn')
-        reloaded = WarmStartLibrary(path)
-        assert reloaded.fitness_of("vision", "throughput") == 4.0
-
 
 class TestGroupTaskKey:
     def test_single_task_group(self):
@@ -124,7 +114,7 @@ class TestGroupTaskKey:
 
 class TestM3EWarmStoreHook:
     def test_search_records_winner_and_seeds_next_search(self, tmp_path):
-        path = str(tmp_path / "warm.jsonl")
+        path = str(tmp_path / "warm.sqlite3")
         platform = build_setting("S1", 16.0)
         group = build_task_workload(
             TaskType.VISION, group_size=8, seed=0,
@@ -158,15 +148,19 @@ class TestM3EWarmStoreHook:
         from repro.experiments.scenarios import ScenarioSpec
         from repro.experiments.settings import get_scale
 
-        seed_path = str(tmp_path / "seed.jsonl")
+        seed_path = str(tmp_path / "seed.sqlite3")
         platform = build_setting("S1", 16.0)
         group = build_task_workload(
             TaskType.VISION, group_size=8, seed=0,
             num_sub_accelerators=platform.num_sub_accelerators,
         )[0]
-        M3E(platform, sampling_budget=48, warm_store=WarmStartLibrary(seed_path)).search(
+        seed_library = WarmStartLibrary(seed_path)
+        M3E(platform, sampling_budget=48, warm_store=seed_library).search(
             group, optimizer="magma", seed=0, optimizer_options={"population_size": 12}
         )
+        # Closed before copying: closing the last handle folds SQLite's
+        # write-ahead log into the database file the copy reads.
+        seed_library.close()
 
         spec = ScenarioSpec(
             name="warm-repro", description="one warm-started cell",
@@ -176,7 +170,7 @@ class TestM3EWarmStoreHook:
 
         results = []
         for run in ("a", "b"):
-            library_path = str(tmp_path / f"lib_{run}.jsonl")
+            library_path = str(tmp_path / f"lib_{run}.sqlite3")
             shutil.copy(seed_path, library_path)
             runner = CampaignRunner(scale="tiny", warm_store=WarmStartLibrary(library_path))
             results.append(runner.run_cell(cell))
@@ -192,7 +186,7 @@ class TestM3EWarmStoreHook:
         cold = M3E(platform, sampling_budget=48).search(
             group, optimizer="magma", seed=0, optimizer_options={"population_size": 12}
         )
-        empty_library = WarmStartLibrary(str(tmp_path / "empty.jsonl"))
+        empty_library = WarmStartLibrary(str(tmp_path / "empty.sqlite3"))
         warm = M3E(platform, sampling_budget=48, warm_store=empty_library).search(
             group, optimizer="magma", seed=0, optimizer_options={"population_size": 12}
         )

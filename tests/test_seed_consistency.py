@@ -95,7 +95,7 @@ class TestBackendSeedConsistency:
 class TestServiceSeedConsistency:
     def _submit(self, tmp_path, tag: str, request: dict) -> SearchResultSummary:
         service = MappingService(
-            store=str(tmp_path / f"solutions-{tag}.jsonl"), scale="tiny", workers=1
+            store=str(tmp_path / f"solutions-{tag}.sqlite3"), scale="tiny", workers=1
         )
         try:
             job = service.submit(request)
@@ -115,7 +115,7 @@ class TestServiceSeedConsistency:
         """A request without a seed resolves at submit time (to the session
         seed, else 0), so the stored payload replays bit-identically."""
         service = MappingService(
-            store=str(tmp_path / "solutions.jsonl"), scale="tiny", workers=1
+            store=str(tmp_path / "solutions.sqlite3"), scale="tiny", workers=1
         )
         try:
             job = service.submit({"task": "vision", "setting": "S1"})
@@ -129,7 +129,7 @@ class TestServiceSeedConsistency:
         set_global_seed(77, source="test")
         try:
             service = MappingService(
-                store=str(tmp_path / "solutions.jsonl"), scale="tiny", workers=1
+                store=str(tmp_path / "solutions.sqlite3"), scale="tiny", workers=1
             )
             try:
                 job = service.submit({"task": "vision", "setting": "S1"})

@@ -1,16 +1,15 @@
-"""Backend-conformance suite for the pluggable store backends.
+"""Conformance suite for the store backend.
 
-Every test in :class:`TestBackendConformance` runs against both
-transports — ``jsonl:`` and ``sqlite:`` — so a behavioural divergence
-between backends fails the same test both ways instead of hiding behind
-whichever backend a feature test happened to use.  Each transport also runs
-as a ``-peer`` arm: writes go through one handle and reads through a second
-handle on the same file, the view another replica (or another process's
-``repro-magma store`` command) has of the store.
-:class:`TestSqliteAcrossProcesses` checks the sharing claim the ``sqlite:``
-backend makes: replicas in separate OS processes share one store.  The URL
-grammar and compaction policy get their own unit classes since they are
-backend-independent.
+Every test in :class:`TestBackendConformance` runs four times: through
+one handle, and as the ``-peer`` arm, where writes go through one handle and
+reads through a second handle on the same file — the view another replica
+(or another process's ``repro-magma store`` command) has of the store.  Each
+of the two runs once per address form: ``sqlite:PATH`` and a bare ``PATH``
+(whose peer reader opens the same file as ``sqlite:PATH``, so both forms
+must name one store).
+:class:`TestSqliteAcrossProcesses` checks the sharing claim: replicas in
+separate OS processes share one store.  The address grammar, the input
+errors and the compaction policy get their own unit classes.
 """
 
 import json
@@ -22,12 +21,9 @@ import threading
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.utils.jsonl_store import AppendOnlyJsonlStore
-from repro.utils.sqlite_store import SqliteStoreBackend
 from repro.utils.storage import (
     CompactionPolicy,
     StoreBackend,
-    StoreUrl,
     open_store_backend,
     parse_store_url,
     record_fitness,
@@ -41,58 +37,50 @@ def _record(fingerprint, fitness, **extra):
     return record
 
 
-class _PeerView(StoreBackend):
+class _PeerView:
     """Writes through one handle and reads through a second on the same file.
 
     Every read answers from a handle that never made the writes, so any
-    per-handle state (the JSONL offset index, a SQLite connection's view)
-    that went stale would surface as a conformance failure.
+    per-handle state (a SQLite connection's view) that went stale would
+    surface as a conformance failure.
     """
 
     def __init__(self, writer: StoreBackend, reader: StoreBackend) -> None:
-        self.kind, self.shared, self.path = writer.kind, writer.shared, writer.path
-        super().__init__()
         self._writer, self._reader = writer, reader
+        self.kind, self.path, self.url = writer.kind, writer.path, writer.url
 
-    def append_record(self, record):
-        self._writer.append_record(record)
-
-    def iter_records(self):
-        return self._reader.iter_records()
+    def __getattr__(self, name):
+        return getattr(self._reader, name)
 
     def __len__(self):
         return len(self._reader)
 
-    def fingerprints(self):
-        return self._reader.fingerprints()
+    def append_record(self, record):
+        self._writer.append_record(record)
 
-    def lookup(self, fingerprint):
-        return self._reader.lookup(fingerprint)
-
-    def repair(self):
-        return self._writer.repair()
+    def append_many(self, records):
+        self._writer.append_many(records)
 
     def truncate(self):
         self._writer.truncate()
 
-    def _replace_records(self, records):
-        self._writer._replace_records(records)
+    def compact(self, policy=None):
+        return self._writer.compact(policy)
 
     def close(self):
         self._writer.close()
         self._reader.close()
 
 
-_BACKEND_CLASSES = {"jsonl": AppendOnlyJsonlStore, "sqlite": SqliteStoreBackend}
-
-
-@pytest.fixture(params=["jsonl", "sqlite", "jsonl-peer", "sqlite-peer"])
+@pytest.fixture(params=["sqlite", "sqlite-peer", "bare", "bare-peer"])
 def backend(request, tmp_path):
-    """One open store backend per transport; torn down after the test."""
-    kind, _, peer = request.param.partition("-")
-    cls = _BACKEND_CLASSES[kind]
-    path = str(tmp_path / f"store.{kind}")
-    store = _PeerView(cls(path), cls(path)) if peer else cls(path)
+    """One open store per arm; torn down after the test."""
+    path = str(tmp_path / "store.sqlite3")
+    address = path if request.param.startswith("bare") else f"sqlite:{path}"
+    if request.param.endswith("-peer"):
+        store = _PeerView(open_store_backend(address), open_store_backend(f"sqlite:{path}"))
+    else:
+        store = open_store_backend(address)
     yield store
     store.close()
 
@@ -109,7 +97,6 @@ class TestBackendConformance:
         assert backend.records() == []
         assert backend.fingerprints() == set()
         assert len(backend) == 0
-        assert backend.repair() == 0
 
     def test_fingerprints_match_full_parse(self, backend):
         for i in range(25):
@@ -141,9 +128,9 @@ class TestBackendConformance:
         assert len(backend) == 0
 
     def test_an_indexed_reader_sees_a_truncate_and_a_longer_record(self, backend):
-        """On the peer arms the reader indexes the file, then the writer
-        truncates it and appends a longer record: the reader must answer
-        from the new file, not from its old offsets."""
+        """On the peer arm the reader has answered a lookup, then the
+        writer truncates the store and appends a longer record: the reader
+        must answer from the new contents, not from what it read before."""
         backend.append_record(_record("fp-old", 1.0))
         assert backend.lookup("fp-old") is not None
         backend.truncate()
@@ -162,12 +149,6 @@ class TestBackendConformance:
         assert backend.fingerprints() == set(fingerprints)
         for fitness, fingerprint in enumerate(fingerprints):
             assert backend.lookup(fingerprint) == _record(fingerprint, float(fitness))
-
-    def test_repair_reports_intact_count(self, backend):
-        for i in range(7):
-            backend.append_record(_record(f"fp-{i}", float(i)))
-        assert backend.repair() == 7
-        assert len(backend) == 7
 
     def test_records_survive_close_and_reopen(self, backend, tmp_path):
         for i in range(5):
@@ -197,7 +178,7 @@ class TestBackendConformance:
         for thread in threads:
             thread.join()
         assert not errors
-        assert backend.repair() == per_worker * workers
+        assert len(backend) == per_worker * workers
         fingerprints = [record["fingerprint"] for record in backend.records()]
         assert len(fingerprints) == per_worker * workers
         assert len(set(fingerprints)) == per_worker * workers
@@ -284,39 +265,57 @@ class TestBackendConformance:
         assert backend.records() == [record]
         assert backend.lookup("fp-payload") == record
 
+    def test_append_many_lands_after_earlier_records_in_order(self, backend):
+        backend.append_record(_record("fp-first", 1.0))
+        batch = [_record(f"fp-{i}", float(i), payload={"i": i}) for i in range(5)]
+        backend.append_many(batch)
+        assert backend.records() == [_record("fp-first", 1.0)] + batch
+        assert backend.fingerprints() == {"fp-first"} | {f"fp-{i}" for i in range(5)}
+        assert backend.lookup("fp-3") == batch[3]
 
-class TestCrossBackendMigration:
-    def test_records_migrate_byte_identically_between_jsonl_and_sqlite(self, tmp_path):
-        """The canonical rendering is shared, so a sqlite round trip of a
-        JSONL store reproduces the original file byte for byte."""
-        source = AppendOnlyJsonlStore(str(tmp_path / "source.jsonl"))
-        for i in range(20):
-            source.append_record(_record(f"fp-{i}", float(i), note=f"n{i}"))
-        with open(source.path, "rb") as handle:
-            original_bytes = handle.read()
+    def test_a_fingerprint_mentioned_only_as_data_is_not_a_match(self, backend):
+        """Only the top-level ``fingerprint`` is a record's identity: the same
+        value as request data or as a nested key names no record."""
+        backend.append_record(_record("other", 9.0, request={"note": "aaa"}))
+        backend.append_record(_record("ccc", 2.0, config={"fingerprint": "bbb"}))
+        assert backend.lookup("aaa") is None
+        assert backend.lookup("bbb") is None
+        assert backend.fingerprints() == {"other", "ccc"}
+        backend.append_record(_record("aaa", 1.0))
+        assert record_fitness(backend.lookup("aaa")) == 1.0
 
-        middle = SqliteStoreBackend(str(tmp_path / "middle.sqlite3"))
-        for record in source.records():
-            middle.append_record(record)
-        final = AppendOnlyJsonlStore(str(tmp_path / "final.jsonl"))
-        for record in middle.records():
-            final.append_record(record)
-        middle.close()
-        with open(final.path, "rb") as handle:
-            assert handle.read() == original_bytes
+    def test_compacting_an_empty_store_is_a_no_op(self, backend):
+        assert backend.compact() == (0, 0)
+        assert backend.compact(CompactionPolicy(keep_best_per_fingerprint=False, max_records=0)) == (0, 0)
+        backend.append_record(_record("fp", 1.0))
+        assert backend.records() == [_record("fp", 1.0)]
 
-    def test_render_record_is_canonical_json(self):
-        rendered = render_record({"b": 1, "a": [1.0, 2]})
-        assert rendered == json.dumps({"b": 1, "a": [1.0, 2]}, sort_keys=True)
-        assert json.loads(rendered) == {"b": 1, "a": [1.0, 2]}
+    def test_url_parses_back_to_the_path_it_opened(self, backend):
+        assert backend.url == f"sqlite:{backend.path}"
+        assert parse_store_url(backend.url) == backend.path
+        assert backend.describe()["url"] == backend.url
+
+    def test_a_closed_handle_refuses_further_use(self, backend):
+        backend.append_record(_record("fp", 1.0))
+        backend.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.append_record(_record("fp", 2.0))
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.records()
+
+
+def test_render_record_is_canonical_json():
+    rendered = render_record({"b": 1, "a": [1.0, 2]})
+    assert rendered == json.dumps({"b": 1, "a": [1.0, 2]}, sort_keys=True)
+    assert json.loads(rendered) == {"b": 1, "a": [1.0, 2]}
 
 
 _APPEND_SCRIPT = """
 import sys
-from repro.utils.sqlite_store import SqliteStoreBackend
+from repro.utils.storage import StoreBackend
 
 path, worker, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
-with SqliteStoreBackend(path) as store:
+with StoreBackend(path) as store:
     print("ready", flush=True)
     sys.stdin.readline()
     for i in range(count):
@@ -327,9 +326,9 @@ with SqliteStoreBackend(path) as store:
 
 _TRUNCATE_SCRIPT = """
 import sys
-from repro.utils.sqlite_store import SqliteStoreBackend
+from repro.utils.storage import StoreBackend
 
-with SqliteStoreBackend(sys.argv[1]) as store:
+with StoreBackend(sys.argv[1]) as store:
     store.truncate()
 """
 
@@ -368,7 +367,7 @@ class TestSqliteAcrossProcesses:
         finally:
             for writer in writers:
                 _finish(writer)
-        with SqliteStoreBackend(path) as store:
+        with StoreBackend(path) as store:
             records = store.records()
         assert len(records) == 2 * count
         for worker in "ab":
@@ -377,7 +376,7 @@ class TestSqliteAcrossProcesses:
 
     def test_an_open_handle_sees_another_processs_appends(self, tmp_path):
         path = str(tmp_path / "shared.sqlite3")
-        with SqliteStoreBackend(path) as store:
+        with StoreBackend(path) as store:
             assert len(store) == 0
             writer = _python("-c", _APPEND_SCRIPT, path, "peer", "3", stdin=subprocess.PIPE)
             writer.stdin.write("go\n")
@@ -389,7 +388,7 @@ class TestSqliteAcrossProcesses:
 
     def test_an_open_handle_sees_a_store_compact_run_in_another_process(self, tmp_path):
         path = str(tmp_path / "shared.sqlite3")
-        with SqliteStoreBackend(path) as store:
+        with StoreBackend(path) as store:
             for i in range(6):
                 store.append_record(_record("fp-a" if i % 2 else "fp-b", float(i)))
             assert len(store) == 6
@@ -400,7 +399,7 @@ class TestSqliteAcrossProcesses:
 
     def test_an_open_handle_sees_another_processs_truncate(self, tmp_path):
         path = str(tmp_path / "shared.sqlite3")
-        with SqliteStoreBackend(path) as store:
+        with StoreBackend(path) as store:
             store.append_record(_record("fp-old", 1.0))
             assert store.fingerprints() == {"fp-old"}
             _finish(_python("-c", _TRUNCATE_SCRIPT, path))
@@ -411,54 +410,50 @@ class TestSqliteAcrossProcesses:
 
 class TestParseStoreUrl:
     @pytest.mark.parametrize(
-        "spec, kind, path",
+        "spec, path",
         [
-            ("store.jsonl", "jsonl", "store.jsonl"),
-            ("/abs/dir/store.jsonl", "jsonl", "/abs/dir/store.jsonl"),
-            ("./rel/a:b.jsonl", "jsonl", "./rel/a:b.jsonl"),  # a colon after a slash is path
-            ("D:store.jsonl", "jsonl", "D:store.jsonl"),  # a one-letter scheme is a drive
-            ("jsonl:store.jsonl", "jsonl", "store.jsonl"),
-            ("jsonl://store.jsonl", "jsonl", "store.jsonl"),
-            ("jsonl:///abs/store.jsonl", "jsonl", "/abs/store.jsonl"),
-            ("sqlite:db.sqlite3", "sqlite", "db.sqlite3"),
-            ("sqlite:///abs/db.sqlite3", "sqlite", "/abs/db.sqlite3"),
-            ("sqlite:dir/with:colon.db", "sqlite", "dir/with:colon.db"),
+            ("store.sqlite3", "store.sqlite3"),
+            ("/abs/dir/store.sqlite3", "/abs/dir/store.sqlite3"),
+            ("./rel/a:b.db", "./rel/a:b.db"),  # a colon after a slash is path
+            ("D:store.db", "D:store.db"),  # a one-letter scheme is a drive
+            ("sqlite:db.sqlite3", "db.sqlite3"),
+            ("sqlite:///abs/db.sqlite3", "/abs/db.sqlite3"),
+            ("sqlite:dir/with:colon.db", "dir/with:colon.db"),
         ],
     )
-    def test_grammar_and_render_round_trip(self, spec, kind, path):
-        url = parse_store_url(spec)
-        assert url == StoreUrl(kind=kind, path=path)
-        assert parse_store_url(url.render()) == url
-
-    def test_bare_path_means_jsonl(self):
-        assert parse_store_url("results/run.jsonl") == StoreUrl(
-            kind="jsonl", path="results/run.jsonl"
-        )
-
-    def test_explicit_jsonl_and_sqlite_schemes(self):
-        assert parse_store_url("jsonl:store.jsonl").kind == "jsonl"
-        assert parse_store_url("sqlite:store.sqlite3") == StoreUrl(
-            kind="sqlite", path="store.sqlite3"
-        )
+    def test_grammar_and_url_round_trip(self, spec, path):
+        assert parse_store_url(spec) == path
+        assert parse_store_url(f"sqlite:{path}") == path
 
     def test_url_style_double_slash_is_tolerated(self):
-        assert parse_store_url("sqlite://db.sqlite3").path == "db.sqlite3"
-        assert parse_store_url("sqlite:///abs/db.sqlite3").path == "/abs/db.sqlite3"
-
-    def test_render_round_trips(self):
-        assert parse_store_url("sqlite:db").render() == "sqlite:db"
-        assert parse_store_url("jsonl://db.jsonl").render() == "jsonl:db.jsonl"
+        assert parse_store_url("sqlite://db.sqlite3") == "db.sqlite3"
+        assert parse_store_url("sqlite:///abs/db.sqlite3") == "/abs/db.sqlite3"
 
     @pytest.mark.parametrize(
         "spec",
-        ["sqlit:typo.db", "sqlite3:typo.db", "tcp://127.0.0.1:9917", "s3://bucket/key", "SQLITE:db"],
+        ["sqlit:typo.db", "sqlite3:typo.db", "jsonl:store.jsonl", "tcp://127.0.0.1:9917",
+         "s3://bucket/key", "SQLITE:db"],
     )
     def test_unknown_scheme_fails_loudly(self, spec):
-        with pytest.raises(ConfigurationError, match="unknown store scheme.*jsonl, sqlite"):
+        with pytest.raises(ConfigurationError, match="unknown store scheme.*available: sqlite"):
             parse_store_url(spec)
 
+    @pytest.mark.parametrize("spec", ["store.sqlite3", "sqlite:store.sqlite3", "sqlite://store.sqlite3"])
+    def test_every_address_form_opens_one_store(self, spec, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with StoreBackend("store.sqlite3") as writer:
+            writer.append_record(_record("fp", 1.0))
+        with open_store_backend(spec) as store:
+            assert store.url == "sqlite:store.sqlite3"
+            assert store.fingerprints() == {"fp"}
+        assert sorted(os.listdir(tmp_path))[0] == "store.sqlite3"
+
+    def test_an_open_backend_is_handed_back_as_is(self, tmp_path):
+        with StoreBackend(str(tmp_path / "store.sqlite3")) as store:
+            assert open_store_backend(store) is store
+
     def test_windows_drive_letter_is_a_path_not_a_scheme(self):
-        assert parse_store_url(r"C:\stores\x.jsonl").kind == "jsonl"
+        assert parse_store_url(r"C:\stores\x.db") == r"C:\stores\x.db"
 
     def test_empty_urls_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -466,11 +461,69 @@ class TestParseStoreUrl:
         with pytest.raises(ConfigurationError):
             parse_store_url("sqlite:")
 
-    @pytest.mark.parametrize("spec", ["redis:whatever", "tcp://127.0.0.1:9917"])
-    def test_open_store_backend_rejects_unknown_scheme(self, spec):
-        with pytest.raises(ConfigurationError, match="unknown store scheme.*jsonl, sqlite"):
+    @pytest.mark.parametrize("spec", ["redis:whatever", "tcp://127.0.0.1:9917", "jsonl:store.jsonl"])
+    def test_open_store_backend_rejects_unknown_scheme(self, spec, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError, match="unknown store scheme.*available: sqlite"):
             open_store_backend(spec)
+        assert os.listdir(tmp_path) == []
 
+
+class TestStoreInputErrors:
+    JSONL = b'{"fingerprint": "fp-a", "result": {"best_fitness": 1.0}}\n'
+
+    @pytest.mark.parametrize("prefix", ["", "sqlite:"], ids=["bare", "sqlite"])
+    def test_a_non_sqlite_file_is_refused_and_left_untouched(self, tmp_path, prefix):
+        path = tmp_path / "old.jsonl"
+        path.write_bytes(self.JSONL)
+        with pytest.raises(ConfigurationError, match="not a SQLite database") as error:
+            open_store_backend(f"{prefix}{path}")
+        assert str(path) in str(error.value)
+        assert "docs/SERVICE.md" in str(error.value)
+        assert path.read_bytes() == self.JSONL
+        assert sorted(os.listdir(tmp_path)) == ["old.jsonl"]
+
+    def test_an_empty_file_is_a_fresh_store(self, tmp_path):
+        path = tmp_path / "empty.sqlite3"
+        path.touch()
+        with StoreBackend(str(path)) as store:
+            store.append_record(_record("fp", 1.0))
+            assert store.fingerprints() == {"fp"}
+
+    def test_missing_parent_directories_are_created(self, tmp_path):
+        path = tmp_path / "a" / "b" / "store.sqlite3"
+        with open_store_backend(f"sqlite:{path}") as store:
+            store.append_record(_record("fp", 1.0))
+        with StoreBackend(str(path)) as reopened:
+            assert reopened.fingerprints() == {"fp"}
+
+
+class TestJsonlConversion:
+    """The JSONL-to-SQLite snippet in docs/SERVICE.md works as printed."""
+
+    DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "SERVICE.md")
+
+    def _snippet(self):
+        with open(self.DOCS, encoding="utf-8") as handle:
+            text = handle.read()
+        section = text.split("### Converting a JSONL store", 1)[1]
+        return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+    def test_the_documented_snippet_converts_record_for_record(self, tmp_path, monkeypatch):
+        records = [
+            _record("fp-a", 1.0, request={"task": "vision"}),
+            _record("fp-a", 3.0, payload="π"),
+            {"task_key": "mix/throughput", "result": {"best_fitness": 2.0}},
+        ]
+        (tmp_path / "solutions.jsonl").write_text(
+            "".join(render_record(record) + "\n" for record in records) + "\n",
+            encoding="utf-8",
+        )
+        monkeypatch.chdir(tmp_path)
+        exec(compile(self._snippet(), "docs/SERVICE.md", "exec"), {})
+        with open_store_backend("solutions.sqlite3") as store:
+            assert store.records() == records
+            assert record_fitness(store.lookup("fp-a")) == 3.0
 
 class TestCompactionPolicy:
     def test_survivors_keep_best_per_fingerprint_ties_earliest(self):
